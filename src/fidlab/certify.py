@@ -3,8 +3,8 @@
 # SDP-style feasibility and optimality certificates: block positivity via
 # the support/Schur-complement criterion, dual-body membership for the max
 # kind, and zero-duality-gap certificates pairing analytic primal
-# optimizers with the derivative dual optimizers. No external SDP solver
-# is used anywhere.
+# optimizers with the derivative dual optimizers; the dual pair is feasible
+# iff its polar is >= 1. No external SDP solver is used anywhere.
 
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .channels import random_psd, rng_for
 from .errors import DimensionMismatch
-from .fidelity import dual_optimizers, fidelity
+from .fidelity import dual_optimizers
 from .linalg_core import (
     as_square,
     check_pd,
@@ -27,8 +26,12 @@ from .linalg_core import (
     psd_tol,
     support_projector,
 )
+from .polar import _polar_lower, _warn_dead_knobs
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
+
+# relative tolerance of a certificate's gap and of its dual pair's polar
+_CERT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class Certificate:
         return (
             self.primal_feasible
             and self.dual_feasible
-            and self.gap <= 1e-7 * (1.0 + abs(self.primal_value))
+            and self.gap <= _CERT_TOL * (1.0 + abs(self.primal_value))
         )
 
 
@@ -69,8 +72,9 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
         return False
     if opnorm(C @ (np.eye(Y.shape[0]) - pi_y)) > tol:
         return False
+    # the complement is a difference of terms on X's scale, so is its round-off
     gap = hermitianize(X - C @ pinv(Y) @ C.conj().T)
-    return bool(npl.eigvalsh(gap)[0] >= -psd_tol(gap))
+    return bool(npl.eigvalsh(gap)[0] >= -psd_tol(X))
 
 
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
@@ -85,35 +89,16 @@ def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     return bool(npl.eigvalsh(block)[0] >= -psd_tol(block))
 
 
-def _dual_feasible_sampled(
-    kind: str, L0: np.ndarray, L1: np.ndarray, seed: int, n_samples: int = 100
-) -> bool:
-    """
-    Probabilistic dual feasibility: the linear functional must dominate the
-    fidelity on sampled PSD pairs and on commuting diagonal probes.
-    """
-    dim = L0.shape[0]
-    probes: list[tuple[np.ndarray, np.ndarray]] = []
-    for t in range(n_samples):
-        rng = rng_for(seed, t)
-        probes.append((random_psd(dim, rng), random_psd(dim, rng)))
-    rng = rng_for(seed, n_samples)
-    for _ in range(10):
-        probes.append((np.diag(rng.random(dim)), np.diag(rng.random(dim))))
-    for Xp, Yp in probes:
-        lhs = float((np.trace(L0 @ Xp) + np.trace(L1 @ Yp)).real)
-        if lhs < fidelity(kind, Xp, Yp) - 1e-7:
-            return False
-    return True
-
-
 def duality_certificate(
-    kind: str, X: np.ndarray, Y: np.ndarray, seed: int = 0
+    kind: str, X: np.ndarray, Y: np.ndarray, seed=None
 ) -> Certificate:
     """
     Analytic primal optimizer + analytic dual optimizer + feasibility
-    checks + duality gap for the chosen fidelity kind.
+    checks + duality gap for the chosen fidelity kind. The dual pair is
+    feasible iff its polar is at least 1 - _CERT_TOL. `seed` is deprecated
+    and ignored.
     """
+    _warn_dead_knobs("duality_certificate", seed=seed)
     X = hermitianize(as_square(X))
     Y = hermitianize(as_square(Y))
     check_pd(X, "X")
@@ -133,13 +118,15 @@ def duality_certificate(
         primal_value = float(np.trace(C).real)
         primal_feasible = block_psd(X, C, Y)
     elif kind == "half":
-        primal_value = fidelity(kind, X, Y)
+        primal_value = float(np.trace(sX @ sY).real)
         primal_feasible = True
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     pair = dual_optimizers(kind, X, Y)
     dual_value = float((np.trace(pair.first @ X) + np.trace(pair.second @ Y)).real)
-    dual_feasible = _dual_feasible_sampled(kind, pair.first, pair.second, seed)
+    # L* sits on the boundary, polar p = 1 up to round-off; L*/p is feasible and
+    # worth dual_value/p, so p >= 1 - _CERT_TOL keeps the gap's tolerance
+    dual_feasible = _polar_lower(kind, pair.first, pair.second) >= 1.0 - _CERT_TOL
     return Certificate(
         kind=kind,
         primal_value=primal_value,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 
 import numpy as np
@@ -91,11 +90,11 @@ def cmd_compute(args) -> int:
     for kind in _KINDS:
         result[f"fidelity_{kind}"] = fidelity(kind, A, B)
     for kind in _KINDS:
-        result[f"polar_{kind}"] = polar(kind, A, B, seed=args.seed)
+        result[f"polar_{kind}"] = polar(kind, A, B)
     certs = {}
     for kind in _KINDS:
         try:
-            c = duality_certificate(kind, A, B, seed=args.seed)
+            c = duality_certificate(kind, A, B)
             certs[kind] = {
                 "primal_value": c.primal_value,
                 "dual_value": c.dual_value,
@@ -203,23 +202,6 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("FIDLAB_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise ParseError(f"FIDLAB_THREADS must be an integer, got {cap!r}")
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fidlab",
@@ -234,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--as-dual", action="store_true",
                     help="treat the pair as dual operators (L0, L1)")
     pc.add_argument("--format", choices=("json", "text"), default="text")
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=int, default=None, help="ignored (deprecated)")
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="run a seeded invariant suite")
@@ -262,7 +244,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.func(args)
     except (ParseError, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ from .linalg_core import (
     psd_sqrt,
     rank_tol,
     schur_reduce,
-    support_projector,
 )
 from .superop import lyapunov_solve
 
@@ -82,13 +81,16 @@ def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
     Y = hermitianize(as_square(Y))
     check_psd(X, "X")
     check_psd(Y, "Y")
-    pi = support_projector(Y)
-    comp = np.eye(X.shape[0]) - pi
+    # rank, support and Y^{-1/2} all come from Y's own eigenvalues: deciding
+    # rank on sqrt(Y) would lift round-off eps to sqrt(eps) > rank_tol
+    w, V = npl.eigh(Y)
+    keep = w > rank_tol(Y)
+    Vs = V[:, keep]
+    comp = np.eye(X.shape[0]) - Vs @ Vs.conj().T
     if opnorm(comp @ X @ comp) > rank_tol(X):
         X = schur_reduce(X, Y)
-    sY = psd_sqrt(Y)
-    sY_pinv = pinv(sY)
-    T = psd_sqrt(hermitianize(sY_pinv @ X @ sY_pinv))
+    iY = (Vs / np.sqrt(w[keep])) @ Vs.conj().T
+    T = psd_sqrt(hermitianize(iY @ X @ iY))
     return float(np.trace(Y @ T).real)
 
 

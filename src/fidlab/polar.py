@@ -1,11 +1,16 @@
 # src/fidlab/polar.py
 #
 # Polar functionals of the three fidelities: closed spectral forms for the
-# max and half kinds, exact pure-state minimization for the min kind, the
-# membership semantics (polar >= 1 <=> dual-body membership), and a
-# randomized POVM-decomposition lower bound for the max polar.
+# max and half kinds, a certified branch-and-bound bracket over one scalar
+# for the min kind, the membership semantics (polar >= 1 <=> dual-body
+# membership), and a randomized POVM-decomposition lower bound for the max
+# polar.
 
 from __future__ import annotations
+
+import heapq
+import math
+import warnings
 
 import numpy as np
 import numpy.linalg as npl
@@ -13,7 +18,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize, nnls
 
 from .channels import rng_for
-from .errors import DecompositionInfeasible, LengthMismatch, NegativeEntry
+from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
 from .linalg_core import as_square, check_psd, hermitianize, psd_sqrt, rank_tol
 from .superop import composed_lyapunov_spectrum, vec
@@ -29,6 +34,11 @@ __all__ = [
     "povm_lower_bound",
 ]
 
+# _polar_min_bracket stops once upper - lower <= _BRACKET_REL_WIDTH * upper,
+# and raises NoConvergence rather than exceed _BRACKET_MAX_EVALS eigvalsh.
+_BRACKET_REL_WIDTH = 1e-10
+_BRACKET_MAX_EVALS = 1000
+
 
 def polar_classical(l0, l1) -> float:
     """min over i of 2 sqrt(l0_i l1_i)."""
@@ -43,12 +53,24 @@ def _is_singular(L: np.ndarray) -> bool:
     return bool(w[0] <= rank_tol(L))
 
 
-def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
-    """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
+def _pair(L0, L1) -> tuple[np.ndarray, np.ndarray]:
     L0 = hermitianize(as_square(L0))
     L1 = hermitianize(as_square(L1))
     check_psd(L0, "L0")
     check_psd(L1, "L1")
+    return L0, L1
+
+
+def _warn_dead_knobs(func: str, **knobs) -> None:
+    passed = ", ".join(sorted(k for k, v in knobs.items() if v is not None))
+    if passed:
+        warnings.warn(f"{func}: {passed} has no effect and is deprecated",
+                      DeprecationWarning, stacklevel=3)
+
+
+def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
+    """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
+    L0, L1 = _pair(L0, L1)
     if _is_singular(L0) or _is_singular(L1):
         return 0.0
     s1 = psd_sqrt(L1)
@@ -56,56 +78,58 @@ def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     return 2.0 * float(np.sqrt(max(lam_min, 0.0)))
 
 
-def _min_product_pure_state(
-    L0: np.ndarray, L1: np.ndarray, restarts: int, seed: int
-) -> float:
+def _polar_min_bracket(L0: np.ndarray, L1: np.ndarray) -> tuple[float, float]:
     """
-    Minimize <psi|L0|psi><psi|L1|psi> over unit vectors.
+    Certified bracket [lower, upper] of the min polar of a Hermitian PSD
+    pair, of relative width _BRACKET_REL_WIDTH; (0, 0) on singular inputs.
 
-    Uses the self-consistent iteration psi <- bottom eigenvector of
-    (b L0 + a L1) with a = <L0>, b = <L1>, which decreases the product
-    monotonically (AM-GM), plus multiple starts.
+    Swapping the minimizations in 2 sqrt(ab) = min_{s>0} (s a + b/s) gives
+    polar_min = min_t g(t), g(t) = lambda_min(e^t L0 + e^{-t} L1), whose
+    minimizer lies in [log(lmin(L1)/lmax(L0)), log(lmax(L1)/lmin(L0))] / 2.
+    On a cell [m-h, m+h], e^t L0 + e^{-t} L1 = cosh(t-m) M + sinh(t-m) D
+    with M, D fixed; tau -> lambda_min(M + tau D) is concave and g >= 0, so
+    g >= min(g(m-h), g(m+h)) / cosh(h) there. Best-first branch and bound
+    on that bound closes the bracket; `upper` is the least evaluated g.
     """
-    dim = L0.shape[0]
-    starts: list[np.ndarray] = []
-    for M in (L0, L1, L0 + L1):
-        _, V = npl.eigh(M)
-        starts.extend(V[:, j] for j in range(dim))
-    rng = rng_for(seed)
-    for _ in range(max(restarts, 1)):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        starts.append(v / npl.norm(v))
-    best = np.inf
-    for psi in starts:
-        psi = psi / npl.norm(psi)
-        val = np.inf
-        for _ in range(200):
-            a = float((psi.conj() @ L0 @ psi).real)
-            b = float((psi.conj() @ L1 @ psi).real)
-            new_val = a * b
-            if new_val >= val - 1e-15:
-                val = min(val, new_val)
-                break
-            val = new_val
-            _, V = npl.eigh(b * L0 + a * L1)
-            psi = V[:, 0]
-        best = min(best, val)
-    return float(max(best, 0.0))
+    w0, w1 = npl.eigvalsh(L0), npl.eigvalsh(L1)
+    if w0[0] <= rank_tol(L0) or w1[0] <= rank_tol(L1):
+        return 0.0, 0.0
+
+    def g(t: float) -> float:
+        return max(float(npl.eigvalsh(math.exp(t) * L0 + math.exp(-t) * L1)[0]), 0.0)
+
+    def cell(a: float, b: float, ga: float, gb: float) -> tuple:
+        return (min(ga, gb) / math.cosh(0.5 * (b - a)), a, b, ga, gb)
+
+    a, b = 0.5 * math.log(w1[0] / w0[-1]), 0.5 * math.log(w1[-1] / w0[0])
+    cells = [cell(a, b, g(a), g(b))]
+    upper = min(cells[0][3:])
+    for _ in range(_BRACKET_MAX_EVALS - 2):
+        lower, a, b, ga, gb = heapq.heappop(cells)
+        if upper - lower <= _BRACKET_REL_WIDTH * upper:
+            return lower, upper
+        m = 0.5 * (a + b)
+        gm = g(m)
+        upper = min(upper, gm)
+        heapq.heappush(cells, cell(a, m, ga, gm))
+        heapq.heappush(cells, cell(m, b, gm, gb))
+    raise NoConvergence(
+        f"polar_min bracket still open after {_BRACKET_MAX_EVALS} eigenvalue evaluations"
+    )
 
 
-def polar_min(L0: np.ndarray, L1: np.ndarray, restarts: int = 20, seed: int = 0) -> float:
+def polar_min(L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float:
     """
-    min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>); the
-    minimum over states sits at a pure state by concavity. Dim-2 inputs are
-    routed to the exact qubit closed form.
+    min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>), the
+    upper end of the certified bracket of _polar_min_bracket. Dim-2 inputs
+    are routed to the exact qubit closed form. `restarts` and `seed` are
+    deprecated and ignored.
     """
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    check_psd(L0, "L0")
-    check_psd(L1, "L1")
+    _warn_dead_knobs("polar_min", restarts=restarts, seed=seed)
+    L0, L1 = _pair(L0, L1)
     if L0.shape[0] == 2:
         return polar_min_qubit(L0, L1)
-    return 2.0 * float(np.sqrt(_min_product_pure_state(L0, L1, restarts, seed)))
+    return _polar_min_bracket(L0, L1)[1]
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -114,30 +138,35 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     symmetrization of the composed Lyapunov operator; 0 on singular inputs
     (continuity of the polar).
     """
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    check_psd(L0, "L0")
-    check_psd(L1, "L1")
+    L0, L1 = _pair(L0, L1)
     if _is_singular(L0) or _is_singular(L1):
         return 0.0
     top = float(composed_lyapunov_spectrum(L0, L1).eigenvalues[-1])
     return float(top ** -0.5)
 
 
-def polar(kind: str, L0: np.ndarray, L1: np.ndarray, restarts: int = 20, seed: int = 0) -> float:
-    """Dispatch by kind in {max, min, half}."""
+def polar(kind: str, L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float:
+    """Dispatch by kind in {max, min, half}; `restarts` and `seed` are deprecated and ignored."""
+    _warn_dead_knobs("polar", restarts=restarts, seed=seed)
     if kind == "max":
         return polar_max(L0, L1)
     if kind == "min":
-        return polar_min(L0, L1, restarts=restarts, seed=seed)
+        return polar_min(L0, L1)
     if kind == "half":
         return polar_half(L0, L1)
     raise ValueError(f"unknown polar kind {kind!r}")
 
 
+def _polar_lower(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
+    """The polar for the max and half kinds; the bracket's certified lower end for min."""
+    if kind == "min":
+        return _polar_min_bracket(*_pair(L0, L1))[0]
+    return polar(kind, L0, L1)
+
+
 def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
-    """True iff the pair lies in the dual body: polar value >= 1 - 1e-9."""
-    return polar(kind, L0, L1) >= 1.0 - 1e-9
+    """True iff the pair lies in the dual body: _polar_lower >= 1 - 1e-9."""
+    return _polar_lower(kind, L0, L1) >= 1.0 - 1e-9
 
 
 def _real_embed(H: np.ndarray) -> np.ndarray:

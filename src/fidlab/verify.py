@@ -37,7 +37,7 @@ from .fidelity import (
     optimal_reverse_test,
 )
 from .polar import (
-    _min_product_pure_state,
+    _polar_min_bracket,
     polar,
     polar_classical,
     polar_half,
@@ -280,10 +280,10 @@ def suite_duality(dims=(2, 3), trials=100, seed=42) -> Report:
             case = f"dim={dim} trial={t}"
             rep.trials += 1
             for kind in ("max", "min"):
-                cert = duality_certificate(kind, X, Y, seed=seed + t)
+                cert = duality_certificate(kind, X, Y)
                 rep.check(cert.is_valid, case, f"certificate[{kind}]",
                           "valid", cert, 1e-7)
-            half = duality_certificate("half", X, Y, seed=seed + t)
+            half = duality_certificate("half", X, Y)
             rep.close(half.dual_value, fidelity_half(X, Y),
                       1e-8 * (1 + half.primal_value), case, "half-dual-value")
             pair = dual_optimizers("max", X, Y)
@@ -510,9 +510,7 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
         rep.trials += 1
         rep.close(polar_max_qubit(L0, L1), polar_max(L0, L1), 1e-10,
                   f"closed {t}", "polar-max-closed-form")
-        general = 2 * np.sqrt(_min_product_pure_state(
-            L0.astype(complex), L1.astype(complex), 20, t))
-        rep.close(polar_min_qubit(L0, L1), general, 1e-6,
+        rep.close(polar_min_qubit(L0, L1), _polar_min_bracket(L0, L1)[1], 1e-6,
                   f"closed {t}", "polar-min-closed-form")
     # worked values
     I2 = np.eye(2, dtype=complex)

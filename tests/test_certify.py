@@ -4,8 +4,9 @@ import pytest
 
 from fidlab.certify import block_psd, duality_certificate, mfmax_membership
 from fidlab.channels import random_pd, rng_for
-from fidlab.fidelity import fidelity_half
+from fidlab.fidelity import dual_optimizers, fidelity_half
 from fidlab.linalg_core import hermitianize, psd_sqrt
+from fidlab.polar import polar_membership
 
 I2 = np.eye(2, dtype=complex)
 
@@ -79,7 +80,7 @@ def test_certificate_max_qubit_seed31():
     rng = rng_for(31)
     X = random_pd(2, rng)
     Y = random_pd(2, rng)
-    cert = duality_certificate("max", X, Y, seed=31)
+    cert = duality_certificate("max", X, Y)
     assert cert.is_valid
     assert cert.gap < 1e-8
 
@@ -88,7 +89,7 @@ def test_certificate_min_qutrit_seed32():
     rng = rng_for(32)
     X = random_pd(3, rng)
     Y = random_pd(3, rng)
-    cert = duality_certificate("min", X, Y, seed=32)
+    cert = duality_certificate("min", X, Y)
     assert cert.is_valid
     assert cert.gap < 1e-8
 
@@ -97,7 +98,7 @@ def test_certificate_half_identity():
     rng = rng_for(33)
     X = random_pd(2, rng)
     Y = random_pd(2, rng)
-    cert = duality_certificate("half", X, Y, seed=33)
+    cert = duality_certificate("half", X, Y)
     assert cert.dual_value == pytest.approx(fidelity_half(X, Y), abs=1e-8)
     assert cert.is_valid
 
@@ -105,3 +106,47 @@ def test_certificate_half_identity():
 def test_certificate_rejects_unknown_kind():
     with pytest.raises(ValueError):
         duality_certificate("median", I2, I2)
+
+
+@pytest.mark.parametrize("kind", ["max", "min", "half"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_dual_optimizers_sit_on_the_dual_body_boundary(kind, dim):
+    rng = rng_for(34, dim)
+    X = random_pd(dim, rng)
+    Y = random_pd(dim, rng)
+    assert duality_certificate(kind, X, Y).dual_feasible
+    pair = dual_optimizers(kind, X, Y)
+    assert polar_membership(kind, pair.first, pair.second)
+    shrunk = 1.0 - 1e-6
+    assert not polar_membership(kind, shrunk * pair.first, shrunk * pair.second)
+
+
+def _rotated(spectrum, rng):
+    d = len(spectrum)
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    U, _ = npl.qr(G)
+    return hermitianize((U * np.asarray(spectrum)) @ U.conj().T)
+
+
+@pytest.mark.parametrize("spectra", [
+    ([3e-5, 1.4, 6.6, 9.0], [7e-3, 0.7, 3.8, 7.8]),
+    ([0.05, 2.0, 8.3], [5e-5, 4.4, 16.4]),
+])
+def test_certificates_valid_on_ill_conditioned_pairs(spectra):
+    # the optimizers lie on the boundaries, so the feasibility tests must
+    # allow for round-off that grows with the condition numbers
+    for t in range(40):
+        rng = rng_for(36, t)
+        X = _rotated(spectra[0], rng)
+        Y = _rotated(spectra[1], rng)
+        for kind in ("max", "min", "half"):
+            assert duality_certificate(kind, X, Y).is_valid
+
+
+def test_certificate_seed_is_deprecated():
+    rng = rng_for(35)
+    X = random_pd(2, rng)
+    Y = random_pd(2, rng)
+    with pytest.warns(DeprecationWarning, match="seed"):
+        cert = duality_certificate("min", X, Y, seed=4)
+    assert cert == duality_certificate("min", X, Y)

@@ -153,3 +153,27 @@ def test_twist_on_commuting_pair():
     # already commuting: optimal A = 0 and the twist value meets F_min = F_max
     val = fidelity_min_via_twist(DIAG_X, DIAG_Y, restarts=2, seed=0)
     assert val == pytest.approx(F_DIAG, abs=1e-8)
+
+
+def _rotated_rank_deficient(dim, rank, rng):
+    """Y = U diag(w, 0) U^dagger with a random unitary U, and its diagonal frame."""
+    w = np.r_[rng.uniform(0.2, 2.0, rank), np.zeros(dim - rank)]
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    U, _ = np.linalg.qr(G)
+    Y = (U * w) @ U.conj().T
+    return U, 0.5 * (Y + Y.conj().T), np.diag(w).astype(complex)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+def test_fidelity_min_rotated_kernel(dim):
+    # rank is decided on Y's eigenvalues, so a kernel off the coordinate axes
+    # gives the value of the kernel-aligned frame
+    for rank in sorted({dim - 1, dim // 2}):
+        for t in range(5):
+            rng = rng_for(60, dim, rank, t)
+            X = random_pd(dim, rng)
+            U, Y, D = _rotated_rank_deficient(dim, rank, rng)
+            aligned = fidelity_min(U.conj().T @ X @ U, D)
+            value = fidelity_min(X, Y)
+            assert value == pytest.approx(aligned, abs=1e-9 * (1 + aligned))
+            assert value <= fidelity_half(X, Y) + 1e-9

@@ -1,9 +1,15 @@
+import importlib
+import warnings
+
 import numpy as np
+import numpy.linalg as npl
 import pytest
 
 from fidlab.channels import random_pd, rng_for
+from fidlab.errors import NoConvergence
 from fidlab.linalg_core import hermitianize
 from fidlab.polar import (
+    _polar_min_bracket,
     polar,
     polar_classical,
     polar_half,
@@ -12,7 +18,7 @@ from fidlab.polar import (
     polar_min,
     povm_lower_bound,
 )
-from fidlab.qubit_geom import SIGMA_X, SIGMA_Z
+from fidlab.qubit_geom import SIGMA_X, SIGMA_Z, polar_min_qubit
 
 I2 = np.eye(2, dtype=complex)
 
@@ -126,3 +132,91 @@ def test_polar_sandwich(dim):
     h = polar_half(L0, L1)
     assert polar_max(L0, L1) <= h + 1e-6
     assert h <= polar_min(L0, L1) + 1e-6
+
+
+def _rotated_block_sums(pairs, rng):
+    """(U (+)_i A_i U^dagger, U (+)_i B_i U^dagger) for pairs (A_i, B_i) and a random unitary U."""
+    dim = sum(A.shape[0] for A, _ in pairs)
+    S0 = np.zeros((dim, dim), dtype=complex)
+    S1 = np.zeros((dim, dim), dtype=complex)
+    i = 0
+    for A, B in pairs:
+        j = i + A.shape[0]
+        S0[i:j, i:j], S1[i:j, i:j] = A, B
+        i = j
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    U, _ = npl.qr(G)
+    return hermitianize(U @ S0 @ U.conj().T), hermitianize(U @ S1 @ U.conj().T)
+
+
+def _t_scan(L0, L1, n):
+    """min_t lambda_min(e^t L0 + e^-t L1) on n points of the search interval, and its argmin."""
+    w0, w1 = npl.eigvalsh(L0), npl.eigvalsh(L1)
+    ts = np.linspace(0.5 * np.log(w1[0] / w0[-1]), 0.5 * np.log(w1[-1] / w0[0]), n)
+    g = [npl.eigvalsh(np.exp(t) * L0 + np.exp(-t) * L1)[0] for t in ts]
+    k = int(np.argmin(g))
+    return float(g[k]), float(ts[k])
+
+
+def _assert_certified(lower, upper, exact):
+    assert lower <= exact * (1 + 1e-12)
+    assert upper >= exact * (1 - 1e-12)
+    assert upper - lower <= 1e-10 * upper
+
+
+@pytest.mark.parametrize("depth", [0.999, 1.001])
+def test_polar_min_bracket_two_basins(depth):
+    # blocks whose optimal s = e^t differ ~100x; the second basin is set just
+    # below or just above the first, so neither basin alone gives the minimum
+    rng = rng_for(13)
+    A0, A1 = random_pd(2, rng), 100 * random_pd(2, rng)
+    B0, B1 = 100 * random_pd(2, rng), random_pd(2, rng)
+    B0 = B0 * (depth * polar_min_qubit(A0, A1) / polar_min_qubit(B0, B1)) ** 2
+    _, tA = _t_scan(A0, A1, 4001)
+    _, tB = _t_scan(B0, B1, 4001)
+    assert abs(tA - tB) >= np.log(10.0)
+    L0, L1 = _rotated_block_sums([(A0, A1), (B0, B1)], rng)
+    lower, upper = _polar_min_bracket(L0, L1)
+    _assert_certified(lower, upper, min(polar_min_qubit(A0, A1), polar_min_qubit(B0, B1)))
+    scan, _ = _t_scan(L0, L1, 20001)
+    assert lower <= scan
+    assert upper <= scan * (1 + 1e-9)
+    assert polar_min(L0, L1) == upper
+
+
+def test_polar_min_bracket_dim32():
+    # 16 qubit blocks with spread-out optimal s, rotated into a dense dim-32 pair
+    rng = rng_for(14)
+    pairs = [(random_pd(2, rng) * 10.0 ** k, random_pd(2, rng))
+             for k in np.linspace(-1.5, 1.5, 16)]
+    L0, L1 = _rotated_block_sums(pairs, rng)
+    lower, upper = _polar_min_bracket(L0, L1)
+    _assert_certified(lower, upper, min(polar_min_qubit(*p) for p in pairs))
+
+
+def test_polar_min_bracket_singular_and_scalar():
+    I3 = np.eye(3, dtype=complex)
+    assert polar_min(np.diag([1.0, 1.0, 0.0]).astype(complex), I3) == 0.0
+    assert polar_min(2 * I3, 8 * I3) == pytest.approx(8.0, rel=1e-12)
+
+
+def test_polar_min_bracket_never_returns_unconverged(monkeypatch):
+    rng = rng_for(15)
+    L0, L1 = random_pd(4, rng), random_pd(4, rng)
+    # the package re-exports the polar function, so fetch the module itself
+    monkeypatch.setattr(importlib.import_module("fidlab.polar"), "_BRACKET_MAX_EVALS", 3)
+    with pytest.raises(NoConvergence):
+        _polar_min_bracket(L0, L1)
+
+
+def test_polar_dead_knobs_warn_and_do_nothing():
+    rng = rng_for(16)
+    L0, L1 = random_pd(3, rng), random_pd(3, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = polar_min(L0, L1)
+        assert polar("min", L0, L1) == value
+    with pytest.warns(DeprecationWarning, match="restarts"):
+        assert polar_min(L0, L1, restarts=20) == value
+    with pytest.warns(DeprecationWarning, match="seed"):
+        assert polar("min", L0, L1, seed=3) == value
