@@ -14,18 +14,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch
-from .fidelity import dual_optimizers
-from .linalg_core import (
-    as_square,
-    check_pd,
-    hermitianize,
-    opnorm,
-    pinv,
-    psd_inv_sqrt,
-    psd_sqrt,
-    psd_tol,
-    support_projector,
-)
+from .fidelity import _dual_optimizers, _operands
+from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
 from .polar import _polar_lower, _warn_dead_knobs
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
@@ -65,16 +55,18 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
     C = np.asarray(C, dtype=complex)
     if C.shape != (X.shape[0], Y.shape[0]):
         raise DimensionMismatch("C has incompatible shape")
-    pi_x = support_projector(X)
-    pi_y = support_projector(Y)
-    tol = 1e-9 * (1.0 + opnorm(C))
-    if opnorm((np.eye(X.shape[0]) - pi_x) @ C) > tol:
+    return _block_psd(X, psd_spectrum(X, "X"), C, psd_spectrum(Y, "Y"))
+
+
+def _block_psd(X: np.ndarray, Xs: Spectrum, C: np.ndarray, Ys: Spectrum) -> bool:
+    tol = 1e-9 * (1.0 + npl.norm(C, 2))
+    if npl.norm((np.eye(Xs.dim) - Xs.support_projector()) @ C, 2) > tol:
         return False
-    if opnorm(C @ (np.eye(Y.shape[0]) - pi_y)) > tol:
+    if npl.norm(C @ (np.eye(Ys.dim) - Ys.support_projector()), 2) > tol:
         return False
     # the complement is a difference of terms on X's scale, so is its round-off
-    gap = hermitianize(X - C @ pinv(Y) @ C.conj().T)
-    return bool(npl.eigvalsh(gap)[0] >= -psd_tol(X))
+    gap = hermitianize(X - C @ Ys.pinv() @ C.conj().T)
+    return bool(npl.eigvalsh(gap)[0] >= -Xs.tol)
 
 
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
@@ -85,8 +77,7 @@ def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
         raise DimensionMismatch("pair members differ in dimension")
     k = L0.shape[0]
     eye = np.eye(k)
-    block = np.block([[2.0 * L0, -eye], [-eye, 2.0 * L1]])
-    return bool(npl.eigvalsh(block)[0] >= -psd_tol(block))
+    return spectrum(np.block([[2.0 * L0, -eye], [-eye, 2.0 * L1]])).is_psd
 
 
 def duality_certificate(
@@ -99,30 +90,26 @@ def duality_certificate(
     and ignored.
     """
     _warn_dead_knobs("duality_certificate", seed=seed)
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    check_pd(X, "X")
-    check_pd(Y, "Y")
-    sX = psd_sqrt(X)
-    sY = psd_sqrt(Y)
+    X, Y, Xs, Ys = _operands(X, Y, definite=True)
+    sX, sY = Xs.sqrt(), Ys.sqrt()
     if kind == "max":
         # C* = sqrt(X) W^dagger sqrt(Y), W the unitary polar factor of sqrt(Y) sqrt(X)
         U, _s, Vh = npl.svd(sY @ sX)
         W = U @ Vh
         C = sX @ W.conj().T @ sY
         primal_value = float(0.5 * (np.trace(C) + np.trace(C.conj().T)).real)
-        primal_feasible = block_psd(X, C, Y)
+        primal_feasible = _block_psd(X, Xs, C, Ys)
     elif kind == "min":
-        iY = psd_inv_sqrt(Y)
-        C = hermitianize(sY @ psd_sqrt(hermitianize(iY @ X @ iY)) @ sY)
+        iY = Ys.inv_sqrt()
+        C = hermitianize(sY @ psd_spectrum(iY @ X @ iY).sqrt() @ sY)
         primal_value = float(np.trace(C).real)
-        primal_feasible = block_psd(X, C, Y)
+        primal_feasible = _block_psd(X, Xs, C, Ys)
     elif kind == "half":
         primal_value = float(np.trace(sX @ sY).real)
         primal_feasible = True
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    pair = dual_optimizers(kind, X, Y)
+    pair = _dual_optimizers(kind, X, Y, Xs, Ys)
     dual_value = float((np.trace(pair.first @ X) + np.trace(pair.second @ Y)).real)
     # L* sits on the boundary, polar p = 1 up to round-off; L*/p is feasible and
     # worth dual_value/p, so p >= 1 - _CERT_TOL keeps the gap's tolerance

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch, InvalidPovm, InvalidState
-from .linalg_core import as_square, check_psd, hermitianize, opnorm
+from .linalg_core import as_square, hermitianize, psd_spectrum, spectrum
 
 __all__ = [
     "KrausChannel",
@@ -54,8 +54,8 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
         ktk = sum(K.conj().T @ K for K in ops)
         kkt = sum(K @ K.conj().T for K in ops)
-        tp = opnorm(ktk - np.eye(self.dim_in)) <= _FLAG_TOL
-        un = opnorm(kkt - np.eye(self.dim_out)) <= _FLAG_TOL
+        tp = spectrum(ktk - np.eye(self.dim_in)).norm <= _FLAG_TOL
+        un = spectrum(kkt - np.eye(self.dim_out)).norm <= _FLAG_TOL
         object.__setattr__(self, "trace_preserving", bool(tp))
         object.__setattr__(self, "unital", bool(un))
 
@@ -74,11 +74,11 @@ class Povm:
             if M.shape != (self.dim, self.dim):
                 raise DimensionMismatch("POVM element dimension mismatch")
             try:
-                check_psd(M, "POVM element")
+                psd_spectrum(M, "POVM element")
             except Exception as exc:
                 raise InvalidPovm(str(exc)) from exc
             total += M
-        if opnorm(total - np.eye(self.dim)) > _FLAG_TOL:
+        if spectrum(total - np.eye(self.dim)).norm > _FLAG_TOL:
             raise InvalidPovm("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", els)
 
@@ -191,12 +191,12 @@ def preparation_channel(states: list[np.ndarray]) -> KrausChannel:
         if rho.shape != (dim, dim):
             raise InvalidState("states have inconsistent dimensions")
         try:
-            check_psd(rho, "state")
+            sp = psd_spectrum(rho, "state")
         except Exception as exc:
             raise InvalidState(str(exc)) from exc
         if abs(np.trace(rho).real - 1.0) > 1e-9:
             raise InvalidState("state trace differs from 1")
-        w, V = npl.eigh(rho)
+        w, V = sp.eigenvalues, sp.eigenvectors
         for r in range(dim):
             if w[r] <= 0:
                 continue
@@ -212,8 +212,6 @@ def random_povm(dim: int, n: int, seed: int) -> Povm:
         raise ValueError("need at least one outcome")
     rng = rng_for(seed)
     raw = [random_psd(dim, rng) for _ in range(n)]
-    S = hermitianize(sum(raw))
-    w, V = npl.eigh(S)
-    S_inv_h = (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    S_inv_h = spectrum(sum(raw)).inv_sqrt()
     els = [hermitianize(S_inv_h @ A @ S_inv_h) for A in raw]
     return Povm(dim=dim, elements=els)

@@ -10,24 +10,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.linalg as npl
-from scipy.optimize import minimize
 
 from .channels import Povm, rng_for
 from .errors import LengthMismatch, NegativeEntry
 from .linalg_core import (
     OperatorPair,
+    Spectrum,
     as_square,
-    check_pd,
-    check_psd,
     hermitianize,
-    opnorm,
-    pinv,
-    psd_inv_sqrt,
+    psd_spectrum,
     psd_sqrt,
-    rank_tol,
-    schur_reduce,
 )
-from .superop import lyapunov_solve
+from .superop import _lyapunov_solve
 
 __all__ = [
     "classical_fidelity",
@@ -61,14 +55,19 @@ def classical_fidelity(p, q) -> float:
     return float(np.sum(np.sqrt(p * q)))
 
 
-def fidelity_max(X: np.ndarray, Y: np.ndarray) -> float:
-    """tr sqrt( sqrt(Y) X sqrt(Y) ), evaluated on arbitrary PSD inputs."""
+def _operands(X: np.ndarray, Y: np.ndarray, definite: bool = False):
+    """The Hermitian X, Y and their validated spectra."""
     X = hermitianize(as_square(X))
     Y = hermitianize(as_square(Y))
-    check_psd(X, "X")
-    check_psd(Y, "Y")
-    sY = psd_sqrt(Y)
-    return float(np.trace(psd_sqrt(sY @ X @ sY)).real)
+    return X, Y, psd_spectrum(X, "X", definite), psd_spectrum(Y, "Y", definite)
+
+
+def fidelity_max(X: np.ndarray, Y: np.ndarray) -> float:
+    """tr sqrt( sqrt(Y) X sqrt(Y) ), evaluated on arbitrary PSD inputs."""
+    X, _, _, Ys = _operands(X, Y)
+    sY = Ys.sqrt()
+    w = npl.eigvalsh(hermitianize(sY @ X @ sY))
+    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
 
 
 def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
@@ -77,30 +76,24 @@ def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
     replacing X by its Schur-complement reduction onto supp Y whenever
     supp X is not contained in supp Y.
     """
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    check_psd(X, "X")
-    check_psd(Y, "Y")
+    X, _, Xs, Ys = _operands(X, Y)
     # rank, support and Y^{-1/2} all come from Y's own eigenvalues: deciding
-    # rank on sqrt(Y) would lift round-off eps to sqrt(eps) > rank_tol
-    w, V = npl.eigh(Y)
-    keep = w > rank_tol(Y)
-    Vs = V[:, keep]
-    comp = np.eye(X.shape[0]) - Vs @ Vs.conj().T
-    if opnorm(comp @ X @ comp) > rank_tol(X):
-        X = schur_reduce(X, Y)
-    iY = (Vs / np.sqrt(w[keep])) @ Vs.conj().T
-    T = psd_sqrt(hermitianize(iY @ X @ iY))
-    return float(np.trace(Y @ T).real)
+    # rank on sqrt(Y) would lift round-off eps to sqrt(eps) > tol. Everything
+    # below is in the coordinates of Y's support basis, where Y = diag(d).
+    sup = Ys.support()
+    d, S = sup.eigenvalues, sup.eigenvectors
+    reduced = Ys.schur_complement(X, Xs.tol)
+    A = S.conj().T @ X @ S if reduced is None else reduced
+    h = d ** -0.5
+    mu, U = npl.eigh(hermitianize(h[:, None] * A * h[None, :]))
+    # tr diag(d) U sqrt(mu) U^dagger
+    return float(np.sqrt(np.maximum(mu, 0.0)) @ (np.abs(U) ** 2).T @ d)
 
 
 def fidelity_half(X: np.ndarray, Y: np.ndarray) -> float:
     """tr X^{1/2} Y^{1/2}."""
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    check_psd(X, "X")
-    check_psd(Y, "Y")
-    return float(np.trace(psd_sqrt(X) @ psd_sqrt(Y)).real)
+    _, _, Xs, Ys = _operands(X, Y)
+    return float(np.trace(Xs.sqrt() @ Ys.sqrt()).real)
 
 
 def fidelity(kind: str, X: np.ndarray, Y: np.ndarray) -> float:
@@ -124,26 +117,27 @@ def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
 
     with L1* given by swapping the roles of X and Y.
     """
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    check_pd(X, "X")
-    check_pd(Y, "Y")
+    return _dual_optimizers(kind, *_operands(X, Y, definite=True))
 
-    def one_side(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+
+def _dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray,
+                     Xs: Spectrum, Ys: Spectrum) -> OperatorPair:
+    def one_side(A: np.ndarray, As: Spectrum, B: np.ndarray, Bs: Spectrum) -> np.ndarray:
         # the optimizer multiplying A, built from the pair (A, B)
-        sB = psd_sqrt(B)
         if kind == "max":
-            core = psd_inv_sqrt(hermitianize(sB @ A @ sB))
+            sB = Bs.sqrt()
+            core = psd_spectrum(sB @ A @ sB, definite=True).inv_sqrt()
             return hermitianize(0.5 * sB @ core @ sB)
         if kind == "min":
-            iB = psd_inv_sqrt(B)
-            W = psd_sqrt(hermitianize(iB @ A @ iB))
-            return hermitianize(iB @ lyapunov_solve(W, B) @ iB)
+            iB = Bs.inv_sqrt()
+            W = psd_spectrum(iB @ A @ iB).sqrt_spectrum()
+            return hermitianize(iB @ _lyapunov_solve(W, B) @ iB)
         if kind == "half":
-            return lyapunov_solve(psd_sqrt(A), sB)
+            return _lyapunov_solve(As.sqrt_spectrum(), Bs.sqrt())
         raise ValueError(f"unknown fidelity kind {kind!r}")
 
-    return OperatorPair(first=one_side(X, Y), second=one_side(Y, X))
+    # each side is PSD by construction, so the pair is not decomposed again
+    return OperatorPair._of_psd(one_side(X, Xs, Y, Ys), one_side(Y, Ys, X, Xs))
 
 
 def optimal_measurement(X: np.ndarray, Y: np.ndarray) -> Povm:
@@ -151,14 +145,9 @@ def optimal_measurement(X: np.ndarray, Y: np.ndarray) -> Povm:
     Projective measurement achieving F_max: the eigenbasis of
     Y^{-1/2} (Y^{1/2} X Y^{1/2})^{1/2} Y^{-1/2} (generalized inverses).
     """
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    check_pd(X, "X")
-    check_pd(Y, "Y")
-    sY = psd_sqrt(Y)
-    sY_pinv = pinv(sY)
-    Q = hermitianize(sY_pinv @ psd_sqrt(sY @ X @ sY) @ sY_pinv)
-    _, V = npl.eigh(Q)
+    X, _, _, Ys = _operands(X, Y, definite=True)
+    sY, iY = Ys.sqrt(), Ys.inv_sqrt()
+    _, V = npl.eigh(hermitianize(iY @ psd_sqrt(sY @ X @ sY) @ iY))
     els = [np.outer(V[:, i], V[:, i].conj()) for i in range(V.shape[1])]
     return Povm(dim=X.shape[0], elements=els)
 
@@ -180,15 +169,10 @@ def optimal_reverse_test(X: np.ndarray, Y: np.ndarray) -> ReverseTest:
     T = sqrt( Y^{-1/2} X Y^{-1/2} ): states sqrt(Y) P_i sqrt(Y) / tr(Y P_i)
     with weights q_i = tr(Y P_i), p_i = t_i^2 tr(Y P_i).
     """
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    check_pd(X, "X")
-    check_pd(Y, "Y")
-    sY = psd_sqrt(Y)
-    sY_pinv = pinv(sY)
-    T = psd_sqrt(hermitianize(sY_pinv @ X @ sY_pinv))
-    w, V = npl.eigh(T)
-    tol = rank_tol(T)
+    X, Y, _, Ys = _operands(X, Y, definite=True)
+    sY, iY = Ys.sqrt(), Ys.inv_sqrt()
+    T = psd_spectrum(iY @ X @ iY).sqrt_spectrum()
+    w, V, tol = T.eigenvalues, T.eigenvectors, T.tol
     # group coinciding eigenvalues into spectral projectors
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
@@ -230,10 +214,9 @@ def fidelity_min_via_twist(
     F_min as min over Hermitian A of F_max(X, (I - iA) Y (I + iA)),
     by multistart Nelder-Mead over the real parameterization of A.
     """
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    check_pd(X, "X")
-    check_pd(Y, "Y")
+    from scipy.optimize import minimize
+
+    X, Y, _, _ = _operands(X, Y, definite=True)
     dim = X.shape[0]
     eye = np.eye(dim)
     n_params = dim * dim

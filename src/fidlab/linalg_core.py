@@ -1,4 +1,11 @@
 # src/fidlab/linalg_core.py
+#
+# One spectrum per operand: `psd_spectrum` validates and decomposes a PSD
+# operand once, and everything else about it is read off that Spectrum —
+# its tolerance 1e-10 * (1 + max |lambda|), its PSD/PD verdict, square root,
+# inverse square root, pseudoinverse, support and the Schur reduction of
+# another operator onto that support. The public matrix functions are
+# one-liners over it.
 
 from __future__ import annotations
 
@@ -10,22 +17,16 @@ import numpy.linalg as npl
 from .errors import DimensionMismatch, NotPositiveDefinite, NotPsd
 
 __all__ = [
-    "herm_tol",
-    "psd_tol",
-    "rank_tol",
     "hermitianize",
-    "opnorm",
     "as_square",
     "Spectrum",
     "spectrum",
+    "psd_spectrum",
     "psd_sqrt",
-    "psd_inv_sqrt",
     "pinv",
     "support_projector",
     "schur_reduce",
     "pinch",
-    "check_psd",
-    "check_pd",
     "OperatorPair",
 ]
 
@@ -43,29 +44,6 @@ def as_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def opnorm(H: np.ndarray) -> float:
-    """Operator (spectral) norm."""
-    if H.size == 0:
-        return 0.0
-    return float(npl.norm(H, 2))
-
-
-def herm_tol(H: np.ndarray) -> float:
-    """Hermiticity tolerance 1e-12 * (1 + max-abs-entry)."""
-    m = float(np.max(np.abs(H))) if H.size else 0.0
-    return 1e-12 * (1.0 + m)
-
-
-def psd_tol(H: np.ndarray) -> float:
-    """Positivity tolerance 1e-10 * (1 + operator norm)."""
-    return 1e-10 * (1.0 + opnorm(H))
-
-
-def rank_tol(H: np.ndarray) -> float:
-    """Numerical-rank tolerance 1e-10 * (1 + operator norm)."""
-    return 1e-10 * (1.0 + opnorm(H))
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
@@ -77,80 +55,110 @@ class Spectrum:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def reconstruct(self) -> np.ndarray:
+    @property
+    def norm(self) -> float:
+        """Operator norm, max |lambda|."""
+        w = self.eigenvalues
+        return float(max(-w[0], w[-1])) if w.size else 0.0
+
+    @property
+    def tol(self) -> float:
+        """Positivity and rank tolerance 1e-10 * (1 + max |lambda|)."""
+        return 1e-10 * (1.0 + self.norm)
+
+    @property
+    def is_psd(self) -> bool:
+        return not self.dim or bool(self.eigenvalues[0] >= -self.tol)
+
+    def matrix(self, values: np.ndarray) -> np.ndarray:
+        """V diag(values) V^dagger: a function of the matrix, given on its eigenvalues."""
         V = self.eigenvectors
-        return hermitianize((V * self.eigenvalues) @ V.conj().T)
+        return hermitianize((V * values) @ V.conj().T)
+
+    def reconstruct(self) -> np.ndarray:
+        return self.matrix(self.eigenvalues)
+
+    def support(self) -> "Spectrum":
+        """The eigenpairs with |lambda| > tol, which span the range."""
+        live = np.abs(self.eigenvalues) > self.tol
+        return Spectrum(self.eigenvalues[live], self.eigenvectors[:, live])
+
+    def sqrt_spectrum(self) -> "Spectrum":
+        """The spectrum of the square root; eigenvalues in [-tol, 0) are clamped to 0."""
+        return Spectrum(np.sqrt(np.maximum(self.eigenvalues, 0.0)), self.eigenvectors)
+
+    def sqrt(self) -> np.ndarray:
+        return self.sqrt_spectrum().reconstruct()
+
+    def inv_sqrt(self) -> np.ndarray:
+        """H^(-1/2) on the support, 0 on the kernel (H PSD)."""
+        sup = self.support()
+        return sup.matrix(sup.eigenvalues ** -0.5)
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse: eigenvalues with |lambda| <= tol are sent to 0."""
+        sup = self.support()
+        return sup.matrix(1.0 / sup.eigenvalues)
+
+    def support_projector(self) -> np.ndarray:
+        sup = self.support()
+        return sup.matrix(np.ones(sup.dim))
+
+    def schur_complement(self, X: np.ndarray, x_tol: float) -> np.ndarray | None:
+        """
+        X11 - X12 X22^+ X21 for the blocks of X induced by this operator's
+        support, in the coordinates of support().eigenvectors. None when X22
+        is at most x_tol, i.e. supp X already lies in the support.
+        """
+        live = np.abs(self.eigenvalues) > self.tol
+        if live.all():
+            return None
+        S, K = self.eigenvectors[:, live], self.eigenvectors[:, ~live]
+        off = spectrum(K.conj().T @ X @ K)
+        if off.norm <= x_tol:
+            return None
+        X12 = S.conj().T @ X @ K
+        return hermitianize(S.conj().T @ X @ S - X12 @ off.pinv() @ X12.conj().T)
 
 
 def spectrum(H: np.ndarray) -> Spectrum:
     """Hermitian eigendecomposition (symmetrizes the input first)."""
-    H = hermitianize(as_square(H))
-    w, V = npl.eigh(H)
+    w, V = npl.eigh(hermitianize(as_square(H)))
     return Spectrum(eigenvalues=w, eigenvectors=V)
 
 
-def check_psd(H: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Symmetrize and verify positivity within PSD_TOL; returns eigenvalues."""
-    H = hermitianize(as_square(H))
-    w = npl.eigvalsh(H)
-    if w.size and w[0] < -psd_tol(H):
-        raise NotPsd(f"{name} has eigenvalue {w[0]:.3e} below -PSD_TOL")
-    return w
-
-
-def check_pd(H: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Verify strict positivity: all eigenvalues above RANK_TOL."""
-    H = hermitianize(as_square(H))
-    w = npl.eigvalsh(H)
-    if not w.size or w[0] <= rank_tol(H):
+def psd_spectrum(H: np.ndarray, name: str = "operator", definite: bool = False) -> Spectrum:
+    """
+    The spectrum of a PSD operand; raises NotPsd below -tol, or, when
+    `definite`, NotPositiveDefinite unless every eigenvalue is above tol.
+    """
+    sp = spectrum(H)
+    if definite and not (sp.dim and sp.eigenvalues[0] > sp.tol):
         raise NotPositiveDefinite(f"{name} is not strictly positive definite")
-    return w
-
-
-def _herm_fun(H: np.ndarray, fun) -> np.ndarray:
-    w, V = npl.eigh(hermitianize(as_square(H)))
-    return hermitianize((V * fun(w)) @ V.conj().T)
+    if not sp.is_psd:
+        raise NotPsd(f"{name} has eigenvalue {sp.eigenvalues[0]:.3e} below -PSD_TOL")
+    return sp
 
 
 def psd_sqrt(H: np.ndarray) -> np.ndarray:
     """
     Matrix square root of a PSD matrix via eigendecomposition.
-    Eigenvalues in [-PSD_TOL, 0) are clamped to 0; anything lower raises NotPsd.
+    Eigenvalues in [-tol, 0) are clamped to 0; anything lower raises NotPsd.
     """
-    H = hermitianize(as_square(H))
-    w, V = npl.eigh(H)
-    if w.size and w[0] < -psd_tol(H):
-        raise NotPsd(f"cannot take psd_sqrt: eigenvalue {w[0]:.3e}")
-    w = np.maximum(w, 0.0)
-    return hermitianize((V * np.sqrt(w)) @ V.conj().T)
-
-
-def psd_inv_sqrt(H: np.ndarray) -> np.ndarray:
-    """H^(-1/2) for strictly positive definite H."""
-    check_pd(H)
-    return _herm_fun(H, lambda w: 1.0 / np.sqrt(w))
+    return psd_spectrum(H).sqrt()
 
 
 def pinv(H: np.ndarray) -> np.ndarray:
     """
     Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
-    Eigenvalues with |lambda| <= RANK_TOL are sent to 0.
+    Eigenvalues with |lambda| <= tol are sent to 0.
     """
-    H = hermitianize(as_square(H))
-    w, V = npl.eigh(H)
-    tol = rank_tol(H)
-    inv = np.where(np.abs(w) > tol, 1.0 / np.where(np.abs(w) > tol, w, 1.0), 0.0)
-    return hermitianize((V * inv) @ V.conj().T)
+    return spectrum(H).pinv()
 
 
 def support_projector(H: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    H = hermitianize(as_square(H))
-    w, V = npl.eigh(H)
-    if w.size and w[0] < -psd_tol(H):
-        raise NotPsd(f"support_projector: eigenvalue {w[0]:.3e}")
-    keep = V[:, w > rank_tol(H)]
-    return hermitianize(keep @ keep.conj().T)
+    return psd_spectrum(H).support_projector()
 
 
 def schur_reduce(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -160,20 +168,14 @@ def schur_reduce(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     If supp X is already contained in supp Y, X is returned unchanged.
     """
     X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    if X.shape != Y.shape:
+    if X.shape != as_square(Y).shape:
         raise DimensionMismatch("schur_reduce needs operators of equal dimension")
-    check_psd(X, "X")
-    check_psd(Y, "Y")
-    pi = support_projector(Y)
-    comp = np.eye(X.shape[0]) - pi
-    off_support = comp @ X @ comp
-    if opnorm(off_support) <= rank_tol(X):
+    Xs, Ys = psd_spectrum(X, "X"), psd_spectrum(Y, "Y")
+    reduced = Ys.schur_complement(X, Xs.tol)
+    if reduced is None:
         return X
-    X11 = pi @ X @ pi
-    X12 = pi @ X @ comp
-    reduced = X11 - X12 @ pinv(off_support) @ X12.conj().T
-    return hermitianize(pi @ reduced @ pi)
+    S = Ys.support().eigenvectors
+    return hermitianize(S @ reduced @ S.conj().T)
 
 
 def pinch(X: np.ndarray) -> np.ndarray:
@@ -194,10 +196,18 @@ class OperatorPair:
         b = hermitianize(as_square(self.second))
         if a.shape != b.shape:
             raise DimensionMismatch("pair members have different dimensions")
-        check_psd(a, "first")
-        check_psd(b, "second")
+        psd_spectrum(a, "first")
+        psd_spectrum(b, "second")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
+
+    @classmethod
+    def _of_psd(cls, first: np.ndarray, second: np.ndarray) -> "OperatorPair":
+        """A pair of Hermitian matrices PSD by construction, not decomposed again."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "first", first)
+        object.__setattr__(pair, "second", second)
+        return pair
 
     @property
     def dim(self) -> int:

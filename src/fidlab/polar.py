@@ -14,14 +14,12 @@ import warnings
 
 import numpy as np
 import numpy.linalg as npl
-from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize, nnls
 
 from .channels import rng_for
 from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
-from .linalg_core import as_square, check_psd, hermitianize, psd_sqrt, rank_tol
-from .superop import composed_lyapunov_spectrum, vec
+from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
+from .superop import _composed_lyapunov_matrix, vec
 from .qubit_geom import polar_min_qubit
 
 __all__ = [
@@ -38,6 +36,7 @@ __all__ = [
 # and raises NoConvergence rather than exceed _BRACKET_MAX_EVALS eigvalsh.
 _BRACKET_REL_WIDTH = 1e-10
 _BRACKET_MAX_EVALS = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 def polar_classical(l0, l1) -> float:
@@ -48,17 +47,17 @@ def polar_classical(l0, l1) -> float:
     return float(np.min(2.0 * np.sqrt(l0 * l1)))
 
 
-def _is_singular(L: np.ndarray) -> bool:
-    w = npl.eigvalsh(hermitianize(L))
-    return bool(w[0] <= rank_tol(L))
+def _pair(L0, L1) -> tuple[Spectrum, Spectrum]:
+    return psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
 
 
-def _pair(L0, L1) -> tuple[np.ndarray, np.ndarray]:
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    check_psd(L0, "L0")
-    check_psd(L1, "L1")
-    return L0, L1
+def _singular(*spectra: Spectrum) -> bool:
+    """
+    Some operand is singular at round-off: lambda_min <= dim * eps * max |lambda|.
+    A larger lambda_min is resolved by the spectrum, and the polar, of order
+    sqrt(lambda_min), is computed rather than cut to 0.
+    """
+    return any(sp.eigenvalues[0] <= sp.dim * _EPS * sp.norm for sp in spectra)
 
 
 def _warn_dead_knobs(func: str, **knobs) -> None:
@@ -70,18 +69,19 @@ def _warn_dead_knobs(func: str, **knobs) -> None:
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
-    L0, L1 = _pair(L0, L1)
-    if _is_singular(L0) or _is_singular(L1):
+    S0, S1 = _pair(L0, L1)
+    if _singular(S0, S1):
         return 0.0
-    s1 = psd_sqrt(L1)
-    lam_min = float(npl.eigvalsh(hermitianize(s1 @ L0 @ s1))[0])
+    s1 = S1.sqrt()
+    lam_min = float(npl.eigvalsh(hermitianize(s1 @ S0.reconstruct() @ s1))[0])
     return 2.0 * float(np.sqrt(max(lam_min, 0.0)))
 
 
-def _polar_min_bracket(L0: np.ndarray, L1: np.ndarray) -> tuple[float, float]:
+def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     """
-    Certified bracket [lower, upper] of the min polar of a Hermitian PSD
-    pair, of relative width _BRACKET_REL_WIDTH; (0, 0) on singular inputs.
+    Certified bracket [lower, upper] of the min polar of the PSD pair with
+    spectra S0, S1, of relative width _BRACKET_REL_WIDTH; (0, 0) on singular
+    inputs.
 
     Swapping the minimizations in 2 sqrt(ab) = min_{s>0} (s a + b/s) gives
     polar_min = min_t g(t), g(t) = lambda_min(e^t L0 + e^{-t} L1), whose
@@ -91,9 +91,10 @@ def _polar_min_bracket(L0: np.ndarray, L1: np.ndarray) -> tuple[float, float]:
     g >= min(g(m-h), g(m+h)) / cosh(h) there. Best-first branch and bound
     on that bound closes the bracket; `upper` is the least evaluated g.
     """
-    w0, w1 = npl.eigvalsh(L0), npl.eigvalsh(L1)
-    if w0[0] <= rank_tol(L0) or w1[0] <= rank_tol(L1):
+    if _singular(S0, S1):
         return 0.0, 0.0
+    w0, w1 = S0.eigenvalues, S1.eigenvalues
+    L0, L1 = S0.reconstruct(), S1.reconstruct()
 
     def g(t: float) -> float:
         return max(float(npl.eigvalsh(math.exp(t) * L0 + math.exp(-t) * L1)[0]), 0.0)
@@ -126,10 +127,9 @@ def polar_min(L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float
     deprecated and ignored.
     """
     _warn_dead_knobs("polar_min", restarts=restarts, seed=seed)
-    L0, L1 = _pair(L0, L1)
-    if L0.shape[0] == 2:
+    if as_square(L0).shape[0] == 2:
         return polar_min_qubit(L0, L1)
-    return _polar_min_bracket(L0, L1)[1]
+    return _polar_min_bracket(*_pair(L0, L1))[1]
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -138,11 +138,11 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     symmetrization of the composed Lyapunov operator; 0 on singular inputs
     (continuity of the polar).
     """
-    L0, L1 = _pair(L0, L1)
-    if _is_singular(L0) or _is_singular(L1):
+    S0, S1 = _pair(L0, L1)
+    if _singular(S0, S1):
         return 0.0
-    top = float(composed_lyapunov_spectrum(L0, L1).eigenvalues[-1])
-    return float(top ** -0.5)
+    top = float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1])
+    return top ** -0.5
 
 
 def polar(kind: str, L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float:
@@ -177,11 +177,10 @@ def _real_embed(H: np.ndarray) -> np.ndarray:
 def _povm_from_vectors(G: np.ndarray) -> list[np.ndarray] | None:
     """Rank-1 POVM S^{-1/2} g_i g_i^dagger S^{-1/2} from a vector family."""
     raw = [np.outer(g, g.conj()) for g in G]
-    S = hermitianize(sum(raw))
-    w, V = npl.eigh(S)
-    if w[0] <= 1e-10 * (1.0 + w[-1]):
+    S = spectrum(sum(raw))
+    if S.eigenvalues[0] <= S.tol:
         return None
-    Sih = (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    Sih = S.inv_sqrt()
     return [hermitianize(Sih @ A @ Sih) for A in raw]
 
 
@@ -197,6 +196,9 @@ def _decomposition_value(
     In strict mode any fit with residual above 1e-8 is rejected so the
     returned value is a true lower bound.
     """
+    from scipy.linalg import null_space
+    from scipy.optimize import linprog, minimize, nnls
+
     live = [M for M in elements if npl.norm(M) > 1e-12]
     if not live:
         return None
@@ -288,10 +290,11 @@ def povm_lower_bound(
     below 1e-8 contribute, so the result is a true lower bound for the max
     polar.
     """
+    from scipy.optimize import minimize
+
     L0 = hermitianize(as_square(L0))
     L1 = hermitianize(as_square(L1))
-    check_psd(L0, "L0")
-    check_psd(L1, "L1")
+    _pair(L0, L1)
     dim = L0.shape[0]
     if n_outcomes < dim * dim:
         raise ValueError("n_outcomes must be at least dim^2")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.linalg as npl
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateFrame,
@@ -20,14 +19,7 @@ from .errors import (
     RootAmbiguity,
     SOutOfRange,
 )
-from .linalg_core import (
-    as_square,
-    check_pd,
-    check_psd,
-    hermitianize,
-    psd_tol,
-    rank_tol,
-)
+from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
 
 __all__ = [
     "SIGMA_X",
@@ -99,11 +91,15 @@ class M0Frame:
 
 def frame_from_operator(M: np.ndarray) -> M0Frame:
     """Diagonalize a Hermitian qubit M into the form l sigma_z + m I, l > 0."""
-    M = hermitianize(as_square(M))
+    M = as_square(M)
     if M.shape != (2, 2):
         raise DimensionMismatch("frame_from_operator needs a 2x2 operator")
-    w, V = npl.eigh(M)
-    # eigh returns ascending order; put the larger eigenvalue on sigma_z's +1 axis
+    return _frame(spectrum(M))
+
+
+def _frame(sp: Spectrum) -> M0Frame:
+    w, V = sp.eigenvalues, sp.eigenvectors
+    # eigenvalues ascend; put the larger eigenvalue on sigma_z's +1 axis
     U = np.column_stack([V[:, 1], V[:, 0]])
     l = float((w[1] - w[0]) / 2)
     m = float((w[1] + w[0]) / 2)
@@ -194,6 +190,8 @@ def w2_min_oracle(x_prime: float, z: float) -> float:
     Independent boundary oracle: global minimum over real s of
     w2(s) = s^2/4 + sqrt((x' - s)^2 + z^2), by dense grid plus refinement.
     """
+    from scipy.optimize import minimize_scalar
+
     x_prime = float(x_prime)
     z = float(z)
 
@@ -257,16 +255,16 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     L1 = hermitianize(as_square(L1))
     if L0.shape != (2, 2) or L1.shape != (2, 2):
         raise DimensionMismatch("mfmin_qubit_membership is dim-2 only")
-    check_pd(L0, "L0")
-    w0, V0 = npl.eigh(L0)
-    M = (V0 * (1.0 / w0)) @ V0.conj().T          # L0^{-1}
-    L0_inv_h = (V0 * (1.0 / np.sqrt(w0))) @ V0.conj().T
-    mu = 1.0 / w0
+    S0 = psd_spectrum(L0, "L0", definite=True)
+    # L0^{-1}, with eigenvalues mu ascending
+    Minv = Spectrum(1.0 / S0.eigenvalues[::-1], S0.eigenvectors[:, ::-1])
+    M = Minv.reconstruct()
+    mu = Minv.eigenvalues
     if (mu.max() - mu.min()) / 2.0 <= FRAME_TOL * (1.0 + mu.max()):
-        gap = hermitianize(L1 - 0.25 * M)
-        return bool(npl.eigvalsh(gap)[0] >= -psd_tol(gap))
+        return spectrum(L1 - 0.25 * M).is_psd
+    L0_inv_h = S0.inv_sqrt()
     K = hermitianize(4.0 * L0_inv_h @ L1 @ L0_inv_h - M @ M)
-    frame = frame_from_operator(M)
+    frame = _frame(Minv)
     U = frame.rotation
     K_rot = hermitianize(U.conj().T @ K @ U)
     return m0_membership(frame, QubitDualPoint.from_operator(K_rot))
@@ -281,10 +279,9 @@ def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     L1 = hermitianize(as_square(L1))
     if L0.shape != (2, 2) or L1.shape != (2, 2):
         raise DimensionMismatch("polar_max_qubit is dim-2 only")
-    check_psd(L0, "L0")
-    check_psd(L1, "L1")
+    S0, S1 = psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
     t = float(np.trace(L0 @ L1).real)
-    d = float(npl.det(L0).real * npl.det(L1).real)
+    d = float(np.prod(S0.eigenvalues) * np.prod(S1.eigenvalues))
     disc = max(t * t - 4.0 * d, 0.0)
     lam_min = (t - np.sqrt(disc)) / 2.0
     return 2.0 * float(np.sqrt(max(lam_min, 0.0)))
@@ -318,11 +315,10 @@ def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     L1 = hermitianize(as_square(L1))
     if L0.shape != (2, 2) or L1.shape != (2, 2):
         raise DimensionMismatch("polar_min_qubit is dim-2 only")
-    check_psd(L0, "L0")
-    check_psd(L1, "L1")
+    S0, S1 = psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
     c0, u = _bloch_split(L0)
     c1, v = _bloch_split(L1)
-    if c0 <= rank_tol(L0) or c1 <= rank_tol(L1):
+    if c0 <= S0.tol or c1 <= S1.tol:
         return 0.0
     un = u / c0
     vn = v / c1
@@ -343,6 +339,8 @@ def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
 
 def _circle_min(c0: float, u: np.ndarray, c1: float, v: np.ndarray) -> float:
     """Minimize (c0 + u.n)(c1 + v.n) over unit Bloch vectors n."""
+    from scipy.optimize import minimize_scalar
+
     nu = npl.norm(u)
     nv = npl.norm(v)
     if nu < 1e-15 and nv < 1e-15:
@@ -375,11 +373,6 @@ def _circle_min(c0: float, u: np.ndarray, c1: float, v: np.ndarray) -> float:
     return float(min(vals[i], res.fun))
 
 
-def _rank(L: np.ndarray) -> int:
-    w = npl.eigvalsh(hermitianize(L))
-    return int(np.sum(np.abs(w) > rank_tol(L)))
-
-
 def convertibility_necessary(
     L0: np.ndarray, L1: np.ndarray, L0p: np.ndarray, L1p: np.ndarray
 ) -> bool:
@@ -402,8 +395,9 @@ def convertibility_necessary(
         return False
     if abs(np.trace(L1).real - np.trace(L1p).real) > 1e-9:
         return False
-    if npl.norm(L0 - L1, 2) < npl.norm(L0p - L1p, 2) - 1e-9:
+    if spectrum(L0 - L1).norm < spectrum(L0p - L1p).norm - 1e-9:
         return False
-    if min(_rank(L0), _rank(L1)) == 1 and min(_rank(L0p), _rank(L1p)) != 1:
+    r0, r1, r0p, r1p = (spectrum(L).support().dim for L in mats)
+    if min(r0, r1) == 1 and min(r0p, r1p) != 1:
         return False
     return True

@@ -3,7 +3,10 @@
 # Linear transforms on operator space: the Lyapunov operator S_Z solving
 # X = S Z + Z S, its dim^2 x dim^2 matrix representation (column-stacking
 # vectorization), the spectrum of the composition S_{L0} o S_{L1}, and a
-# PSD-cone power iteration for its leading eigenvector.
+# PSD-cone power iteration for its leading eigenvector. Everything is built
+# from the spectrum of Z: S_Z is diagonal in the basis kron(conj V, V) with
+# weights 1 / (lambda_i + lambda_j), so the private helpers take a Spectrum
+# and never decompose Z again.
 
 from __future__ import annotations
 
@@ -13,14 +16,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import NoConvergence, SingularPair
-from .linalg_core import (
-    Spectrum,
-    as_square,
-    check_pd,
-    check_psd,
-    hermitianize,
-    rank_tol,
-)
+from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
 
 __all__ = [
     "vec",
@@ -63,32 +59,44 @@ def lyapunov_solve(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     (lambda_i + lambda_j). Entries with vanishing denominator must have a
     vanishing right-hand side, otherwise the equation is unsolvable.
     """
-    Z = hermitianize(as_square(Z))
     X = hermitianize(as_square(X))
-    check_psd(Z, "Z")
-    w, V = npl.eigh(Z)
+    return _lyapunov_solve(psd_spectrum(Z, "Z"), X)
+
+
+def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:
+    """S_Z(X) for Hermitian X, from the spectrum of Z."""
+    w, V = Zs.eigenvalues, Zs.eigenvectors
     Xt = V.conj().T @ X @ V
     denom = w[:, None] + w[None, :]
-    tol = rank_tol(Z)
-    singular = denom <= tol
-    if np.any(singular & (np.abs(Xt) > rank_tol(X))):
+    singular = denom <= Zs.tol
+    # the Frobenius norm of Xt bounds the operator norm of X
+    if np.any(singular & (np.abs(Xt) > 1e-10 * (1.0 + npl.norm(Xt)))):
         raise SingularPair("X has weight on the kernel block of S_Z")
     St = np.where(singular, 0.0, Xt / np.where(singular, 1.0, denom))
     return hermitianize(V @ St @ V.conj().T)
 
 
+def _lyapunov_power(Zs: Spectrum, p: float) -> np.ndarray:
+    """
+    The matrix of S_Z^p: the matrix unit |v_i><v_j| of Z's eigenbasis, at
+    index j*dim + i of column stacking, has eigenvalue (lambda_i + lambda_j)^(-p).
+    """
+    w, V = Zs.eigenvalues, Zs.eigenvectors
+    basis = np.kron(V.conj(), V)
+    weights = ((w[:, None] + w[None, :]) ** -p).flatten(order="F")
+    return hermitianize((basis * weights) @ basis.conj().T)
+
+
 def lyapunov_superop(Z: np.ndarray) -> SuperOperator:
     """Matrix representation of S_Z for strictly positive Z."""
-    Z = hermitianize(as_square(Z))
-    check_pd(Z, "Z")
-    w, V = npl.eigh(Z)
-    dim = Z.shape[0]
-    # weight for the (i, j) matrix unit, column-stacking order: index j*dim + i
-    weights = 1.0 / (w[:, None] + w[None, :])
-    d = weights.flatten(order="F")
-    basis = np.kron(V.conj(), V)
-    M = (basis * d) @ basis.conj().T
-    return SuperOperator(dim=dim, matrix=hermitianize(M))
+    Zs = psd_spectrum(Z, "Z", definite=True)
+    return SuperOperator(dim=Zs.dim, matrix=_lyapunov_power(Zs, 1.0))
+
+
+def _composed_lyapunov_matrix(S0: Spectrum, S1: Spectrum) -> np.ndarray:
+    """S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}, Hermitian and similar to S_{L0} o S_{L1}."""
+    M1h = _lyapunov_power(S1, 0.5)
+    return hermitianize(M1h @ _lyapunov_power(S0, 1.0) @ M1h)
 
 
 def composed_lyapunov_spectrum(L0: np.ndarray, L1: np.ndarray) -> Spectrum:
@@ -96,13 +104,9 @@ def composed_lyapunov_spectrum(L0: np.ndarray, L1: np.ndarray) -> Spectrum:
     All dim^2 eigenvalues of S_{L0} o S_{L1}, via the similar Hermitian form
     S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}. Every eigenvalue is strictly positive.
     """
-    M0 = lyapunov_superop(L0).matrix
-    M1 = lyapunov_superop(L1).matrix
-    w1, V1 = npl.eigh(hermitianize(M1))
-    M1h = (V1 * np.sqrt(np.maximum(w1, 0.0))) @ V1.conj().T
-    sym = hermitianize(M1h @ M0 @ M1h)
-    w, V = npl.eigh(sym)
-    return Spectrum(eigenvalues=w, eigenvectors=V)
+    S0 = psd_spectrum(L0, "L0", definite=True)
+    S1 = psd_spectrum(L1, "L1", definite=True)
+    return spectrum(_composed_lyapunov_matrix(S0, S1))
 
 
 def positive_fixed_point(
@@ -118,14 +122,14 @@ def positive_fixed_point(
     the state simplex. Returns (A*, alpha*) with
     S_{L0}(S_{L1}(A*)) = alpha* A* up to residual tol in Frobenius norm.
     """
-    check_pd(L0, "L0")
-    check_pd(L1, "L1")
-    dim = as_square(L0).shape[0]
+    S0 = psd_spectrum(L0, "L0", definite=True)
+    S1 = psd_spectrum(L1, "L1", definite=True)
+    dim = S0.dim
     A = np.eye(dim, dtype=complex) / dim
     alpha = 0.0
     residual = np.inf
     for _ in range(max_iter):
-        B = lyapunov_solve(L0, lyapunov_solve(L1, A))
+        B = _lyapunov_solve(S0, _lyapunov_solve(S1, A))
         alpha = float(np.trace(B).real)
         residual = float(npl.norm(B - alpha * A))
         if alpha <= 0:

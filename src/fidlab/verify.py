@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.linalg as npl
-from scipy.optimize import minimize_scalar
 
 from .certify import block_psd, duality_certificate, mfmax_membership
 from .channels import (
@@ -62,7 +61,7 @@ from .qubit_geom import (
 )
 from .superop import lyapunov_solve, positive_fixed_point, vec
 from .errors import UnknownSuite
-from .linalg_core import hermitianize, psd_sqrt
+from .linalg_core import hermitianize, psd_sqrt, spectrum
 
 __all__ = ["Report", "run_suite", "SUITES"]
 
@@ -419,6 +418,8 @@ def suite_operational(dims=(2, 3), trials=50, seed=42) -> Report:
 
 
 def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
+    from scipy.optimize import minimize_scalar
+
     rep = Report(suite="qubit-geometry", trials=0, seed=seed)
     frame = M0Frame(l=1.0, m=0.0, rotation=np.eye(2, dtype=complex))
     # membership vs the scalar minimization oracle
@@ -510,7 +511,8 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
         rep.trials += 1
         rep.close(polar_max_qubit(L0, L1), polar_max(L0, L1), 1e-10,
                   f"closed {t}", "polar-max-closed-form")
-        rep.close(polar_min_qubit(L0, L1), _polar_min_bracket(L0, L1)[1], 1e-6,
+        bracket = _polar_min_bracket(spectrum(L0), spectrum(L1))
+        rep.close(polar_min_qubit(L0, L1), bracket[1], 1e-6,
                   f"closed {t}", "polar-min-closed-form")
     # worked values
     I2 = np.eye(2, dtype=complex)

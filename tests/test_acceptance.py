@@ -22,7 +22,7 @@ from fidlab.fidelity import (
     optimal_measurement,
     optimal_reverse_test,
 )
-from fidlab.linalg_core import hermitianize, psd_sqrt
+from fidlab.linalg_core import hermitianize, psd_sqrt, spectrum
 from fidlab.polar import polar, polar_classical, polar_half, polar_max, polar_min
 from fidlab.qubit_geom import (
     SIGMA_X,
@@ -216,7 +216,8 @@ def test_criterion_09_qubit_closed_forms():
         L0 = random_pd(2, rng)
         L1 = random_pd(2, rng)
         ok &= abs(polar_max_qubit(L0, L1) - polar_max(L0, L1)) <= 1e-6
-        ok &= abs(polar_min_qubit(L0, L1) - _polar_min_bracket(L0, L1)[1]) <= 1e-6
+        bracket = _polar_min_bracket(spectrum(L0), spectrum(L1))
+        ok &= abs(polar_min_qubit(L0, L1) - bracket[1]) <= 1e-6
     ok &= abs(polar_max_qubit(I2, I2) - 2.0) <= 1e-9
     ok &= abs(polar_min_qubit(I2 + 0.6 * SIGMA_Z, I2 - 0.6 * SIGMA_Z) - 1.6) <= 1e-9
     ok &= abs(polar_min_qubit(I2 + 0.6 * SIGMA_X, I2 + 0.6 * SIGMA_X) - 0.8) <= 1e-9

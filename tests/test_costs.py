@@ -1,0 +1,80 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import numpy.linalg as npl
+import pytest
+
+import fidlab
+from fidlab.channels import random_pd, rng_for
+
+# LAPACK decompositions (eigh + eigvalsh) per call, with Y_k a rank-deficient
+# Y with a rotated kernel: every operand is decomposed once, and no
+# tolerance takes a spectral norm (an SVD) of a Hermitian operand
+CALLS = {
+    "fidelity_max": (3, lambda X, Y, Yk: fidlab.fidelity_max(X, Y)),
+    "fidelity_half": (2, lambda X, Y, Yk: fidlab.fidelity_half(X, Y)),
+    "fidelity_min": (3, lambda X, Y, Yk: fidlab.fidelity_min(X, Y)),
+    "fidelity_min_rank_deficient": (4, lambda X, Y, Yk: fidlab.fidelity_min(X, Yk)),
+    "polar_max": (3, lambda X, Y, Yk: fidlab.polar_max(X, Y)),
+    "polar_half": (3, lambda X, Y, Yk: fidlab.polar_half(X, Y)),
+    "dual_optimizers_max": (4, lambda X, Y, Yk: fidlab.dual_optimizers("max", X, Y)),
+    "dual_optimizers_min": (4, lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
+    "dual_optimizers_half": (2, lambda X, Y, Yk: fidlab.dual_optimizers("half", X, Y)),
+}
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "norm":
+                ord_ = args[1] if len(args) > 1 else kwargs.get("ord")
+                if ord_ not in (2, -2, "nuc"):
+                    return fn(*args, **kwargs)
+                name_ = "spectral_norm"
+            else:
+                name_ = name
+            counts[name_] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "norm"):
+        monkeypatch.setattr(npl, name, counted(name, getattr(npl, name)))
+    return counts
+
+
+def _rotated_kernel(dim, rank, rng):
+    w = np.r_[rng.uniform(0.2, 2.0, rank), np.zeros(dim - rank)]
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    U, _ = np.linalg.qr(G)
+    Y = (U * w) @ U.conj().T
+    return 0.5 * (Y + Y.conj().T)
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+@pytest.mark.parametrize("call", sorted(CALLS))
+def test_decompositions_per_call(call, dim, lapack_calls):
+    rng = rng_for(70, dim)
+    X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
+    target, run = CALLS[call]
+    run(X, Y, Yk)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == target
+    assert lapack_calls["svd"] == 0
+    assert lapack_calls["spectral_norm"] == 0
+
+
+def test_import_does_not_load_scipy_optimize():
+    env = dict(os.environ)
+    src = str(Path(fidlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fidlab; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -2,13 +2,14 @@ import numpy as np
 import numpy.linalg as npl
 import pytest
 
+from fidlab.channels import random_pd, rng_for
 from fidlab.errors import DimensionMismatch, NotPsd
 from fidlab.linalg_core import (
     OperatorPair,
-    check_psd,
     hermitianize,
     pinch,
     pinv,
+    psd_spectrum,
     psd_sqrt,
     schur_reduce,
     spectrum,
@@ -81,9 +82,9 @@ def test_pinch_drops_off_diagonals():
     assert np.allclose(pinch(PLUS), np.diag([0.5, 0.5]))
 
 
-def test_check_psd_rejects_negative():
+def test_psd_spectrum_rejects_negative():
     with pytest.raises(NotPsd):
-        check_psd(np.diag([1.0, -0.5]).astype(complex), "A")
+        psd_spectrum(np.diag([1.0, -0.5]).astype(complex), "A")
 
 
 def test_operator_pair_validates():
@@ -103,3 +104,46 @@ def test_spectrum_reconstructs():
     assert np.allclose(sp.reconstruct(), A, atol=1e-12)
     assert np.all(np.diff(sp.eigenvalues) >= 0)
     assert np.allclose(sorted(sp.eigenvalues), sorted(npl.eigvalsh(A)))
+
+
+def _rotated_rank(dim, rank, rng):
+    """Y of rank `rank` whose kernel has a random basis, with that basis."""
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    U, _ = npl.qr(G)
+    Y = (U * np.r_[rng.uniform(0.2, 2.0, rank), np.zeros(dim - rank)]) @ U.conj().T
+    return hermitianize(Y), U
+
+
+ROTATED = [(dim, rank) for dim in range(3, 9) for rank in sorted({1, dim // 2, dim - 1})]
+
+
+@pytest.mark.parametrize("dim, rank", ROTATED)
+def test_support_projector_rotated_kernel(dim, rank):
+    Y, U = _rotated_rank(dim, rank, rng_for(80, dim, rank))
+    P = support_projector(Y)
+    assert np.allclose(P @ P, P, atol=1e-10)
+    assert np.trace(P).real == pytest.approx(rank, abs=1e-10)
+    assert np.allclose(P, U[:, :rank] @ U[:, :rank].conj().T, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim, rank", ROTATED)
+def test_pinv_rotated_kernel_penrose_conditions(dim, rank):
+    Y, _ = _rotated_rank(dim, rank, rng_for(81, dim, rank))
+    P = pinv(Y)
+    assert np.allclose(Y @ P @ Y, Y, atol=1e-9)
+    assert np.allclose(P @ Y @ P, P, atol=1e-9)
+    assert np.allclose((Y @ P).conj().T, Y @ P, atol=1e-9)
+    assert np.allclose((P @ Y).conj().T, P @ Y, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim, rank", ROTATED)
+def test_schur_reduce_rotated_kernel(dim, rank):
+    rng = rng_for(82, dim, rank)
+    Y, U = _rotated_rank(dim, rank, rng)
+    X = random_pd(dim, rng)
+    # the Schur complement of X's kernel block, taken in Y's eigenbasis
+    Xt = U.conj().T @ X @ U
+    A, B, C = Xt[:rank, :rank], Xt[:rank, rank:], Xt[rank:, rank:]
+    reduced = A - B @ npl.inv(C) @ B.conj().T
+    expect = U[:, :rank] @ reduced @ U[:, :rank].conj().T
+    assert np.allclose(schur_reduce(X, Y), expect, atol=1e-9)

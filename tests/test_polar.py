@@ -7,7 +7,7 @@ import pytest
 
 from fidlab.channels import random_pd, rng_for
 from fidlab.errors import NoConvergence
-from fidlab.linalg_core import hermitianize
+from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import (
     _polar_min_bracket,
     polar,
@@ -75,6 +75,17 @@ def test_polar_half_identity_dim3():
 
 def test_polar_half_singular():
     assert polar_half(np.diag([1.0, 0.0]).astype(complex), I2) == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["max", "min", "half"])
+def test_polar_near_singular_is_not_cut_to_zero(kind, dim):
+    # lambda_min(L0) = 5e-11 sits below 1e-10 (1 + |L|) but far above
+    # round-off, and the polar there is 2 sqrt(5e-11)
+    L0 = np.eye(dim, dtype=complex)
+    L0[1, 1] = 5e-11
+    value = polar(kind, L0, np.eye(dim, dtype=complex))
+    assert value == pytest.approx(1.41421356e-5, rel=1e-6)
 
 
 def test_polar_dispatch_rejects_unknown():
@@ -176,7 +187,7 @@ def test_polar_min_bracket_two_basins(depth):
     _, tB = _t_scan(B0, B1, 4001)
     assert abs(tA - tB) >= np.log(10.0)
     L0, L1 = _rotated_block_sums([(A0, A1), (B0, B1)], rng)
-    lower, upper = _polar_min_bracket(L0, L1)
+    lower, upper = _polar_min_bracket(spectrum(L0), spectrum(L1))
     _assert_certified(lower, upper, min(polar_min_qubit(A0, A1), polar_min_qubit(B0, B1)))
     scan, _ = _t_scan(L0, L1, 20001)
     assert lower <= scan
@@ -190,7 +201,7 @@ def test_polar_min_bracket_dim32():
     pairs = [(random_pd(2, rng) * 10.0 ** k, random_pd(2, rng))
              for k in np.linspace(-1.5, 1.5, 16)]
     L0, L1 = _rotated_block_sums(pairs, rng)
-    lower, upper = _polar_min_bracket(L0, L1)
+    lower, upper = _polar_min_bracket(spectrum(L0), spectrum(L1))
     _assert_certified(lower, upper, min(polar_min_qubit(*p) for p in pairs))
 
 
@@ -206,7 +217,7 @@ def test_polar_min_bracket_never_returns_unconverged(monkeypatch):
     # the package re-exports the polar function, so fetch the module itself
     monkeypatch.setattr(importlib.import_module("fidlab.polar"), "_BRACKET_MAX_EVALS", 3)
     with pytest.raises(NoConvergence):
-        _polar_min_bracket(L0, L1)
+        _polar_min_bracket(spectrum(L0), spectrum(L1))
 
 
 def test_polar_dead_knobs_warn_and_do_nothing():
