@@ -134,9 +134,9 @@ def polar_min(L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     """
-    ( max eigenvalue of S_{L0} o S_{L1} )^{-1/2}, via the Hermitian
-    symmetrization of the composed Lyapunov operator; 0 on singular inputs
-    (continuity of the polar).
+    ( max eigenvalue of S_{L0} o S_{L1} )^{-1/2}, the top eigenvalue taken
+    from the real symmetric Gram form of the composed Lyapunov operator on
+    Hermitian operators; 0 on singular inputs (continuity of the polar).
     """
     S0, S1 = _pair(L0, L1)
     if _singular(S0, S1):

@@ -308,8 +308,9 @@ def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     frame L0 = I + a sigma_x + b sigma_z, L1 = I + a sigma_x - b sigma_z
     exactly when the Bloch radii agree, and the piecewise closed form
     applies; otherwise the minimum of (tr L0 rho)(tr L1 rho) over pure
-    states reduces to a one-parameter trigonometric minimization on the
-    circle spanned by the two traceless parts.
+    states is attained on the circle spanned by the two traceless parts,
+    where the product is a degree-2 trigonometric polynomial, and is read
+    off its exact critical angles (the roots of a quartic).
     """
     L0 = hermitianize(as_square(L0))
     L1 = hermitianize(as_square(L1))
@@ -338,9 +339,14 @@ def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
 
 
 def _circle_min(c0: float, u: np.ndarray, c1: float, v: np.ndarray) -> float:
-    """Minimize (c0 + u.n)(c1 + v.n) over unit Bloch vectors n."""
-    from scipy.optimize import minimize_scalar
-
+    """
+    Minimize (c0 + u.n)(c1 + v.n) over unit Bloch vectors n. The minimum
+    lies on the great circle n = cos(theta) e1 + sin(theta) e2 through u and
+    v, where with z = e^{i theta} each factor is c + beta z + conj(beta) / z,
+    beta = (a - i b) / 2, and the product is sum_{|k| <= 2} F_k z^k. Its
+    critical angles are the arguments of the roots of the quartic
+    sum_k k F_k z^(k+2); the minimum is taken over them and theta = 0.
+    """
     nu = npl.norm(u)
     nv = npl.norm(v)
     if nu < 1e-15 and nv < 1e-15:
@@ -357,20 +363,13 @@ def _circle_min(c0: float, u: np.ndarray, c1: float, v: np.ndarray) -> float:
         e2 = perp / npl.norm(perp)
     a0, b0 = float(u @ e1), float(u @ e2)
     a1, b1 = float(v @ e1), float(v @ e2)
-
-    def g(theta):
-        ct, st = np.cos(theta), np.sin(theta)
-        return np.maximum(c0 + a0 * ct + b0 * st, 0.0) * np.maximum(
-            c1 + a1 * ct + b1 * st, 0.0
-        )
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 4097)
-    vals = g(grid)
-    i = int(np.argmin(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(g, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    return float(min(vals[i], res.fun))
+    beta0, beta1 = complex(a0, -b0) / 2, complex(a1, -b1) / 2
+    F2, F1 = beta0 * beta1, c0 * beta1 + c1 * beta0
+    roots = np.roots([2 * F2, F1, 0.0, -F1.conjugate(), -2 * F2.conjugate()])
+    theta = np.r_[0.0, np.angle(roots)]
+    ct, st = np.cos(theta), np.sin(theta)
+    g = np.maximum(c0 + a0 * ct + b0 * st, 0.0) * np.maximum(c1 + a1 * ct + b1 * st, 0.0)
+    return float(g.min())
 
 
 def convertibility_necessary(

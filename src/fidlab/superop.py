@@ -6,17 +6,20 @@
 # PSD-cone power iteration for its leading eigenvector. Everything is built
 # from the spectrum of Z: S_Z is diagonal in the basis kron(conj V, V) with
 # weights 1 / (lambda_i + lambda_j), so the private helpers take a Spectrum
-# and never decompose Z again.
+# and never decompose Z again. S_{L0} o S_{L1} commutes with H -> H^dagger,
+# so its spectrum is that of its restriction to Hermitian operators: a real
+# symmetric Gram matrix A A^T of size dim^2 in L1's eigenbasis.
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.linalg as npl
 
 from .errors import NoConvergence, SingularPair
-from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
+from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum
 
 __all__ = [
     "vec",
@@ -76,37 +79,85 @@ def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:
     return hermitianize(V @ St @ V.conj().T)
 
 
-def _lyapunov_power(Zs: Spectrum, p: float) -> np.ndarray:
+def lyapunov_superop(Z: np.ndarray) -> SuperOperator:
     """
-    The matrix of S_Z^p: the matrix unit |v_i><v_j| of Z's eigenbasis, at
-    index j*dim + i of column stacking, has eigenvalue (lambda_i + lambda_j)^(-p).
+    Matrix representation of S_Z for strictly positive Z: the matrix unit
+    |v_i><v_j| of Z's eigenbasis, at index j*dim + i of column stacking, is
+    an eigenvector with eigenvalue 1 / (lambda_i + lambda_j).
     """
+    Zs = psd_spectrum(Z, "Z", definite=True)
     w, V = Zs.eigenvalues, Zs.eigenvectors
     basis = np.kron(V.conj(), V)
-    weights = ((w[:, None] + w[None, :]) ** -p).flatten(order="F")
-    return hermitianize((basis * weights) @ basis.conj().T)
+    weights = (1.0 / (w[:, None] + w[None, :])).flatten(order="F")
+    return SuperOperator(dim=Zs.dim, matrix=hermitianize((basis * weights) @ basis.conj().T))
 
 
-def lyapunov_superop(Z: np.ndarray) -> SuperOperator:
-    """Matrix representation of S_Z for strictly positive Z."""
-    Zs = psd_spectrum(Z, "Z", definite=True)
-    return SuperOperator(dim=Zs.dim, matrix=_lyapunov_power(Zs, 1.0))
+@lru_cache(maxsize=64)
+def _hermitian_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """
+    Index tables of the orthonormal real basis of dim x dim Hermitian
+    operators: E_ii for each i, then (E_ij + E_ji)/sqrt2 for i < j, then
+    i(E_ij - E_ji)/sqrt2 for i < j. Returns the pairs (rows[p], cols[p]),
+    diagonal pairs first, the pair of each basis element, and a per-pair
+    scale, 1/sqrt2 on the diagonal and 1 off it, that folds the basis
+    normalization into the pair weights.
+    """
+    diag = np.arange(dim)
+    iu, ju = np.triu_indices(dim, 1)
+    rows, cols = np.r_[diag, iu], np.r_[diag, ju]
+    pair_of = np.r_[np.arange(rows.size), np.arange(dim, rows.size)]
+    scale = np.where(rows == cols, 0.5 ** 0.5, 1.0)
+    for table in (rows, cols, pair_of, scale):
+        table.setflags(write=False)
+    return rows, cols, pair_of, scale
 
 
 def _composed_lyapunov_matrix(S0: Spectrum, S1: Spectrum) -> np.ndarray:
-    """S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}, Hermitian and similar to S_{L0} o S_{L1}."""
-    M1h = _lyapunov_power(S1, 0.5)
-    return hermitianize(M1h @ _lyapunov_power(S0, 1.0) @ M1h)
+    """
+    S_{L1}^{1/2} S_{L0} S_{L1}^{1/2} restricted to Hermitian operators, as
+    the real symmetric Gram matrix A A^T in L1's basis of _hermitian_basis.
+    There S_{Lk} is diagonal with weights 1 / (lambda_i + lambda_j), and
+    A = diag(w1) R diag(w0), w_k = (lambda_i + lambda_j)^(-1/2), where R is
+    the orthogonal matrix of H -> W H W^dagger, W = V1^dagger V0. Entry
+    ((i, j), (k, l)) of R is Re or Im of P = X + X' or Q = X - X', with
+    X = W_ik conj(W_jl) and X' = W_il conj(W_jk), times the two pairs'
+    scales, which are folded into w0 and w1.
+    """
+    d = S0.dim
+    rows, cols, pair_of, scale = _hermitian_basis(d)
+    W = S1.eigenvectors.conj().T @ S0.eigenvectors
+    Wr, Wc = W[rows], W[cols]
+    X, Xp = Wr[:, rows] * Wc[:, cols].conj(), Wr[:, cols] * Wc[:, rows].conj()
+    P, Q = X + Xp, X - Xp
+    R = np.concatenate([np.concatenate([P.real, -Q.imag[:, d:]], axis=1),
+                        np.concatenate([P.imag[d:], Q.real[d:, d:]], axis=1)])
+    w0, w1 = ((S.eigenvalues[rows] + S.eigenvalues[cols]) ** -0.5 * scale
+              for S in (S0, S1))
+    A = w1[pair_of, None] * R * w0[pair_of]
+    return A @ A.T
 
 
 def composed_lyapunov_spectrum(L0: np.ndarray, L1: np.ndarray) -> Spectrum:
     """
     All dim^2 eigenvalues of S_{L0} o S_{L1}, via the similar Hermitian form
-    S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}. Every eigenvalue is strictly positive.
+    S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}, with eigenvectors in column-stacking
+    coordinates. The form commutes with H -> H^dagger, so its eigenpairs are
+    those of its real restriction to Hermitian operators, mapped back from
+    L1's basis of _hermitian_basis. Every eigenvalue is strictly positive.
     """
     S0 = psd_spectrum(L0, "L0", definite=True)
     S1 = psd_spectrum(L1, "L1", definite=True)
-    return spectrum(_composed_lyapunov_matrix(S0, S1))
+    d = S0.dim
+    rows, cols, _, _ = _hermitian_basis(d)
+    w, x = npl.eigh(_composed_lyapunov_matrix(S0, S1))
+    off = (x[d:rows.size] + 1j * x[rows.size:]) * 0.5 ** 0.5
+    H = np.zeros((d * d, d, d), dtype=complex)
+    H[:, rows[:d], cols[:d]] = x[:d].T
+    H[:, rows[d:], cols[d:]] = off.T
+    H[:, cols[d:], rows[d:]] = off.conj().T
+    V1 = S1.eigenvectors
+    G = V1 @ H @ V1.conj().T
+    return Spectrum(eigenvalues=w, eigenvectors=G.transpose(0, 2, 1).reshape(d * d, d * d).T)
 
 
 def positive_fixed_point(

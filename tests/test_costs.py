@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -70,11 +71,40 @@ def test_decompositions_per_call(call, dim, lapack_calls):
     assert lapack_calls["spectral_norm"] == 0
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_qubit_polar_min_decompositions(lapack_calls):
+    rng = rng_for(70, 2)
+    fidlab.polar_min(random_pd(2, rng), random_pd(2, rng))
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == 2
+    assert lapack_calls["svd"] == 0
+
+
+# scipy.optimize stays unloaded by the import, by a dim-2 polar_min with
+# unequal Bloch radii (the qubit circle minimum) and by a whole
+# `fidlab compute` on the same pair
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+import fidlab, fidlab.cli
+loaded = ["scipy.optimize" in sys.modules]
+fidlab.polar_min(*(np.array([[complex(*z) for z in row] for row in m["entries"]])
+                   for m in json.load(open(sys.argv[1]))))
+loaded.append("scipy.optimize" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fidlab.cli.main(["compute", sys.argv[1], "--format", "json"])
+loaded.append("scipy.optimize" in sys.modules)
+print(code, *loaded)
+"""
+
+
+def test_import_does_not_load_scipy_optimize(tmp_path):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps([
+        {"dim": 2, "entries": [[[2.0, 0.0], [0.5, 0.3]], [[0.5, -0.3], [1.0, 0.0]]]},
+        {"dim": 2, "entries": [[[1.0, 0.0], [0.0, -0.2]], [[0.0, 0.2], [3.0, 0.0]]]},
+    ]))
     env = dict(os.environ)
     src = str(Path(fidlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fidlab; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(pair)], env=env,
+                         check=True, capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["0", "False", "False", "False"]

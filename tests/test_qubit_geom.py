@@ -4,9 +4,11 @@ import pytest
 
 from fidlab.channels import random_pd, rng_for
 from fidlab.errors import DegenerateFrame, DegenerateZ, SOutOfRange
-from fidlab.linalg_core import hermitianize
+from fidlab.linalg_core import hermitianize, spectrum
+from fidlab.polar import _polar_min_bracket
 from fidlab.qubit_geom import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     M0Frame,
     QubitDualPoint,
@@ -122,6 +124,39 @@ def test_polar_min_qubit_values():
     assert polar_min_qubit(I2 + 0.6 * SIGMA_X, I2 + 0.6 * SIGMA_X) == pytest.approx(
         0.8, abs=1e-9
     )
+
+
+def _assert_matches_bracket(L0, L1):
+    upper = _polar_min_bracket(spectrum(L0), spectrum(L1))[1]
+    assert polar_min_qubit(L0, L1) == pytest.approx(upper, rel=1e-9, abs=0)
+
+
+def test_polar_min_qubit_matches_bracket_on_random_pairs():
+    for trial in range(500):
+        rng = rng_for(91, trial)
+        _assert_matches_bracket(random_pd(2, rng), random_pd(2, rng))
+
+
+def _bloch_operator(c, r, n):
+    return c * (I2 + r * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z))
+
+
+@pytest.mark.parametrize("case", ["equal_radii", "collinear", "anticollinear",
+                                  "zero_first", "zero_second", "same"])
+def test_polar_min_qubit_matches_bracket_on_special_pairs(case):
+    for trial in range(20):
+        rng = rng_for(92, trial)
+        n, m = (x / npl.norm(x) for x in rng.standard_normal((2, 3)))
+        (r0, r1), (c0, c1) = rng.uniform(0.05, 0.95, 2), rng.uniform(0.5, 2.0, 2)
+        L0, L1 = {
+            "equal_radii": (_bloch_operator(c0, r0, n), _bloch_operator(c1, r0, m)),
+            "collinear": (_bloch_operator(c0, r0, n), _bloch_operator(c1, r1, n)),
+            "anticollinear": (_bloch_operator(c0, r0, n), _bloch_operator(c1, r1, -n)),
+            "zero_first": (c0 * I2, _bloch_operator(c1, r1, m)),
+            "zero_second": (_bloch_operator(c0, r0, n), c1 * I2),
+            "same": (_bloch_operator(c0, r0, n),) * 2,
+        }[case]
+        _assert_matches_bracket(L0, L1)
 
 
 def test_qubit_dual_point_roundtrip():

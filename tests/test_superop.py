@@ -1,8 +1,11 @@
 import numpy as np
+import numpy.linalg as npl
 import pytest
 
+from fidlab.channels import random_pd, rng_for
 from fidlab.errors import SingularPair
 from fidlab.linalg_core import hermitianize
+from fidlab.polar import polar_half
 from fidlab.superop import (
     composed_lyapunov_spectrum,
     lyapunov_solve,
@@ -76,6 +79,26 @@ def test_composed_spectrum_diagonal_pair():
     sp = composed_lyapunov_spectrum(L0, L1)
     assert np.allclose(sorted(sp.eigenvalues),
                        sorted([1 / 16, 1 / 16, 1 / 25, 1 / 25]), atol=1e-12)
+
+
+def _explicit_composed(L0, L1):
+    # S_{L1}^{1/2} S_{L0} S_{L1}^{1/2} from the full superoperator matrices
+    w, V = npl.eigh(lyapunov_superop(L1).matrix)
+    M1h = (V * np.sqrt(w)) @ V.conj().T
+    return hermitianize(M1h @ lyapunov_superop(L0).matrix @ M1h)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_composed_spectrum_matches_explicit_matrix(dim):
+    for trial in range(3):
+        rng = rng_for(90, dim, trial)
+        L0, L1 = random_pd(dim, rng), random_pd(dim, rng)
+        M = _explicit_composed(L0, L1)
+        ev = npl.eigvalsh(M)
+        sp = composed_lyapunov_spectrum(L0, L1)
+        assert np.max(np.abs(sp.eigenvalues - ev)) <= 1e-12 * ev[-1]
+        assert np.max(np.abs(sp.reconstruct() - M)) <= 1e-12 * ev[-1]
+        assert polar_half(L0, L1) == pytest.approx(ev[-1] ** -0.5, rel=1e-12, abs=0)
 
 
 def test_positive_fixed_point_identity():
