@@ -2,9 +2,9 @@
 #
 # SDP-style feasibility and optimality certificates: block positivity via
 # the support/Schur-complement criterion, dual-body membership for the max
-# kind, and zero-duality-gap certificates pairing analytic primal
-# optimizers with the derivative dual optimizers; the dual pair is feasible
-# iff its polar is >= 1. No external SDP solver is used anywhere.
+# kind, and zero-duality-gap certificates pairing the primal and dual
+# optimizers of `fidelity._optimizers` (for max, all from one SVD); the dual
+# pair is feasible iff its polar is >= 1. No external SDP solver is used.
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch
-from .fidelity import _dual_optimizers, _operands
+from .fidelity import _operands, _optimizers
 from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
 from .polar import _polar_lower, _warn_dead_knobs
 
@@ -59,14 +59,15 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
 
 
 def _block_psd(X: np.ndarray, Xs: Spectrum, C: np.ndarray, Ys: Spectrum) -> bool:
-    tol = 1e-9 * (1.0 + npl.norm(C, 2))
-    if npl.norm((np.eye(Xs.dim) - Xs.support_projector()) @ C, 2) > tol:
-        return False
-    if npl.norm(C @ (np.eye(Ys.dim) - Ys.support_projector()), 2) > tol:
-        return False
-    # the complement is a difference of terms on X's scale, so is its round-off
-    gap = hermitianize(X - C @ Ys.pinv() @ C.conj().T)
-    return bool(npl.eigvalsh(gap)[0] >= -Xs.tol)
+    # (I - pi_X) C = 0 is K_X^dagger C = 0, K_X the kernel; definite operands take no norm
+    KX, KY = Xs.kernel(), Ys.kernel()
+    if KX.shape[1] or KY.shape[1]:
+        tol = 1e-9 * (1.0 + npl.norm(C, 2))
+        if npl.norm(KX.conj().T @ C, 2) > tol or npl.norm(C @ KY, 2) > tol:
+            return False
+    # X - C Y^+ C^dagger through B = C Y^{+1/2}: round-off eps sqrt(kappa(Y)), not eps kappa(Y)
+    B = C @ Ys.inv_sqrt()
+    return bool(npl.eigvalsh(hermitianize(X - B @ B.conj().T))[0] >= -Xs.tol)
 
 
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
@@ -91,25 +92,14 @@ def duality_certificate(
     """
     _warn_dead_knobs("duality_certificate", seed=seed)
     X, Y, Xs, Ys = _operands(X, Y, definite=True)
-    sX, sY = Xs.sqrt(), Ys.sqrt()
-    if kind == "max":
-        # C* = sqrt(X) W^dagger sqrt(Y), W the unitary polar factor of sqrt(Y) sqrt(X)
-        U, _s, Vh = npl.svd(sY @ sX)
-        W = U @ Vh
-        C = sX @ W.conj().T @ sY
-        primal_value = float(0.5 * (np.trace(C) + np.trace(C.conj().T)).real)
-        primal_feasible = _block_psd(X, Xs, C, Ys)
-    elif kind == "min":
-        iY = Ys.inv_sqrt()
-        C = hermitianize(sY @ psd_spectrum(iY @ X @ iY).sqrt() @ sY)
-        primal_value = float(np.trace(C).real)
-        primal_feasible = _block_psd(X, Xs, C, Ys)
-    elif kind == "half":
-        primal_value = float(np.trace(sX @ sY).real)
+    C, pair = _optimizers(kind, X, Y, Xs, Ys)
+    if C is None:
+        # half: tr sqrt(X) sqrt(Y) is attained by construction
+        primal_value = float(np.trace(Xs.sqrt() @ Ys.sqrt()).real)
         primal_feasible = True
     else:
-        raise ValueError(f"unknown certificate kind {kind!r}")
-    pair = _dual_optimizers(kind, X, Y, Xs, Ys)
+        primal_value = float(np.trace(C).real)
+        primal_feasible = _block_psd(X, Xs, C, Ys)
     dual_value = float((np.trace(pair.first @ X) + np.trace(pair.second @ Y)).real)
     # L* sits on the boundary, polar p = 1 up to round-off; L*/p is feasible and
     # worth dual_value/p, so p >= 1 - _CERT_TOL keeps the gap's tolerance

@@ -111,33 +111,45 @@ def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
     """
     The derivative dual pair (L0*, L1*) with tr(L0* X) + tr(L1* Y) = F(X, Y):
 
-      max:  L0* = (1/2) Y^{1/2} (Y^{1/2} X Y^{1/2})^{-1/2} Y^{1/2}
+      max:  L0* = (1/2) sqrt(Y) V Sigma^{-1} V^dagger sqrt(Y),  sqrt(X) sqrt(Y) = U Sigma V^dagger
       min:  L0* = Y^{-1/2} S_W(Y) Y^{-1/2},  W = sqrt(Y^{-1/2} X Y^{-1/2})
       half: L0* = S_{sqrt(X)}(sqrt(Y))
 
-    with L1* given by swapping the roles of X and Y.
+    with L1* given by swapping the roles of X and Y (for max, of U and V).
     """
-    return _dual_optimizers(kind, *_operands(X, Y, definite=True))
+    return _optimizers(kind, *_operands(X, Y, definite=True))[1]
 
 
-def _dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray,
-                     Xs: Spectrum, Ys: Spectrum) -> OperatorPair:
-    def one_side(A: np.ndarray, As: Spectrum, B: np.ndarray, Bs: Spectrum) -> np.ndarray:
-        # the optimizer multiplying A, built from the pair (A, B)
-        if kind == "max":
-            sB = Bs.sqrt()
-            core = psd_spectrum(sB @ A @ sB, definite=True).inv_sqrt()
-            return hermitianize(0.5 * sB @ core @ sB)
-        if kind == "min":
+def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
+                Ys: Spectrum) -> tuple[np.ndarray | None, OperatorPair]:
+    """The primal optimizer C* (None for half) and the dual pair of a definite pair."""
+    if kind == "max":
+        # sqrt(X) sqrt(Y) = U Sigma V^dagger gives C* = sqrt(X) U V^dagger sqrt(Y) and, as
+        # sqrt(Y) X sqrt(Y) = V Sigma^2 V^dagger and sqrt(X) Y sqrt(X) = U Sigma^2 U^dagger,
+        # both inverse roots without squaring the condition number
+        sX, sY = Xs.sqrt(), Ys.sqrt()
+        U, s, Vh = npl.svd(sX @ sY)
+        C = sX @ U @ Vh @ sY
+        B0, B1 = sY @ (Vh.conj().T * s ** -0.5), sX @ (U * s ** -0.5)
+        L0, L1 = (hermitianize(0.5 * B @ B.conj().T) for B in (B0, B1))
+    elif kind == "min":
+        def side(A: np.ndarray, B: np.ndarray, Bs: Spectrum) -> tuple[Spectrum, np.ndarray]:
+            # W = sqrt(B^{-1/2} A B^{-1/2}) and the optimizer multiplying A
             iB = Bs.inv_sqrt()
             W = psd_spectrum(iB @ A @ iB).sqrt_spectrum()
-            return hermitianize(iB @ _lyapunov_solve(W, B) @ iB)
-        if kind == "half":
-            return _lyapunov_solve(As.sqrt_spectrum(), Bs.sqrt())
-        raise ValueError(f"unknown fidelity kind {kind!r}")
+            return W, hermitianize(iB @ _lyapunov_solve(W, B) @ iB)
 
-    # each side is PSD by construction, so the pair is not decomposed again
-    return OperatorPair._of_psd(one_side(X, Xs, Y, Ys), one_side(Y, Ys, X, Xs))
+        (W, L0), (_, L1) = side(X, Y, Ys), side(Y, X, Xs)
+        sY = Ys.sqrt()
+        C = hermitianize(sY @ W.reconstruct() @ sY)
+    elif kind == "half":
+        sX, sY = Xs.sqrt_spectrum(), Ys.sqrt_spectrum()
+        C = None
+        L0, L1 = _lyapunov_solve(sX, sY.reconstruct()), _lyapunov_solve(sY, sX.reconstruct())
+    else:
+        raise ValueError(f"unknown fidelity kind {kind!r}")
+    # each side is PSD by construction (Gram forms for max), so the pair is not decomposed again
+    return C, OperatorPair._of_psd(L0, L1)
 
 
 def optimal_measurement(X: np.ndarray, Y: np.ndarray) -> Povm:

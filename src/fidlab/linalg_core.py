@@ -2,9 +2,9 @@
 #
 # One spectrum per operand: `psd_spectrum` validates and decomposes a PSD
 # operand once, and everything else about it is read off that Spectrum —
-# its tolerance 1e-10 * (1 + max |lambda|), its PSD/PD verdict, square root,
-# inverse square root, pseudoinverse, support and the Schur reduction of
-# another operator onto that support. The public matrix functions are
+# its tolerance 1e-10 * (1 + max |lambda|), its PSD/PD/singular verdicts,
+# square root, inverse square root, pseudoinverse, support, kernel and the
+# Schur reduction of another operator onto that support. The public matrix functions are
 # one-liners over it.
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotPsd
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "hermitianize",
@@ -70,6 +72,11 @@ class Spectrum:
     def is_psd(self) -> bool:
         return not self.dim or bool(self.eigenvalues[0] >= -self.tol)
 
+    @property
+    def is_singular(self) -> bool:
+        """Singular at round-off: lambda_min <= dim * eps * max |lambda|."""
+        return bool(self.eigenvalues[0] <= self.dim * _EPS * self.norm)
+
     def matrix(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V^dagger: a function of the matrix, given on its eigenvalues."""
         V = self.eigenvectors
@@ -100,9 +107,9 @@ class Spectrum:
         sup = self.support()
         return sup.matrix(1.0 / sup.eigenvalues)
 
-    def support_projector(self) -> np.ndarray:
-        sup = self.support()
-        return sup.matrix(np.ones(sup.dim))
+    def kernel(self) -> np.ndarray:
+        """The eigenvectors with |lambda| <= tol, an orthonormal basis of the kernel."""
+        return self.eigenvectors[:, np.abs(self.eigenvalues) <= self.tol]
 
     def schur_complement(self, X: np.ndarray, x_tol: float) -> np.ndarray | None:
         """
@@ -110,13 +117,13 @@ class Spectrum:
         support, in the coordinates of support().eigenvectors. None when X22
         is at most x_tol, i.e. supp X already lies in the support.
         """
-        live = np.abs(self.eigenvalues) > self.tol
-        if live.all():
+        K = self.kernel()
+        if not K.shape[1]:
             return None
-        S, K = self.eigenvectors[:, live], self.eigenvectors[:, ~live]
         off = spectrum(K.conj().T @ X @ K)
         if off.norm <= x_tol:
             return None
+        S = self.support().eigenvectors
         X12 = S.conj().T @ X @ K
         return hermitianize(S.conj().T @ X @ S - X12 @ off.pinv() @ X12.conj().T)
 
@@ -158,7 +165,8 @@ def pinv(H: np.ndarray) -> np.ndarray:
 
 def support_projector(H: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    return psd_spectrum(H).support_projector()
+    sup = psd_spectrum(H).support()
+    return sup.matrix(np.ones(sup.dim))
 
 
 def schur_reduce(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

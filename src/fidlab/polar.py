@@ -36,7 +36,6 @@ __all__ = [
 # and raises NoConvergence rather than exceed _BRACKET_MAX_EVALS eigvalsh.
 _BRACKET_REL_WIDTH = 1e-10
 _BRACKET_MAX_EVALS = 1000
-_EPS = float(np.finfo(float).eps)
 
 
 def polar_classical(l0, l1) -> float:
@@ -51,15 +50,6 @@ def _pair(L0, L1) -> tuple[Spectrum, Spectrum]:
     return psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
 
 
-def _singular(*spectra: Spectrum) -> bool:
-    """
-    Some operand is singular at round-off: lambda_min <= dim * eps * max |lambda|.
-    A larger lambda_min is resolved by the spectrum, and the polar, of order
-    sqrt(lambda_min), is computed rather than cut to 0.
-    """
-    return any(sp.eigenvalues[0] <= sp.dim * _EPS * sp.norm for sp in spectra)
-
-
 def _warn_dead_knobs(func: str, **knobs) -> None:
     passed = ", ".join(sorted(k for k, v in knobs.items() if v is not None))
     if passed:
@@ -70,7 +60,7 @@ def _warn_dead_knobs(func: str, **knobs) -> None:
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
     S0, S1 = _pair(L0, L1)
-    if _singular(S0, S1):
+    if S0.is_singular or S1.is_singular:
         return 0.0
     s1 = S1.sqrt()
     lam_min = float(npl.eigvalsh(hermitianize(s1 @ S0.reconstruct() @ s1))[0])
@@ -91,7 +81,7 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     g >= min(g(m-h), g(m+h)) / cosh(h) there. Best-first branch and bound
     on that bound closes the bracket; `upper` is the least evaluated g.
     """
-    if _singular(S0, S1):
+    if S0.is_singular or S1.is_singular:
         return 0.0, 0.0
     w0, w1 = S0.eigenvalues, S1.eigenvalues
     L0, L1 = S0.reconstruct(), S1.reconstruct()
@@ -139,7 +129,7 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     Hermitian operators; 0 on singular inputs (continuity of the polar).
     """
     S0, S1 = _pair(L0, L1)
-    if _singular(S0, S1):
+    if S0.is_singular or S1.is_singular:
         return 0.0
     top = float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1])
     return top ** -0.5

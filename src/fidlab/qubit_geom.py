@@ -7,6 +7,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +69,8 @@ class QubitDualPoint:
         H = hermitianize(as_square(H))
         if H.shape != (2, 2):
             raise DimensionMismatch("QubitDualPoint needs a 2x2 operator")
-        return QubitDualPoint(
-            x=float(np.trace(SIGMA_X @ H).real / 2),
-            y=float(np.trace(SIGMA_Y @ H).real / 2),
-            z=float(np.trace(SIGMA_Z @ H).real / 2),
-            w=float(np.trace(H).real / 2),
-        )
+        w, (x, y, z) = _bloch_split(H)
+        return QubitDualPoint(x=float(x), y=float(y), z=float(z), w=w)
 
 
 @dataclass(frozen=True)
@@ -185,28 +182,30 @@ def unique_root_w(x: float, z: float) -> float:
     return distinct[0]
 
 
+def _convex_argmin(slope, lo: float, hi: float) -> float:
+    """Minimizer in [lo, hi] of a convex function with right derivative `slope`; 64 halvings."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def w2_min_oracle(x_prime: float, z: float) -> float:
     """
-    Independent boundary oracle: global minimum over real s of
-    w2(s) = s^2/4 + sqrt((x' - s)^2 + z^2), by dense grid plus refinement.
+    Independent boundary oracle: global minimum over real s of the convex
+    w2(s) = s^2/4 + sqrt((x' - s)^2 + z^2). Its slope has the sign of s for
+    |s| > 2, so the minimizer lies in [-2, 2] and is found by bisection.
     """
-    from scipy.optimize import minimize_scalar
+    def slope(s: float) -> float:
+        r = math.hypot(x_prime - s, z)
+        # at z = 0 the slope jumps by 2 at s = x'; take its right limit there
+        return s / 2.0 + ((s - x_prime) / r if r > 0.0 else 1.0)
 
-    x_prime = float(x_prime)
-    z = float(z)
-
-    def w2(s):
-        return s * s / 4.0 + np.sqrt((x_prime - s) ** 2 + z * z)
-
-    half = abs(x_prime) + 4.0
-    grid = np.arange(-half, half + 1e-4, 1e-4)
-    vals = w2(grid)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(w2, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(min(vals[i], res.fun))
+    s = _convex_argmin(slope, -2.0, 2.0)
+    return s * s / 4.0 + math.hypot(x_prime - s, z)
 
 
 def m0_membership(frame: M0Frame, p: QubitDualPoint) -> bool:
@@ -288,16 +287,9 @@ def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
 
 
 def _bloch_split(L: np.ndarray) -> tuple[float, np.ndarray]:
-    """Trace part c and Bloch vector u with L = c I + u . sigma."""
-    c = float(np.trace(L).real / 2)
-    u = np.array(
-        [
-            np.trace(SIGMA_X @ L).real / 2,
-            np.trace(SIGMA_Y @ L).real / 2,
-            np.trace(SIGMA_Z @ L).real / 2,
-        ]
-    )
-    return c, u
+    """Trace part c and Bloch vector u with L = c I + u . sigma, off a Hermitian L's entries."""
+    a, b, d = L[0, 0].real, L[0, 1], L[1, 1].real
+    return float((a + d) / 2), np.array([b.real, -b.imag, (a - d) / 2])
 
 
 def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -317,10 +309,10 @@ def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     if L0.shape != (2, 2) or L1.shape != (2, 2):
         raise DimensionMismatch("polar_min_qubit is dim-2 only")
     S0, S1 = psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
+    if S0.is_singular or S1.is_singular:
+        return 0.0
     c0, u = _bloch_split(L0)
     c1, v = _bloch_split(L1)
-    if c0 <= S0.tol or c1 <= S1.tol:
-        return 0.0
     un = u / c0
     vn = v / c1
     scale = float(np.sqrt(c0 * c1))

@@ -46,6 +46,7 @@ from .polar import (
     povm_lower_bound,
 )
 from .qubit_geom import (
+    _convex_argmin,
     SIGMA_X,
     SIGMA_Z,
     M0Frame,
@@ -418,8 +419,6 @@ def suite_operational(dims=(2, 3), trials=50, seed=42) -> Report:
 
 
 def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
-    from scipy.optimize import minimize_scalar
-
     rep = Report(suite="qubit-geometry", trials=0, seed=seed)
     frame = M0Frame(l=1.0, m=0.0, rotation=np.eye(2, dtype=complex))
     # membership vs the scalar minimization oracle
@@ -466,10 +465,12 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
         def w_of_t(tt):
             return xp * xp / (4 * (1 + tt)) + z * z / (4 * tt) + tt
 
-        res = minimize_scalar(w_of_t, bounds=(1e-9, 10 + xp + z),
-                              method="bounded", options={"xatol": 1e-12})
+        def slope(tt):
+            return 1 - xp * xp / (4 * (1 + tt) ** 2) - z * z / (4 * tt * tt)
+
+        tt = _convex_argmin(slope, 1e-9, 10 + xp + z)
         rep.trials += 1
-        rep.close(float(res.fun), wline, 1e-6, f"boundary {t}",
+        rep.close(w_of_t(tt), wline, 1e-6, f"boundary {t}",
                   "m0-2-parameterization")
     # extreme points span a 3-dimensional affine set
     pts = [m0_extreme_points(frame, s, a)

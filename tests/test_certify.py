@@ -6,7 +6,7 @@ from fidlab.certify import block_psd, duality_certificate, mfmax_membership
 from fidlab.channels import random_pd, rng_for
 from fidlab.fidelity import dual_optimizers, fidelity_half
 from fidlab.linalg_core import hermitianize, psd_sqrt
-from fidlab.polar import polar_membership
+from fidlab.polar import polar_max, polar_membership
 
 I2 = np.eye(2, dtype=complex)
 
@@ -47,6 +47,25 @@ def test_block_psd_support_condition():
     X = np.diag([1.0, 0.0]).astype(complex)
     C = np.array([[0.0, 0.0], [0.1, 0.0]], dtype=complex)
     assert not block_psd(X, C, I2)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("side", ["X", "Y"])
+def test_block_psd_rotated_kernel(side, dim):
+    # one operand has a rank-1 kernel in a random direction k; a C on the
+    # supports is accepted, and weight 1e-3 on that kernel is refused
+    rng = rng_for(23, dim)
+    U, _ = npl.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    w = np.r_[0.0, rng.uniform(0.5, 2.0, dim - 1)]
+    D, sD, k = (U * w) @ U.conj().T, (U * np.sqrt(w)) @ U.conj().T, U[:, 0]
+    P = random_pd(dim, rng)
+    X, Y, sX, sY = (D, P, sD, psd_sqrt(P)) if side == "X" else (P, D, psd_sqrt(P), sD)
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    C = 0.5 * sX @ (G / npl.norm(G, 2)) @ sY
+    assert block_psd(X, C, Y)
+    u = rng.standard_normal(dim)
+    off = 1e-3 * (np.outer(k, u) if side == "X" else np.outer(u, k.conj()))
+    assert not block_psd(X, C + off, Y)
 
 
 def test_mfmax_membership_boundary():
@@ -150,3 +169,17 @@ def test_certificate_seed_is_deprecated():
     with pytest.warns(DeprecationWarning, match="seed"):
         cert = duality_certificate("min", X, Y, seed=4)
     assert cert == duality_certificate("min", X, Y)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kappas", [(1e6, 1e4), (1e4, 1e6), (1e8, 1e4), (1e4, 1e8)])
+def test_max_certificate_valid_across_condition_numbers(kappas, dim):
+    # the optimizers come from one SVD of sqrt(X) sqrt(Y), never from the
+    # products sqrt(Y) X sqrt(Y), whose condition number is kappa(X) kappa(Y)
+    for t in range(10):
+        rng = rng_for(37, dim, t)
+        X, Y = (_rotated(np.geomspace(1.0, 1.0 / k, dim) * rng.uniform(0.5, 2.0, dim), rng)
+                for k in kappas)
+        assert duality_certificate("max", X, Y).is_valid
+        pair = dual_optimizers("max", X, Y)
+        assert abs(polar_max(pair.first, pair.second) - 1.0) <= 1e-9

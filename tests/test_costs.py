@@ -12,19 +12,24 @@ import pytest
 import fidlab
 from fidlab.channels import random_pd, rng_for
 
-# LAPACK decompositions (eigh + eigvalsh) per call, with Y_k a rank-deficient
-# Y with a rotated kernel: every operand is decomposed once, and no
+# LAPACK decompositions per call, (eigh + eigvalsh, svd), with Y_k a
+# rank-deficient Y with a rotated kernel: every operand is decomposed once,
+# the max optimizers all come from one SVD of sqrt(X) sqrt(Y), and no
 # tolerance takes a spectral norm (an SVD) of a Hermitian operand
 CALLS = {
-    "fidelity_max": (3, lambda X, Y, Yk: fidlab.fidelity_max(X, Y)),
-    "fidelity_half": (2, lambda X, Y, Yk: fidlab.fidelity_half(X, Y)),
-    "fidelity_min": (3, lambda X, Y, Yk: fidlab.fidelity_min(X, Y)),
-    "fidelity_min_rank_deficient": (4, lambda X, Y, Yk: fidlab.fidelity_min(X, Yk)),
-    "polar_max": (3, lambda X, Y, Yk: fidlab.polar_max(X, Y)),
-    "polar_half": (3, lambda X, Y, Yk: fidlab.polar_half(X, Y)),
-    "dual_optimizers_max": (4, lambda X, Y, Yk: fidlab.dual_optimizers("max", X, Y)),
-    "dual_optimizers_min": (4, lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
-    "dual_optimizers_half": (2, lambda X, Y, Yk: fidlab.dual_optimizers("half", X, Y)),
+    "fidelity_max": ((3, 0), lambda X, Y, Yk: fidlab.fidelity_max(X, Y)),
+    "fidelity_half": ((2, 0), lambda X, Y, Yk: fidlab.fidelity_half(X, Y)),
+    "fidelity_min": ((3, 0), lambda X, Y, Yk: fidlab.fidelity_min(X, Y)),
+    "fidelity_min_rank_deficient": ((4, 0), lambda X, Y, Yk: fidlab.fidelity_min(X, Yk)),
+    "polar_max": ((3, 0), lambda X, Y, Yk: fidlab.polar_max(X, Y)),
+    "polar_half": ((3, 0), lambda X, Y, Yk: fidlab.polar_half(X, Y)),
+    "dual_optimizers_max": ((2, 1), lambda X, Y, Yk: fidlab.dual_optimizers("max", X, Y)),
+    "dual_optimizers_min": ((4, 0), lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
+    "dual_optimizers_half": ((2, 0), lambda X, Y, Yk: fidlab.dual_optimizers("half", X, Y)),
+    # the operands, the SVD, the Schur test and the three of polar_max
+    "duality_certificate_max": ((6, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
+    # the operands and the three of polar_half
+    "duality_certificate_half": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("half", X, Y)),
 }
 
 
@@ -64,9 +69,18 @@ def _rotated_kernel(dim, rank, rng):
 def test_decompositions_per_call(call, dim, lapack_calls):
     rng = rng_for(70, dim)
     X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
-    target, run = CALLS[call]
+    (eighs, svds), run = CALLS[call]
     run(X, Y, Yk)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == target
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == eighs
+    assert lapack_calls["svd"] == svds
+    assert lapack_calls["spectral_norm"] == 0
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_min_certificate_takes_no_svd(dim, lapack_calls):
+    # its eigvalsh count is set by the polar_min bracket, so only SVDs are pinned
+    rng = rng_for(70, dim)
+    fidlab.duality_certificate("min", random_pd(dim, rng), random_pd(dim, rng))
     assert lapack_calls["svd"] == 0
     assert lapack_calls["spectral_norm"] == 0
 

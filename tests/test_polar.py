@@ -86,6 +86,19 @@ def test_polar_near_singular_is_not_cut_to_zero(kind, dim):
     L0[1, 1] = 5e-11
     value = polar(kind, L0, np.eye(dim, dtype=complex))
     assert value == pytest.approx(1.41421356e-5, rel=1e-6)
+    # a tiny but well-resolved multiple of I is not singular either
+    tiny = polar(kind, 1e-12 * np.eye(dim), np.eye(dim, dtype=complex))
+    assert tiny == pytest.approx(2e-6, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["max", "min", "half"])
+def test_polar_of_rotated_rank_one_is_exactly_zero(kind, dim):
+    # the zero eigenvalue of v v^dagger comes out at round-off, not exactly 0
+    for t in range(5):
+        rng = rng_for(5, dim, t)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert polar(kind, np.outer(v, v.conj()), random_pd(dim, rng)) == 0.0
 
 
 def test_polar_dispatch_rejects_unknown():

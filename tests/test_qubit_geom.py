@@ -69,6 +69,18 @@ def test_w2_oracle_values():
     assert w2_min_oracle(0, 1) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("x_prime", [-2.5, -0.7, 0.0, 1.3, 4.0])
+@pytest.mark.parametrize("z", [0.0, 1e-8, 0.4, 2.0])
+def test_w2_min_oracle_is_the_minimum(x_prime, z):
+    # no sample of the convex w2 lies below the oracle, and one comes within
+    # the grid's resolution of it
+    s = np.linspace(-6.0, 6.0, 120001)
+    w2 = s * s / 4 + np.hypot(x_prime - s, z)
+    got = w2_min_oracle(x_prime, z)
+    assert got <= w2.min() + 1e-14
+    assert got >= w2.min() - 1e-8
+
+
 def test_m0_membership_boundary_points():
     assert m0_membership(FRAME, QubitDualPoint(x=1, y=0, z=0, w=0.25))
     assert not m0_membership(FRAME, QubitDualPoint(x=0, y=0, z=1, w=0.999))
