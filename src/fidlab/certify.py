@@ -3,8 +3,8 @@
 # SDP-style feasibility and optimality certificates: block positivity via
 # the support/Schur-complement criterion, dual-body membership for the max
 # kind, and zero-duality-gap certificates pairing the primal and dual
-# optimizers of `fidelity._optimizers` (for max, all from one SVD); the dual
-# pair is feasible iff its polar is >= 1. No external SDP solver is used.
+# optimizers of `fidelity._optimizers` (max: one SVD, min: one eigh); the
+# dual pair is feasible iff its polar is >= 1. No external SDP solver is used.
 
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 #
 # The three quantum fidelities on PSD pairs, the classical fidelity,
 # derivative-based dual optimizers, and the optimal-measurement /
-# optimal-reverse-test constructions witnessing the operational forms.
+# optimal-reverse-test constructions witnessing the operational forms. Every
+# min-kind quantity is read off one eigh of Y^{-1/2} X Y^{-1/2}, `_min_frame`.
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channels import Povm, rng_for
-from .errors import LengthMismatch, NegativeEntry
+from .errors import DimensionMismatch, LengthMismatch, NegativeEntry
 from .linalg_core import (
     OperatorPair,
     Spectrum,
@@ -59,6 +60,8 @@ def _operands(X: np.ndarray, Y: np.ndarray, definite: bool = False):
     """The Hermitian X, Y and their validated spectra."""
     X = hermitianize(as_square(X))
     Y = hermitianize(as_square(Y))
+    if X.shape != Y.shape:
+        raise DimensionMismatch(f"X has dimension {X.shape[0]} but Y has {Y.shape[0]}")
     return X, Y, psd_spectrum(X, "X", definite), psd_spectrum(Y, "Y", definite)
 
 
@@ -70,24 +73,34 @@ def fidelity_max(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
 
 
-def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
+def _min_frame(X: np.ndarray, Xs: Spectrum,
+               Ys: Spectrum) -> tuple[np.ndarray, np.ndarray, Spectrum]:
     """
-    tr Y sqrt( Y^{-1/2} X Y^{-1/2} ) with generalized inverses, after
-    replacing X by its Schur-complement reduction onto supp Y whenever
-    supp X is not contained in supp Y.
+    (d, S, W) from Y = S diag(d) S^dagger on supp Y, A = S^dagger X S (or X's
+    Schur reduction onto supp Y) and one eigh D^{-1/2} A D^{-1/2} = U diag(r^2) U^dagger,
+    W = (r, U). The frame G = S D^{1/2} U, G^{-dagger} = S D^{-1/2} U has, on supp Y,
+    Y = G G^dagger, X = G diag(r^2) G^dagger and Y # X = G diag(r) G^dagger.
     """
-    X, _, Xs, Ys = _operands(X, Y)
-    # rank, support and Y^{-1/2} all come from Y's own eigenvalues: deciding
-    # rank on sqrt(Y) would lift round-off eps to sqrt(eps) > tol. Everything
-    # below is in the coordinates of Y's support basis, where Y = diag(d).
+    # rank, support and D^{-1/2} all come from Y's own eigenvalues: deciding
+    # rank on sqrt(Y) would lift round-off eps to sqrt(eps) > tol
     sup = Ys.support()
     d, S = sup.eigenvalues, sup.eigenvectors
     reduced = Ys.schur_complement(X, Xs.tol)
     A = S.conj().T @ X @ S if reduced is None else reduced
     h = d ** -0.5
     mu, U = npl.eigh(hermitianize(h[:, None] * A * h[None, :]))
-    # tr diag(d) U sqrt(mu) U^dagger
-    return float(np.sqrt(np.maximum(mu, 0.0)) @ (np.abs(U) ** 2).T @ d)
+    return d, S, Spectrum(np.sqrt(np.maximum(mu, 0.0)), U)
+
+
+def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
+    """
+    tr Y sqrt( Y^{-1/2} X Y^{-1/2} ) with generalized inverses, X replaced by its
+    Schur reduction onto supp Y when supp X is not contained in supp Y; it is
+    sum_k r_k ||g_k||^2 over _min_frame's G, with ||g_k||^2 = sum_i d_i |U_ik|^2.
+    """
+    X, _, Xs, Ys = _operands(X, Y)
+    d, _, W = _min_frame(X, Xs, Ys)
+    return float(W.eigenvalues @ (np.abs(W.eigenvectors) ** 2).T @ d)
 
 
 def fidelity_half(X: np.ndarray, Y: np.ndarray) -> float:
@@ -112,10 +125,11 @@ def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
     The derivative dual pair (L0*, L1*) with tr(L0* X) + tr(L1* Y) = F(X, Y):
 
       max:  L0* = (1/2) sqrt(Y) V Sigma^{-1} V^dagger sqrt(Y),  sqrt(X) sqrt(Y) = U Sigma V^dagger
-      min:  L0* = Y^{-1/2} S_W(Y) Y^{-1/2},  W = sqrt(Y^{-1/2} X Y^{-1/2})
+      min:  L0* = G^{-dagger} (K o [1/(r_i + r_j)]) G^{-1},  K = G^dagger G,  G, r of _min_frame
       half: L0* = S_{sqrt(X)}(sqrt(Y))
 
-    with L1* given by swapping the roles of X and Y (for max, of U and V).
+    with L1* given by swapping the roles of X and Y (for max, of U and V; for
+    min, L1* takes the kernel r_i r_j/(r_i + r_j) instead).
     """
     return _optimizers(kind, *_operands(X, Y, definite=True))[1]
 
@@ -133,22 +147,19 @@ def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
         B0, B1 = sY @ (Vh.conj().T * s ** -0.5), sX @ (U * s ** -0.5)
         L0, L1 = (hermitianize(0.5 * B @ B.conj().T) for B in (B0, B1))
     elif kind == "min":
-        def side(A: np.ndarray, B: np.ndarray, Bs: Spectrum) -> tuple[Spectrum, np.ndarray]:
-            # W = sqrt(B^{-1/2} A B^{-1/2}) and the optimizer multiplying A
-            iB = Bs.inv_sqrt()
-            W = psd_spectrum(iB @ A @ iB).sqrt_spectrum()
-            return W, hermitianize(iB @ _lyapunov_solve(W, B) @ iB)
-
-        (W, L0), (_, L1) = side(X, Y, Ys), side(Y, X, Xs)
-        sY = Ys.sqrt()
-        C = hermitianize(sY @ W.reconstruct() @ sY)
+        # both derivatives of tr G diag(r) G^dagger: G^dagger G times a Cauchy kernel, PSD
+        d, S, W = _min_frame(X, Xs, Ys)
+        r, G, Gi = W.eigenvalues, (S * d ** 0.5) @ W.eigenvectors, (S * d ** -0.5) @ W.eigenvectors
+        C = hermitianize((G * r) @ G.conj().T)
+        KC = (G.conj().T @ G) / (r[:, None] + r[None, :])
+        L0, L1 = (hermitianize(Gi @ M @ Gi.conj().T) for M in (KC, r[:, None] * KC * r[None, :]))
     elif kind == "half":
         sX, sY = Xs.sqrt_spectrum(), Ys.sqrt_spectrum()
         C = None
         L0, L1 = _lyapunov_solve(sX, sY.reconstruct()), _lyapunov_solve(sY, sX.reconstruct())
     else:
         raise ValueError(f"unknown fidelity kind {kind!r}")
-    # each side is PSD by construction (Gram forms for max), so the pair is not decomposed again
+    # each side is PSD by construction (Gram forms, Cauchy kernels), so it is not decomposed again
     return C, OperatorPair._of_psd(L0, L1)
 
 
@@ -177,32 +188,23 @@ class ReverseTest:
 
 def optimal_reverse_test(X: np.ndarray, Y: np.ndarray) -> ReverseTest:
     """
-    Reverse test achieving F_min, built from the spectral projectors of
-    T = sqrt( Y^{-1/2} X Y^{-1/2} ): states sqrt(Y) P_i sqrt(Y) / tr(Y P_i)
-    with weights q_i = tr(Y P_i), p_i = t_i^2 tr(Y P_i).
+    Reverse test achieving F_min from the frame Y = G G^dagger, X = G diag(r^2) G^dagger
+    of _min_frame: with G_i the columns of G whose r coincide at r_i, the states
+    G_i G_i^dagger / q_i and weights q_i = ||G_i||_F^2, p_i = r_i^2 q_i.
     """
-    X, Y, _, Ys = _operands(X, Y, definite=True)
-    sY, iY = Ys.sqrt(), Ys.inv_sqrt()
-    T = psd_spectrum(iY @ X @ iY).sqrt_spectrum()
-    w, V, tol = T.eigenvalues, T.eigenvectors, T.tol
-    # group coinciding eigenvalues into spectral projectors
+    X, Y, Xs, Ys = _operands(X, Y, definite=True)
+    d, S, W = _min_frame(X, Xs, Ys)
+    r, G = W.eigenvalues, (S * d ** 0.5) @ W.eigenvectors
     groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[groups[-1][0]] <= tol:
+    for i in range(1, len(r)):
+        if r[i] - r[groups[-1][0]] <= W.tol:
             groups[-1].append(i)
         else:
             groups.append([i])
-    states: list[np.ndarray] = []
-    p: list[float] = []
-    q: list[float] = []
-    for idx in groups:
-        P = V[:, idx] @ V[:, idx].conj().T
-        t = float(np.mean(w[idx]))
-        weight = float(np.trace(Y @ P).real)
-        states.append(hermitianize(sY @ P @ sY) / weight)
-        q.append(weight)
-        p.append(t * t * weight)
-    return ReverseTest(states=states, p=np.array(p), q=np.array(q), x=X, y=Y)
+    q = np.array([np.sum(np.abs(G[:, idx]) ** 2) for idx in groups])
+    p = np.array([np.mean(r[idx]) ** 2 for idx in groups]) * q
+    states = [hermitianize(G[:, idx] @ G[:, idx].conj().T) / w for idx, w in zip(groups, q)]
+    return ReverseTest(states=states, p=p, q=q, x=X, y=Y)
 
 
 def _herm_from_params(v: np.ndarray, dim: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channels import rng_for
-from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
+from .errors import DecompositionInfeasible, DimensionMismatch, LengthMismatch, NoConvergence
 from .fidelity import _weights
 from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
 from .superop import _composed_lyapunov_matrix, vec
@@ -47,7 +47,10 @@ def polar_classical(l0, l1) -> float:
 
 
 def _pair(L0, L1) -> tuple[Spectrum, Spectrum]:
-    return psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
+    S0, S1 = psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
+    if S0.dim != S1.dim:
+        raise DimensionMismatch(f"L0 has dimension {S0.dim} but L1 has {S1.dim}")
+    return S0, S1
 
 
 def _warn_dead_knobs(func: str, **knobs) -> None:

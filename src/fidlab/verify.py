@@ -62,7 +62,7 @@ from .qubit_geom import (
 )
 from .superop import lyapunov_solve, positive_fixed_point, vec
 from .errors import UnknownSuite
-from .linalg_core import hermitianize, psd_sqrt, spectrum
+from .linalg_core import hermitianize, pinv, psd_sqrt, spectrum
 
 __all__ = ["Report", "run_suite", "SUITES"]
 
@@ -310,7 +310,7 @@ def suite_duality(dims=(2, 3), trials=100, seed=42) -> Report:
                           block_psd(X, C, Y), 0)
             # membership invariances of the max body
             L0 = random_pd(dim, rng)
-            ext = pinv_pd(4 * L0)
+            ext = pinv(4 * L0)
             rep.check(mfmax_membership(L0, ext), case,
                       "extreme-point-member", True, False, 0)
             rep.check(not mfmax_membership(L0, ext - 1e-3 * np.eye(dim)),
@@ -347,11 +347,6 @@ def suite_duality(dims=(2, 3), trials=100, seed=42) -> Report:
                     rep.check(got == member, case,
                               f"commutative-slice[{kind}]", member, got, 1e-7)
     return rep
-
-
-def pinv_pd(H: np.ndarray) -> np.ndarray:
-    w, V = npl.eigh(hermitianize(H))
-    return hermitianize((V * (1.0 / w)) @ V.conj().T)
 
 
 def suite_operational(dims=(2, 3), trials=50, seed=42) -> Report:
@@ -488,7 +483,7 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
         rep.trials += 1
         rep.close(polar_half(L0, L1 / (h * h)), 1.0, 1e-7,
                   f"sharp {t}", "half-body-boundary")
-        rep.close(polar_max(L0, pinv_pd(4 * L0)), 1.0, 1e-7,
+        rep.close(polar_max(L0, pinv(4 * L0)), 1.0, 1e-7,
                   f"sharp {t}", "max-body-extreme")
     # membership decision against the min polar on straddling pairs
     for t in range(trials):

@@ -4,9 +4,15 @@ import pytest
 
 from fidlab.certify import block_psd, duality_certificate, mfmax_membership
 from fidlab.channels import random_pd, rng_for
-from fidlab.fidelity import dual_optimizers, fidelity_half
+from fidlab.fidelity import (
+    classical_fidelity,
+    dual_optimizers,
+    fidelity_half,
+    fidelity_min,
+    optimal_reverse_test,
+)
 from fidlab.linalg_core import hermitianize, psd_sqrt
-from fidlab.polar import polar_max, polar_membership
+from fidlab.polar import _polar_lower, polar_max, polar_membership
 
 I2 = np.eye(2, dtype=complex)
 
@@ -171,15 +177,47 @@ def test_certificate_seed_is_deprecated():
     assert cert == duality_certificate("min", X, Y)
 
 
+KAPPAS = [(1e6, 1e4), (1e4, 1e6), (1e8, 1e4), (1e4, 1e8)]
+
+
+def _kappa_pairs(kappas, dim):
+    # 10 rotated pairs with spectra geomspace(1, 1/kappa, dim) * U(0.5, 2)
+    for t in range(10):
+        rng = rng_for(37, dim, t)
+        yield tuple(_rotated(np.geomspace(1.0, 1.0 / k, dim) * rng.uniform(0.5, 2.0, dim), rng)
+                    for k in kappas)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
-@pytest.mark.parametrize("kappas", [(1e6, 1e4), (1e4, 1e6), (1e8, 1e4), (1e4, 1e8)])
+@pytest.mark.parametrize("kappas", KAPPAS)
 def test_max_certificate_valid_across_condition_numbers(kappas, dim):
     # the optimizers come from one SVD of sqrt(X) sqrt(Y), never from the
     # products sqrt(Y) X sqrt(Y), whose condition number is kappa(X) kappa(Y)
-    for t in range(10):
-        rng = rng_for(37, dim, t)
-        X, Y = (_rotated(np.geomspace(1.0, 1.0 / k, dim) * rng.uniform(0.5, 2.0, dim), rng)
-                for k in kappas)
+    for X, Y in _kappa_pairs(kappas, dim):
         assert duality_certificate("max", X, Y).is_valid
         pair = dual_optimizers("max", X, Y)
         assert abs(polar_max(pair.first, pair.second) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kappas", KAPPAS)
+def test_min_certificate_valid_across_condition_numbers(kappas, dim):
+    # C*, L0* and L1* all come from one eigh of Y^{-1/2} X Y^{-1/2} taken in
+    # Y's eigenbasis, so the dual pair sits on the boundary to round-off
+    for X, Y in _kappa_pairs(kappas, dim):
+        assert duality_certificate("min", X, Y).is_valid
+        pair = dual_optimizers("min", X, Y)
+        assert abs(_polar_lower("min", pair.first, pair.second) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kappas", KAPPAS)
+def test_reverse_test_exact_across_condition_numbers(kappas, dim):
+    for X, Y in _kappa_pairs(kappas, dim):
+        rt = optimal_reverse_test(X, Y)
+        f = fidelity_min(X, Y)
+        assert abs(classical_fidelity(rt.p, rt.q) - f) <= 1e-12 * f
+        recon_x = sum(p * s for p, s in zip(rt.p, rt.states))
+        recon_y = sum(q * s for q, s in zip(rt.q, rt.states))
+        assert npl.norm(recon_x - X) <= 1e-12 * npl.norm(X)
+        assert npl.norm(recon_y - Y) <= 1e-12 * npl.norm(Y)

@@ -74,6 +74,15 @@ def test_compute_rejects_asymmetry(tmp_path, capsys):
     assert "asymmetry" in capsys.readouterr().err
 
 
+def test_compute_rejects_unequal_dimensions(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    _write_matrix(a, [0.5, 0.5])
+    _write_matrix(b, [0.25, 0.25, 0.5])
+    assert main(["compute", str(a), str(b)]) == 2
+    assert "error: DimensionMismatch" in capsys.readouterr().err
+
+
 def test_verify_sandwich_passes(capsys):
     code = main(["verify", "sandwich", "--dims", "2,3", "--trials", "3",
                  "--seed", "42", "--reproducible"])

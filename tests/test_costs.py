@@ -14,8 +14,9 @@ from fidlab.channels import random_pd, rng_for
 
 # LAPACK decompositions per call, (eigh + eigvalsh, svd), with Y_k a
 # rank-deficient Y with a rotated kernel: every operand is decomposed once,
-# the max optimizers all come from one SVD of sqrt(X) sqrt(Y), and no
-# tolerance takes a spectral norm (an SVD) of a Hermitian operand
+# the max optimizers all come from one SVD of sqrt(X) sqrt(Y), every min-kind
+# quantity from one eigh of Y^{-1/2} X Y^{-1/2}, and no tolerance takes a
+# spectral norm (an SVD) of a Hermitian operand
 CALLS = {
     "fidelity_max": ((3, 0), lambda X, Y, Yk: fidlab.fidelity_max(X, Y)),
     "fidelity_half": ((2, 0), lambda X, Y, Yk: fidlab.fidelity_half(X, Y)),
@@ -24,8 +25,9 @@ CALLS = {
     "polar_max": ((3, 0), lambda X, Y, Yk: fidlab.polar_max(X, Y)),
     "polar_half": ((3, 0), lambda X, Y, Yk: fidlab.polar_half(X, Y)),
     "dual_optimizers_max": ((2, 1), lambda X, Y, Yk: fidlab.dual_optimizers("max", X, Y)),
-    "dual_optimizers_min": ((4, 0), lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
+    "dual_optimizers_min": ((3, 0), lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
     "dual_optimizers_half": ((2, 0), lambda X, Y, Yk: fidlab.dual_optimizers("half", X, Y)),
+    "optimal_reverse_test": ((3, 0), lambda X, Y, Yk: fidlab.optimal_reverse_test(X, Y)),
     # the operands, the SVD, the Schur test and the three of polar_max
     "duality_certificate_max": ((6, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
     # the operands and the three of polar_half

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import fidlab
 from fidlab.channels import random_pd, rng_for
-from fidlab.errors import LengthMismatch, NegativeEntry
+from fidlab.errors import DimensionMismatch, LengthMismatch, NegativeEntry
 from fidlab.fidelity import (
     classical_fidelity,
     dual_optimizers,
@@ -91,6 +92,30 @@ def test_fidelity_half_diagonal():
 def test_fidelity_dispatch_rejects_unknown():
     with pytest.raises(ValueError):
         fidelity("median", DIAG_X, DIAG_Y)
+
+
+I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fidlab.fidelity_max(I2, I3),
+    lambda: fidlab.fidelity_min(I3, I2),
+    lambda: fidlab.fidelity_half(I2, I3),
+    lambda: fidlab.polar_max(I3, I2),
+    lambda: fidlab.polar_min(I3, I2),
+    lambda: fidlab.polar_min(I2, I3),
+    lambda: fidlab.polar_half(I2, I3),
+    lambda: fidlab.dual_optimizers("max", I2, I3),
+    lambda: fidlab.dual_optimizers("min", I3, I2),
+    lambda: fidlab.dual_optimizers("half", I2, I3),
+    lambda: fidlab.duality_certificate("min", I2, I3),
+    lambda: fidlab.optimal_reverse_test(I3, I2),
+], ids=["fidelity_max", "fidelity_min", "fidelity_half", "polar_max", "polar_min",
+        "polar_min_qubit", "polar_half", "dual_optimizers_max", "dual_optimizers_min",
+        "dual_optimizers_half", "duality_certificate", "optimal_reverse_test"])
+def test_operands_of_unequal_dimension_are_refused(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_dual_optimizers_max_self():
