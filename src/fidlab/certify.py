@@ -14,8 +14,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch
-from .fidelity import _operands, _optimizers
-from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
+from .fidelity import _optimizers
+from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum, spectrum
 from .polar import _polar_lower, _warn_dead_knobs
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
@@ -75,7 +75,7 @@ def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     L0 = hermitianize(as_square(L0))
     L1 = hermitianize(as_square(L1))
     if L0.shape != L1.shape:
-        raise DimensionMismatch("pair members differ in dimension")
+        raise DimensionMismatch(f"L0 has dimension {L0.shape[0]} but L1 has {L1.shape[0]}")
     k = L0.shape[0]
     eye = np.eye(k)
     return spectrum(np.block([[2.0 * L0, -eye], [-eye, 2.0 * L1]])).is_psd
@@ -91,7 +91,7 @@ def duality_certificate(
     and ignored.
     """
     _warn_dead_knobs("duality_certificate", seed=seed)
-    X, Y, Xs, Ys = _operands(X, Y, definite=True)
+    X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
     C, pair = _optimizers(kind, X, Y, Xs, Ys)
     if C is None:
         # half: tr sqrt(X) sqrt(Y) is attained by construction

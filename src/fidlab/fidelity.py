@@ -4,6 +4,7 @@
 # derivative-based dual optimizers, and the optimal-measurement /
 # optimal-reverse-test constructions witnessing the operational forms. Every
 # min-kind quantity is read off one eigh of Y^{-1/2} X Y^{-1/2}, `_min_frame`.
+# Operands are admitted by `linalg_core.psd_pair`.
 
 from __future__ import annotations
 
@@ -13,15 +14,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channels import Povm, rng_for
-from .errors import DimensionMismatch, LengthMismatch, NegativeEntry
-from .linalg_core import (
-    OperatorPair,
-    Spectrum,
-    as_square,
-    hermitianize,
-    psd_spectrum,
-    psd_sqrt,
-)
+from .errors import LengthMismatch, NegativeEntry
+from .linalg_core import OperatorPair, Spectrum, hermitianize, psd_pair, psd_sqrt
 from .superop import _lyapunov_solve
 
 __all__ = [
@@ -56,18 +50,9 @@ def classical_fidelity(p, q) -> float:
     return float(np.sum(np.sqrt(p * q)))
 
 
-def _operands(X: np.ndarray, Y: np.ndarray, definite: bool = False):
-    """The Hermitian X, Y and their validated spectra."""
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"X has dimension {X.shape[0]} but Y has {Y.shape[0]}")
-    return X, Y, psd_spectrum(X, "X", definite), psd_spectrum(Y, "Y", definite)
-
-
 def fidelity_max(X: np.ndarray, Y: np.ndarray) -> float:
     """tr sqrt( sqrt(Y) X sqrt(Y) ), evaluated on arbitrary PSD inputs."""
-    X, _, _, Ys = _operands(X, Y)
+    X, _, _, Ys = psd_pair(X, Y)
     sY = Ys.sqrt()
     w = npl.eigvalsh(hermitianize(sY @ X @ sY))
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
@@ -98,14 +83,14 @@ def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
     Schur reduction onto supp Y when supp X is not contained in supp Y; it is
     sum_k r_k ||g_k||^2 over _min_frame's G, with ||g_k||^2 = sum_i d_i |U_ik|^2.
     """
-    X, _, Xs, Ys = _operands(X, Y)
+    X, _, Xs, Ys = psd_pair(X, Y)
     d, _, W = _min_frame(X, Xs, Ys)
     return float(W.eigenvalues @ (np.abs(W.eigenvectors) ** 2).T @ d)
 
 
 def fidelity_half(X: np.ndarray, Y: np.ndarray) -> float:
     """tr X^{1/2} Y^{1/2}."""
-    _, _, Xs, Ys = _operands(X, Y)
+    _, _, Xs, Ys = psd_pair(X, Y)
     return float(np.trace(Xs.sqrt() @ Ys.sqrt()).real)
 
 
@@ -131,7 +116,7 @@ def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
     with L1* given by swapping the roles of X and Y (for max, of U and V; for
     min, L1* takes the kernel r_i r_j/(r_i + r_j) instead).
     """
-    return _optimizers(kind, *_operands(X, Y, definite=True))[1]
+    return _optimizers(kind, *psd_pair(X, Y, definite=True))[1]
 
 
 def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
@@ -168,7 +153,7 @@ def optimal_measurement(X: np.ndarray, Y: np.ndarray) -> Povm:
     Projective measurement achieving F_max: the eigenbasis of
     Y^{-1/2} (Y^{1/2} X Y^{1/2})^{1/2} Y^{-1/2} (generalized inverses).
     """
-    X, _, _, Ys = _operands(X, Y, definite=True)
+    X, _, _, Ys = psd_pair(X, Y, definite=True)
     sY, iY = Ys.sqrt(), Ys.inv_sqrt()
     _, V = npl.eigh(hermitianize(iY @ psd_sqrt(sY @ X @ sY) @ iY))
     els = [np.outer(V[:, i], V[:, i].conj()) for i in range(V.shape[1])]
@@ -192,7 +177,7 @@ def optimal_reverse_test(X: np.ndarray, Y: np.ndarray) -> ReverseTest:
     of _min_frame: with G_i the columns of G whose r coincide at r_i, the states
     G_i G_i^dagger / q_i and weights q_i = ||G_i||_F^2, p_i = r_i^2 q_i.
     """
-    X, Y, Xs, Ys = _operands(X, Y, definite=True)
+    X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
     d, S, W = _min_frame(X, Xs, Ys)
     r, G = W.eigenvalues, (S * d ** 0.5) @ W.eigenvectors
     groups: list[list[int]] = [[0]]
@@ -230,7 +215,7 @@ def fidelity_min_via_twist(
     """
     from scipy.optimize import minimize
 
-    X, Y, _, _ = _operands(X, Y, definite=True)
+    X, Y, _, _ = psd_pair(X, Y, definite=True)
     dim = X.shape[0]
     eye = np.eye(dim)
     n_params = dim * dim

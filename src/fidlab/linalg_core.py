@@ -5,7 +5,9 @@
 # its tolerance 1e-10 * (1 + max |lambda|), its PSD/PD/singular verdicts,
 # square root, inverse square root, pseudoinverse, support, kernel and the
 # Schur reduction of another operator onto that support. The public matrix functions are
-# one-liners over it.
+# one-liners over it. Operand pairs are admitted here too: `psd_pair` is the one
+# gate every two-operand PSD function passes, refusing unequal dimensions with
+# a DimensionMismatch that names both operands.
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ __all__ = [
     "Spectrum",
     "spectrum",
     "psd_spectrum",
+    "psd_pair",
     "psd_sqrt",
     "pinv",
     "support_projector",
@@ -139,12 +142,31 @@ def psd_spectrum(H: np.ndarray, name: str = "operator", definite: bool = False) 
     The spectrum of a PSD operand; raises NotPsd below -tol, or, when
     `definite`, NotPositiveDefinite unless every eigenvalue is above tol.
     """
-    sp = spectrum(H)
+    return _admitted(spectrum(H), name, definite)
+
+
+def _admitted(sp: Spectrum, name: str, definite: bool) -> Spectrum:
     if definite and not (sp.dim and sp.eigenvalues[0] > sp.tol):
         raise NotPositiveDefinite(f"{name} is not strictly positive definite")
     if not sp.is_psd:
         raise NotPsd(f"{name} has eigenvalue {sp.eigenvalues[0]:.3e} below -PSD_TOL")
     return sp
+
+
+def psd_pair(A: np.ndarray, B: np.ndarray, names: tuple[str, str] = ("X", "Y"),
+             definite: bool = False) -> tuple[np.ndarray, np.ndarray, Spectrum, Spectrum]:
+    """
+    (A_h, B_h, SA, SB): the Hermitian parts of an ordered pair of PSD operands
+    and their spectra, each operand hermitianized and decomposed once. Raises
+    DimensionMismatch naming both operands when their dimensions differ, then
+    NotPsd or NotPositiveDefinite as psd_spectrum does.
+    """
+    A, B = hermitianize(as_square(A)), hermitianize(as_square(B))
+    if A.shape != B.shape:
+        raise DimensionMismatch(
+            f"{names[0]} has dimension {A.shape[0]} but {names[1]} has {B.shape[0]}")
+    return (A, B, _admitted(Spectrum(*npl.eigh(A)), names[0], definite),
+            _admitted(Spectrum(*npl.eigh(B)), names[1], definite))
 
 
 def psd_sqrt(H: np.ndarray) -> np.ndarray:
@@ -175,10 +197,7 @@ def schur_reduce(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     X11 - X12 X22^{-1} X21 in the block decomposition induced by supp Y.
     If supp X is already contained in supp Y, X is returned unchanged.
     """
-    X = hermitianize(as_square(X))
-    if X.shape != as_square(Y).shape:
-        raise DimensionMismatch("schur_reduce needs operators of equal dimension")
-    Xs, Ys = psd_spectrum(X, "X"), psd_spectrum(Y, "Y")
+    X, _, Xs, Ys = psd_pair(X, Y)
     reduced = Ys.schur_complement(X, Xs.tol)
     if reduced is None:
         return X
@@ -200,12 +219,7 @@ class OperatorPair:
     second: np.ndarray
 
     def __post_init__(self) -> None:
-        a = hermitianize(as_square(self.first))
-        b = hermitianize(as_square(self.second))
-        if a.shape != b.shape:
-            raise DimensionMismatch("pair members have different dimensions")
-        psd_spectrum(a, "first")
-        psd_spectrum(b, "second")
+        a, b, _, _ = psd_pair(self.first, self.second, ("first", "second"))
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
 

@@ -4,7 +4,8 @@
 # max and half kinds, a certified branch-and-bound bracket over one scalar
 # for the min kind, the membership semantics (polar >= 1 <=> dual-body
 # membership), and a randomized POVM-decomposition lower bound for the max
-# polar.
+# polar. Every dual pair (L0, L1) is admitted by `linalg_core.psd_pair`
+# before any routing, so the dim-2 closed form sees only valid pairs.
 
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ import numpy as np
 import numpy.linalg as npl
 
 from .channels import rng_for
-from .errors import DecompositionInfeasible, DimensionMismatch, LengthMismatch, NoConvergence
+from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
-from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
+from .linalg_core import Spectrum, hermitianize, psd_pair, spectrum
 from .superop import _composed_lyapunov_matrix, vec
-from .qubit_geom import polar_min_qubit
+from .qubit_geom import _polar_min_qubit
 
 __all__ = [
     "polar_classical",
@@ -36,6 +37,7 @@ __all__ = [
 # and raises NoConvergence rather than exceed _BRACKET_MAX_EVALS eigvalsh.
 _BRACKET_REL_WIDTH = 1e-10
 _BRACKET_MAX_EVALS = 1000
+_DUAL_NAMES = ("L0", "L1")
 
 
 def polar_classical(l0, l1) -> float:
@@ -44,13 +46,6 @@ def polar_classical(l0, l1) -> float:
     if l0.size == 0:
         raise LengthMismatch("empty weight vectors")
     return float(np.min(2.0 * np.sqrt(l0 * l1)))
-
-
-def _pair(L0, L1) -> tuple[Spectrum, Spectrum]:
-    S0, S1 = psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
-    if S0.dim != S1.dim:
-        raise DimensionMismatch(f"L0 has dimension {S0.dim} but L1 has {S1.dim}")
-    return S0, S1
 
 
 def _warn_dead_knobs(func: str, **knobs) -> None:
@@ -62,11 +57,11 @@ def _warn_dead_knobs(func: str, **knobs) -> None:
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
-    S0, S1 = _pair(L0, L1)
+    L0, _, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
     if S0.is_singular or S1.is_singular:
         return 0.0
     s1 = S1.sqrt()
-    lam_min = float(npl.eigvalsh(hermitianize(s1 @ S0.reconstruct() @ s1))[0])
+    lam_min = float(npl.eigvalsh(hermitianize(s1 @ L0 @ s1))[0])
     return 2.0 * float(np.sqrt(max(lam_min, 0.0)))
 
 
@@ -115,14 +110,15 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
 def polar_min(L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float:
     """
     min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>), the
-    upper end of the certified bracket of _polar_min_bracket. Dim-2 inputs
+    upper end of the certified bracket of _polar_min_bracket. Dim-2 pairs
     are routed to the exact qubit closed form. `restarts` and `seed` are
     deprecated and ignored.
     """
     _warn_dead_knobs("polar_min", restarts=restarts, seed=seed)
-    if as_square(L0).shape[0] == 2:
-        return polar_min_qubit(L0, L1)
-    return _polar_min_bracket(*_pair(L0, L1))[1]
+    L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
+    if S0.dim == 2:
+        return _polar_min_qubit(L0, L1, S0, S1)
+    return _polar_min_bracket(S0, S1)[1]
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -131,7 +127,7 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     from the real symmetric Gram form of the composed Lyapunov operator on
     Hermitian operators; 0 on singular inputs (continuity of the polar).
     """
-    S0, S1 = _pair(L0, L1)
+    _, _, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
     if S0.is_singular or S1.is_singular:
         return 0.0
     top = float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1])
@@ -153,7 +149,7 @@ def polar(kind: str, L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -
 def _polar_lower(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
     """The polar for the max and half kinds; the bracket's certified lower end for min."""
     if kind == "min":
-        return _polar_min_bracket(*_pair(L0, L1))[0]
+        return _polar_min_bracket(*psd_pair(L0, L1, _DUAL_NAMES)[2:])[0]
     return polar(kind, L0, L1)
 
 
@@ -285,9 +281,7 @@ def povm_lower_bound(
     """
     from scipy.optimize import minimize
 
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    _pair(L0, L1)
+    L0, L1, _, _ = psd_pair(L0, L1, _DUAL_NAMES)
     dim = L0.shape[0]
     if n_outcomes < dim * dim:
         raise ValueError("n_outcomes must be at least dim^2")

@@ -20,7 +20,7 @@ from .errors import (
     RootAmbiguity,
     SOutOfRange,
 )
-from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
+from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum, spectrum
 
 __all__ = [
     "SIGMA_X",
@@ -115,39 +115,11 @@ def f2(x: float, z: float) -> float:
     return np.sqrt(r2) - 1.0 if r2 >= 4.0 else r2 / 4.0
 
 
-def discriminant_D(x: float, z: float, w: float) -> float:
-    """The quartic-in-w boundary polynomial, evaluated as printed."""
+def _quartic(x: float, z: float) -> list[float]:
+    """The coefficients c4, ..., c0 of D(x, z, .), highest power of w first."""
     x2 = float(x) ** 2
     z2 = float(z) ** 2
-    w = float(w)
-    c4 = 16.0
-    c3 = -8.0 * x2 + 8.0 * z2 + 32.0
-    c2 = x2 * x2 + 2.0 * x2 * z2 - 32.0 * x2 + z2 * z2 - 8.0 * z2 + 16.0
-    c1 = 10.0 * x2 * x2 + 2.0 * x2 * z2 - 8.0 * x2 - 8.0 * z2 * z2 - 32.0 * z2
-    c0 = (
-        x2 * x2
-        - 3.0 * x2 * x2 * z2
-        - x2 * x2 * x2
-        - 3.0 * x2 * z2 * z2
-        + 20.0 * x2 * z2
-        - z2 * z2 * z2
-        - 8.0 * z2 * z2
-        - 16.0 * z2
-    )
-    return ((c4 * w + c3) * w + c2) * w * w + c1 * w + c0
-
-
-def unique_root_w(x: float, z: float) -> float:
-    """
-    The unique real root of D(x, z, .) in [f2(x, z), infinity), via the
-    companion matrix of the quartic. Raises RootAmbiguity if filtering does
-    not isolate exactly one root.
-    """
-    if abs(z) <= 1e-12:
-        raise DegenerateZ("z = 0: use the f1 branch instead")
-    x2 = float(x) ** 2
-    z2 = float(z) ** 2
-    coeffs = [
+    return [
         16.0,
         -8.0 * x2 + 8.0 * z2 + 32.0,
         x2 * x2 + 2.0 * x2 * z2 - 32.0 * x2 + z2 * z2 - 8.0 * z2 + 16.0,
@@ -161,7 +133,24 @@ def unique_root_w(x: float, z: float) -> float:
         - 8.0 * z2 * z2
         - 16.0 * z2,
     ]
-    roots = np.roots(coeffs)
+
+
+def discriminant_D(x: float, z: float, w: float) -> float:
+    """The quartic-in-w boundary polynomial, evaluated as printed."""
+    c4, c3, c2, c1, c0 = _quartic(x, z)
+    w = float(w)
+    return ((c4 * w + c3) * w + c2) * w * w + c1 * w + c0
+
+
+def unique_root_w(x: float, z: float) -> float:
+    """
+    The unique real root of D(x, z, .) in [f2(x, z), infinity), via the
+    companion matrix of the quartic. Raises RootAmbiguity if filtering does
+    not isolate exactly one root.
+    """
+    if abs(z) <= 1e-12:
+        raise DegenerateZ("z = 0: use the f1 branch instead")
+    roots = np.roots(_quartic(x, z))
     floor = f2(x, z)
     scale = 1.0 + max(abs(x), abs(z))
     real = [
@@ -274,11 +263,9 @@ def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     Closed form for the max-fidelity polar of a qubit pair:
     2 sqrt( (tr L0 L1 - sqrt((tr L0 L1)^2 - 4 det L0 det L1)) / 2 ).
     """
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    if L0.shape != (2, 2) or L1.shape != (2, 2):
+    L0, L1, S0, S1 = psd_pair(L0, L1, ("L0", "L1"))
+    if S0.dim != 2:
         raise DimensionMismatch("polar_max_qubit is dim-2 only")
-    S0, S1 = psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
     t = float(np.trace(L0 @ L1).real)
     d = float(np.prod(S0.eigenvalues) * np.prod(S1.eigenvalues))
     disc = max(t * t - 4.0 * d, 0.0)
@@ -294,39 +281,25 @@ def _bloch_split(L: np.ndarray) -> tuple[float, np.ndarray]:
 
 def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     """
-    Exact min-fidelity polar of a qubit pair.
-
-    After scaling both operators to trace 2 the pair fits the normalized
-    frame L0 = I + a sigma_x + b sigma_z, L1 = I + a sigma_x - b sigma_z
-    exactly when the Bloch radii agree, and the piecewise closed form
-    applies; otherwise the minimum of (tr L0 rho)(tr L1 rho) over pure
-    states is attained on the circle spanned by the two traceless parts,
-    where the product is a degree-2 trigonometric polynomial, and is read
-    off its exact critical angles (the roots of a quartic).
+    Exact min-fidelity polar of a qubit pair: the minimum of
+    (tr L0 rho)(tr L1 rho) over pure states is attained on the circle
+    spanned by the two traceless parts, where the product is a degree-2
+    trigonometric polynomial, and is read off its exact critical angles
+    (the roots of a quartic). This covers the paper's piecewise closed form
+    for equal Bloch radii as one case.
     """
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    if L0.shape != (2, 2) or L1.shape != (2, 2):
+    L0, L1, S0, S1 = psd_pair(L0, L1, ("L0", "L1"))
+    if S0.dim != 2:
         raise DimensionMismatch("polar_min_qubit is dim-2 only")
-    S0, S1 = psd_spectrum(L0, "L0"), psd_spectrum(L1, "L1")
+    return _polar_min_qubit(L0, L1, S0, S1)
+
+
+def _polar_min_qubit(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
+    """polar_min_qubit of an admitted dim-2 pair, given its Hermitian parts and spectra."""
     if S0.is_singular or S1.is_singular:
         return 0.0
     c0, u = _bloch_split(L0)
     c1, v = _bloch_split(L1)
-    un = u / c0
-    vn = v / c1
-    scale = float(np.sqrt(c0 * c1))
-    r0 = float(npl.norm(un))
-    r1 = float(npl.norm(vn))
-    if abs(r0 - r1) <= 1e-12:
-        a = float(npl.norm(un + vn)) / 2.0
-        r2 = (r0 * r0 + r1 * r1) / 2.0
-        if r2 < 1e-30:
-            return 2.0 * scale
-        if r2 >= a:
-            inner = (1.0 - r2) * (1.0 - a * a / r2)
-            return 2.0 * scale * float(np.sqrt(max(inner, 0.0)))
-        return 2.0 * scale * (1.0 - a)
     return 2.0 * float(np.sqrt(max(_circle_min(c0, u, c1, v), 0.0)))
 
 
@@ -341,12 +314,13 @@ def _circle_min(c0: float, u: np.ndarray, c1: float, v: np.ndarray) -> float:
     """
     nu = npl.norm(u)
     nv = npl.norm(v)
-    if nu < 1e-15 and nv < 1e-15:
+    # each Bloch vector is negligible relative to its own trace part, whatever the pair's scale
+    if nu < 1e-15 * c0 and nv < 1e-15 * c1:
         return c0 * c1
     e1 = u / nu if nu >= nv else v / nv
-    other = v if nu >= nv else u
+    other, c_other = (v, c1) if nu >= nv else (u, c0)
     perp = other - (other @ e1) * e1
-    if npl.norm(perp) > 1e-14:
+    if npl.norm(perp) > 1e-14 * c_other:
         e2 = perp / npl.norm(perp)
     else:
         # collinear traceless parts: any orthogonal direction is neutral

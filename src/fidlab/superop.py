@@ -8,7 +8,9 @@
 # weights 1 / (lambda_i + lambda_j), so the private helpers take a Spectrum
 # and never decompose Z again. S_{L0} o S_{L1} commutes with H -> H^dagger,
 # so its spectrum is that of its restriction to Hermitian operators: a real
-# symmetric Gram matrix A A^T of size dim^2 in L1's eigenbasis.
+# symmetric Gram matrix A A^T of size dim^2 in L1's eigenbasis. Operand pairs
+# (L0, L1) are admitted by `linalg_core.psd_pair`; lyapunov_solve's X is a
+# Hermitian right-hand side, not a PSD operand, so only its size is checked.
 
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import NoConvergence, SingularPair
-from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum
+from .errors import DimensionMismatch, NoConvergence, SingularPair
+from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum
 
 __all__ = [
     "vec",
@@ -63,7 +65,10 @@ def lyapunov_solve(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     vanishing right-hand side, otherwise the equation is unsolvable.
     """
     X = hermitianize(as_square(X))
-    return _lyapunov_solve(psd_spectrum(Z, "Z"), X)
+    Zs = psd_spectrum(Z, "Z")
+    if X.shape[0] != Zs.dim:
+        raise DimensionMismatch(f"Z has dimension {Zs.dim} but X has {X.shape[0]}")
+    return _lyapunov_solve(Zs, X)
 
 
 def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:
@@ -145,8 +150,7 @@ def composed_lyapunov_spectrum(L0: np.ndarray, L1: np.ndarray) -> Spectrum:
     those of its real restriction to Hermitian operators, mapped back from
     L1's basis of _hermitian_basis. Every eigenvalue is strictly positive.
     """
-    S0 = psd_spectrum(L0, "L0", definite=True)
-    S1 = psd_spectrum(L1, "L1", definite=True)
+    _, _, S0, S1 = psd_pair(L0, L1, ("L0", "L1"), definite=True)
     d = S0.dim
     rows, cols, _, _ = _hermitian_basis(d)
     w, x = npl.eigh(_composed_lyapunov_matrix(S0, S1))
@@ -173,8 +177,7 @@ def positive_fixed_point(
     the state simplex. Returns (A*, alpha*) with
     S_{L0}(S_{L1}(A*)) = alpha* A* up to residual tol in Frobenius norm.
     """
-    S0 = psd_spectrum(L0, "L0", definite=True)
-    S1 = psd_spectrum(L1, "L1", definite=True)
+    _, _, S0, S1 = psd_pair(L0, L1, ("L0", "L1"), definite=True)
     dim = S0.dim
     A = np.eye(dim, dtype=complex) / dim
     alpha = 0.0

@@ -4,6 +4,7 @@ import pytest
 import fidlab
 from fidlab.channels import random_pd, rng_for
 from fidlab.errors import DimensionMismatch, LengthMismatch, NegativeEntry
+from fidlab.linalg_core import OperatorPair, schur_reduce
 from fidlab.fidelity import (
     classical_fidelity,
     dual_optimizers,
@@ -110,12 +111,44 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
     lambda: fidlab.dual_optimizers("half", I2, I3),
     lambda: fidlab.duality_certificate("min", I2, I3),
     lambda: fidlab.optimal_reverse_test(I3, I2),
+    lambda: fidlab.composed_lyapunov_spectrum(I2, I3),
+    lambda: fidlab.positive_fixed_point(I2, I3),
+    lambda: fidlab.lyapunov_solve(I2, I3),
+    lambda: fidlab.polar_max_qubit(I2, I3),
+    lambda: fidlab.polar_min_qubit(I3, I2),
+    lambda: schur_reduce(I2, I3),
+    lambda: OperatorPair(I2, I3),
+    lambda: fidlab.povm_lower_bound(I2, I3, n_outcomes=9),
+    lambda: optimal_measurement(I2, I3),
+    lambda: fidelity_min_via_twist(I2, I3),
+    lambda: fidlab.mfmax_membership(I2, I3),
+    lambda: fidlab.block_psd(I2, np.zeros((2, 2)), I3),
 ], ids=["fidelity_max", "fidelity_min", "fidelity_half", "polar_max", "polar_min",
         "polar_min_qubit", "polar_half", "dual_optimizers_max", "dual_optimizers_min",
-        "dual_optimizers_half", "duality_certificate", "optimal_reverse_test"])
+        "dual_optimizers_half", "duality_certificate", "optimal_reverse_test",
+        "composed_lyapunov_spectrum", "positive_fixed_point", "lyapunov_solve",
+        "polar_max_qubit", "polar_min_qubit_direct", "schur_reduce", "OperatorPair",
+        "povm_lower_bound", "optimal_measurement", "fidelity_min_via_twist",
+        "mfmax_membership", "block_psd"])
 def test_operands_of_unequal_dimension_are_refused(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+@pytest.mark.parametrize("call, names", [
+    (lambda: fidlab.polar_min(I2, I3), ("L0", "L1")),
+    (lambda: fidlab.polar_half(I3, I2), ("L0", "L1")),
+    (lambda: fidlab.fidelity_min(I2, I3), ("X", "Y")),
+    (lambda: fidlab.positive_fixed_point(I3, I2), ("L0", "L1")),
+    (lambda: OperatorPair(I2, I3), ("first", "second")),
+    (lambda: fidlab.lyapunov_solve(I2, I3), ("Z", "X")),
+    (lambda: fidlab.mfmax_membership(I2, I3), ("L0", "L1")),
+], ids=["polar_min", "polar_half", "fidelity_min", "positive_fixed_point", "OperatorPair",
+        "lyapunov_solve", "mfmax_membership"])
+def test_unequal_dimension_message_names_both_operands(call, names):
+    with pytest.raises(DimensionMismatch) as err:
+        call()
+    assert all(name in str(err.value) for name in names)
 
 
 def test_dual_optimizers_max_self():

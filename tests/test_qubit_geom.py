@@ -171,6 +171,52 @@ def test_polar_min_qubit_matches_bracket_on_special_pairs(case):
         _assert_matches_bracket(L0, L1)
 
 
+def _equal_radii_reference(L0, L1):
+    """
+    The paper's piecewise closed form for a qubit pair of equal Bloch radii r:
+    scaled to trace 2 the pair is I + a sigma_x +- b sigma_z, r^2 = a^2 + b^2, and
+    the polar is 2 sqrt(c0 c1) times sqrt((1 - r^2)(1 - a^2 / r^2)) for
+    r^2 >= a, 1 - a for r^2 < a, and 1 for r = 0.
+    """
+    c0, c1 = np.trace(L0).real / 2, np.trace(L1).real / 2
+    un, vn = (np.array([np.trace(L @ P).real / 2 for P in (SIGMA_X, SIGMA_Y, SIGMA_Z)]) / c
+              for L, c in ((L0, c0), (L1, c1)))
+    scale, r2, a = np.sqrt(c0 * c1), un @ un, npl.norm(un + vn) / 2
+    if r2 == 0.0:
+        return 2.0 * scale
+    if r2 >= a:
+        return 2.0 * scale * np.sqrt((1.0 - r2) * (1.0 - a * a / r2))
+    return 2.0 * scale * (1.0 - a)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+@pytest.mark.parametrize("side", ["r2_at_least_a", "r2_below_a", "proportional_to_identity"])
+def test_polar_min_qubit_equal_radii_matches_piecewise_form(side, scale):
+    for trial in range(50):
+        rng = rng_for(93, trial)
+        n, p = npl.qr(rng.standard_normal((3, 2)))[0].T
+        r, (c0, c1) = rng.uniform(0.05, 0.95), rng.uniform(0.5, 2.0, 2)
+        # |un + vn| / 2 = r cos(theta / 2) for an angle theta between the Bloch vectors
+        edge = 2.0 * np.arccos(r)
+        theta = {"r2_at_least_a": rng.uniform(edge, np.pi),
+                 "r2_below_a": rng.uniform(0.0, edge), "proportional_to_identity": 0.0}[side]
+        r = 0.0 if side == "proportional_to_identity" else r
+        m = np.cos(theta) * n + np.sin(theta) * p
+        L0, L1 = scale * _bloch_operator(c0, r, n), scale * _bloch_operator(c1, r, m)
+        reference = _equal_radii_reference(L0, L1)
+        assert (r * r >= r * np.cos(theta / 2)) == (side != "r2_below_a")
+        assert polar_min_qubit(L0, L1) == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_polar_min_qubit_is_scale_free(scale):
+    for trial in range(50):
+        rng = rng_for(94, trial)
+        L0, L1 = random_pd(2, rng), random_pd(2, rng)
+        assert polar_min_qubit(scale * L0, scale * L1) == pytest.approx(
+            scale * polar_min_qubit(L0, L1), rel=1e-12, abs=0)
+
+
 def test_qubit_dual_point_roundtrip():
     p = QubitDualPoint(x=0.3, y=-0.2, z=0.7, w=1.1)
     q = QubitDualPoint.from_operator(p.to_operator())
