@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 
@@ -202,6 +203,8 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
+# built on first use and shared by every main() call: parse_args leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fidlab",
@@ -241,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, UnknownSuite) as exc:

@@ -11,8 +11,8 @@ from fidlab.fidelity import (
     fidelity_min,
     optimal_reverse_test,
 )
-from fidlab.linalg_core import hermitianize, psd_sqrt
-from fidlab.polar import _polar_lower, polar_max, polar_membership
+from fidlab.linalg_core import hermitianize, psd_sqrt, spectrum
+from fidlab.polar import _polar_lower, _polar_min_bracket, polar_max, polar_membership
 
 I2 = np.eye(2, dtype=complex)
 
@@ -208,6 +208,70 @@ def test_min_certificate_valid_across_condition_numbers(kappas, dim):
         assert duality_certificate("min", X, Y).is_valid
         pair = dual_optimizers("min", X, Y)
         assert abs(_polar_lower("min", pair.first, pair.second) - 1.0) <= 1e-9
+
+
+def _bracket_and_argmin(L0, L1, monkeypatch):
+    """_polar_min_bracket, with the t and the operator e^t L0 + e^-t L1 of its least evaluation."""
+    S0, S1 = spectrum(L0), spectrum(L1)
+    evals, eigvalsh = [], npl.eigvalsh
+
+    def recorded(A):
+        w = eigvalsh(A)
+        evals.append((w[0], A))
+        return w
+
+    with monkeypatch.context() as m:
+        m.setattr(npl, "eigvalsh", recorded)
+        lower, upper = _polar_min_bracket(S0, S1)
+    A = min(evals, key=lambda e: e[0])[1]
+    (x, y), *_ = npl.lstsq(np.c_[L0.ravel(), L1.ravel()], A.ravel(), rcond=None)
+    return lower, upper, 0.5 * np.log(x.real / y.real), A
+
+
+def _mp_polar_min(mp, L0, L1, t0, width=1e-2):
+    """min_t lambda_min(e^t L0 + e^-t L1) at mp.dps digits, by golden section on t0 +- width."""
+    M0, M1 = mp.matrix(L0.tolist()), mp.matrix(L1.tolist())
+
+    def g(t):
+        return min(mp.eighe(mp.exp(t) * M0 + mp.exp(-t) * M1, eigvals_only=True))
+
+    r = (mp.sqrt(5) - 1) / 2
+    a, b = mp.mpf(t0) - width, mp.mpf(t0) + width
+    c, d = b - r * (b - a), a + r * (b - a)
+    gc, gd = g(c), g(d)
+    while b - a > 1e-14:
+        if gc < gd:
+            b, d, gd = d, c, gc
+            c = b - r * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + r * (b - a)
+            gd = g(d)
+    # the minimizer is inside the window, not on its edge
+    assert abs((a + b) / 2 - t0) < 0.9 * width
+    return g((a + b) / 2)
+
+
+def test_polar_min_bracket_is_within_round_off_of_a_40_digit_reference(monkeypatch):
+    # At kappa(X) = kappa(Y) = 1e8 the boundary pair L* has polar 1 to ~1e-9, and
+    # both ends of the bracket sit within the round-off of one eigvalsh of
+    # A(t*) = e^t* L0* + e^-t* L1*, eps ||A(t*)||_2 ~ 1e-8, in either direction.
+    # On random dim-3 pairs the bracket's 1e-10 width dominates, one-sidedly.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    pairs = [dual_optimizers("min", X, Y) for X, Y in _kappa_pairs((1e8, 1e8), 2)]
+    pairs = [(p.first, p.second) for p in pairs]
+    for t in range(4):
+        rng = rng_for(38, 3, t)
+        pairs.append((random_pd(3, rng), random_pd(3, rng)))
+    for L0, L1 in pairs:
+        lower, upper, t0, A = _bracket_and_argmin(L0, L1, monkeypatch)
+        ref = float(_mp_polar_min(mp, L0, L1, t0))
+        floor = 4 * np.finfo(float).eps * npl.norm(A, 2)
+        assert lower - ref <= floor
+        assert ref - upper <= floor
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

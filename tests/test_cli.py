@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fidlab.cli import main
+from fidlab.cli import build_parser, main
 
 
 def _write_matrix(path, diag):
@@ -140,3 +140,35 @@ def test_compute_accepts_deprecated_seed(tmp_path, capsys):
     plain = json.loads(capsys.readouterr().out)
     assert main(["compute", str(a), str(b), "--format", "json", "--seed", "7"]) == 0
     assert json.loads(capsys.readouterr().out) == plain
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # the parser is built once per process; every call through it, including
+    # input errors and argparse's own exits, gives what a first call gives
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write_matrix(a, [0.5, 0.25, 1.0])
+    _write_matrix(b, [0.25, 0.75, 1.0])
+    calls = [
+        ["compute", str(a), str(b), "--format", "json"],
+        ["compute", str(a), str(b)],
+        ["verify", "errata", "--seed", "1", "--reproducible"],
+        ["boundary", "--l", "1", "--m", "0", "--n-samples", "5"],
+        ["verify", "nosuch"],
+        ["compute", str(a), str(b), "--format", "yaml"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    build_parser.cache_clear()
+    first = [run(argv) for argv in calls]
+    assert [code for code, _ in first] == [0, 0, 0, 0, 2, 2]
+    parser = build_parser()
+    for _ in range(2):
+        for argv, expected in zip(calls[::-1] + calls, first[::-1] + first):
+            assert run(argv) == expected
+    assert build_parser() is parser

@@ -80,11 +80,33 @@ def test_decompositions_per_call(call, dim, lapack_calls):
 
 @pytest.mark.parametrize("dim", [3, 8])
 def test_min_certificate_takes_no_svd(dim, lapack_calls):
-    # its eigvalsh count is set by the polar_min bracket, so only SVDs are pinned
+    # its eigvalsh count is set by the polar_min bracket and has a ceiling below
     rng = rng_for(70, dim)
     fidlab.duality_certificate("min", random_pd(dim, rng), random_pd(dim, rng))
     assert lapack_calls["svd"] == 0
     assert lapack_calls["spectral_norm"] == 0
+
+
+# ceilings on eigh + eigvalsh per call where the polar_min bracket sets the
+# count (for the min certificate, the bracket on its boundary pair L*),
+# measured with the chord bound and chord split; a midpoint split on the
+# endpoint bound min(g(a), g(b)) / cosh(h) takes 35/39/42/40 and 58/95/130
+BRACKET_CEILINGS = {
+    ("polar_min", 3): 11, ("polar_min", 4): 15, ("polar_min", 8): 20, ("polar_min", 12): 17,
+    ("duality_certificate_min", 2): 19, ("duality_certificate_min", 3): 32,
+    ("duality_certificate_min", 4): 47,
+}
+
+
+@pytest.mark.parametrize("call, dim", sorted(BRACKET_CEILINGS))
+def test_polar_min_bracket_decompositions(call, dim, lapack_calls):
+    rng = rng_for(70, dim)
+    X, Y = random_pd(dim, rng), random_pd(dim, rng)
+    if call == "polar_min":
+        fidlab.polar_min(X, Y)
+    else:
+        fidlab.duality_certificate("min", X, Y)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= BRACKET_CEILINGS[call, dim]
 
 
 def test_qubit_polar_min_decompositions(lapack_calls):

@@ -224,6 +224,25 @@ def test_polar_min_bracket_singular_and_scalar():
     assert polar_min(2 * I3, 8 * I3) == pytest.approx(8.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim, c, proportional", [
+    (2, 1.0, False), (3, 1.0, False), (3, 7.5, False), (8, 1e-6, False),
+    (3, 7.5, True), (8, 0.04, True), (8, 1e6, True),
+])
+def test_polar_min_bracket_scalar_and_proportional_pairs(dim, c, proportional):
+    # (c I, I) leaves a zero-width search range; for L1 = c L0 the polar is
+    # 2 sqrt(c) lambda_min(L0), and lambda_min(L0) = 1 here
+    if proportional:
+        rng = rng_for(17, dim)
+        w = np.r_[1.0, rng.uniform(1.5, 4.0, dim - 1)]
+        L0 = _rotated_block_sums([(np.diag(w), np.zeros((dim, dim)))], rng)[0]
+        L1 = c * L0
+    else:
+        L0, L1 = c * np.eye(dim, dtype=complex), np.eye(dim, dtype=complex)
+    lower, upper = _polar_min_bracket(spectrum(L0), spectrum(L1))
+    _assert_certified(lower, upper, 2.0 * np.sqrt(c))
+    assert upper == pytest.approx(2.0 * np.sqrt(c), rel=1e-13)
+
+
 def test_polar_min_bracket_never_returns_unconverged(monkeypatch):
     rng = rng_for(15)
     L0, L1 = random_pd(4, rng), random_pd(4, rng)
