@@ -4,7 +4,9 @@
 # the support/Schur-complement criterion, dual-body membership for the max
 # kind, and zero-duality-gap certificates pairing the primal and dual
 # optimizers of `fidelity._optimizers` (max: one SVD, min: one eigh); the
-# dual pair is feasible iff its polar is >= 1. No external SDP solver is used.
+# dual pair is feasible iff its polar is >= 1, for min read off the exact
+# qubit form at dim 2 and the certified lower end of the `polar_min` bracket
+# at dims >= 3. No external SDP solver is used.
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy.linalg as npl
 from .errors import DimensionMismatch
 from .fidelity import _optimizers
 from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum, spectrum
-from .polar import _polar_lower, _warn_dead_knobs
+from .polar import _polar_lower
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
 
@@ -81,16 +83,12 @@ def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     return spectrum(np.block([[2.0 * L0, -eye], [-eye, 2.0 * L1]])).is_psd
 
 
-def duality_certificate(
-    kind: str, X: np.ndarray, Y: np.ndarray, seed=None
-) -> Certificate:
+def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     """
     Analytic primal optimizer + analytic dual optimizer + feasibility
     checks + duality gap for the chosen fidelity kind. The dual pair is
-    feasible iff its polar is at least 1 - _CERT_TOL. `seed` is deprecated
-    and ignored.
+    feasible iff its polar (`_polar_lower`) is at least 1 - _CERT_TOL.
     """
-    _warn_dead_knobs("duality_certificate", seed=seed)
     X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
     C, pair = _optimizers(kind, X, Y, Xs, Ys)
     if C is None:

@@ -83,7 +83,6 @@ def _json_ready(value):
 
 def cmd_compute(args) -> int:
     A, B = load_pair(args.pair)
-    labels = ("L0", "L1") if args.as_dual else ("X", "Y")
     result: dict = {
         "dim": A.shape[0],
         "interpretation": "dual" if args.as_dual else "states",
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--as-dual", action="store_true",
                     help="treat the pair as dual operators (L0, L1)")
     pc.add_argument("--format", choices=("json", "text"), default="text")
-    pc.add_argument("--seed", type=int, default=None, help="ignored (deprecated)")
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="run a seeded invariant suite")

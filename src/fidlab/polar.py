@@ -1,18 +1,17 @@
 # src/fidlab/polar.py
 #
 # Polar functionals of the three fidelities: closed spectral forms for the
-# max and half kinds, a certified branch-and-bound bracket over one scalar
-# for the min kind (bounded and split by the chord of a concave function),
-# the membership semantics (polar >= 1 <=> dual-body membership), and a
-# randomized POVM-decomposition lower bound for the max polar. Every dual
-# pair (L0, L1) is admitted by `linalg_core.psd_pair` before any routing, so
-# the dim-2 closed form sees only valid pairs.
+# max and half kinds; for min the exact qubit form at dim 2 and at dims >= 3 a
+# certified branch-and-bound bracket over one scalar (bounded and split by the
+# chord of a concave function); the membership semantics (polar >= 1 <=>
+# dual-body membership), and a randomized POVM-decomposition lower bound for
+# the max polar. Every dual pair (L0, L1) is admitted by `linalg_core.psd_pair`
+# before any routing, so the dim-2 closed form sees only valid pairs.
 
 from __future__ import annotations
 
 import heapq
 import math
-import warnings
 
 import numpy as np
 import numpy.linalg as npl
@@ -47,13 +46,6 @@ def polar_classical(l0, l1) -> float:
     if l0.size == 0:
         raise LengthMismatch("empty weight vectors")
     return float(np.min(2.0 * np.sqrt(l0 * l1)))
-
-
-def _warn_dead_knobs(func: str, **knobs) -> None:
-    passed = ", ".join(sorted(k for k, v in knobs.items() if v is not None))
-    if passed:
-        warnings.warn(f"{func}: {passed} has no effect and is deprecated",
-                      DeprecationWarning, stacklevel=3)
 
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -131,18 +123,21 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     )
 
 
-def polar_min(L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float:
-    """
-    min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>), the
-    upper end of the certified bracket of _polar_min_bracket. Dim-2 pairs
-    are routed to the exact qubit closed form. `restarts` and `seed` are
-    deprecated and ignored.
-    """
-    _warn_dead_knobs("polar_min", restarts=restarts, seed=seed)
+def _polar_min(L0: np.ndarray, L1: np.ndarray, end: int) -> float:
+    """The exact qubit form at dim 2; at dims >= 3, end 0 (lower) or 1 (upper) of the bracket."""
     L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
     if S0.dim == 2:
         return _polar_min_qubit(L0, L1, S0, S1)
-    return _polar_min_bracket(S0, S1)[1]
+    return _polar_min_bracket(S0, S1)[end]
+
+
+def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
+    """
+    min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>): the exact
+    qubit closed form at dim 2, and at dims >= 3 the upper end of the
+    certified bracket of _polar_min_bracket.
+    """
+    return _polar_min(L0, L1, 1)
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -158,9 +153,8 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     return top ** -0.5
 
 
-def polar(kind: str, L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -> float:
-    """Dispatch by kind in {max, min, half}; `restarts` and `seed` are deprecated and ignored."""
-    _warn_dead_knobs("polar", restarts=restarts, seed=seed)
+def polar(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
+    """Dispatch by kind in {max, min, half}."""
     if kind == "max":
         return polar_max(L0, L1)
     if kind == "min":
@@ -171,14 +165,20 @@ def polar(kind: str, L0: np.ndarray, L1: np.ndarray, restarts=None, seed=None) -
 
 
 def _polar_lower(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
-    """The polar for the max and half kinds; the bracket's certified lower end for min."""
+    """
+    The polar for max and half. For min, the exact qubit form at dim 2 (its round-off is
+    two-sided, ~1e-14 relative, not a one-sided bound); the certified lower end at dims >= 3.
+    """
     if kind == "min":
-        return _polar_min_bracket(*psd_pair(L0, L1, _DUAL_NAMES)[2:])[0]
+        return _polar_min(L0, L1, 0)
     return polar(kind, L0, L1)
 
 
 def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
-    """True iff the pair lies in the dual body: _polar_lower >= 1 - 1e-9."""
+    """
+    True iff the pair lies in the dual body: _polar_lower >= 1 - 1e-9 (for min,
+    the exact qubit form at dim 2 and the certified lower end at dims >= 3).
+    """
     return _polar_lower(kind, L0, L1) >= 1.0 - 1e-9
 
 

@@ -241,7 +241,9 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     """
     L0 = hermitianize(as_square(L0))
     L1 = hermitianize(as_square(L1))
-    if L0.shape != (2, 2) or L1.shape != (2, 2):
+    if L0.shape != L1.shape:
+        raise DimensionMismatch(f"L0 has dimension {L0.shape[0]} but L1 has {L1.shape[0]}")
+    if L0.shape != (2, 2):
         raise DimensionMismatch("mfmin_qubit_membership is dim-2 only")
     S0 = psd_spectrum(L0, "L0", definite=True)
     # L0^{-1}, with eigenvalues mu ascending

@@ -168,13 +168,12 @@ def test_certificates_valid_on_ill_conditioned_pairs(spectra):
             assert duality_certificate(kind, X, Y).is_valid
 
 
-def test_certificate_seed_is_deprecated():
+def test_certificate_seed_is_retired():
     rng = rng_for(35)
     X = random_pd(2, rng)
     Y = random_pd(2, rng)
-    with pytest.warns(DeprecationWarning, match="seed"):
-        cert = duality_certificate("min", X, Y, seed=4)
-    assert cert == duality_certificate("min", X, Y)
+    with pytest.raises(TypeError):
+        duality_certificate("min", X, Y, seed=4)
 
 
 KAPPAS = [(1e6, 1e4), (1e4, 1e6), (1e8, 1e4), (1e4, 1e8)]
@@ -272,6 +271,39 @@ def test_polar_min_bracket_is_within_round_off_of_a_40_digit_reference(monkeypat
         floor = 4 * np.finfo(float).eps * npl.norm(A, 2)
         assert lower - ref <= floor
         assert ref - upper <= floor
+
+
+def test_qubit_polar_lower_is_within_round_off_of_a_40_digit_reference(monkeypatch):
+    # dim 2 reads the exact qubit form, not the bracket's lower end, which sits
+    # up to the bracket's 1e-10 relative width below the true polar
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for t in range(10):
+        rng = rng_for(39, 2, t)
+        L0, L1 = random_pd(2, rng), random_pd(2, rng)
+        t0 = _bracket_and_argmin(L0, L1, monkeypatch)[2]
+        ref = float(_mp_polar_min(mp, L0, L1, t0))
+        assert abs(_polar_lower("min", L0, L1) - ref) <= 1e-12 * ref
+
+
+def _mp_polar_max(mp, L0, L1):
+    """2 sqrt(lambda_min(L0 L1)) at mp.dps digits."""
+    eigs = mp.eig(mp.matrix(L0.tolist()) * mp.matrix(L1.tolist()), left=False, right=False)
+    return 2 * mp.sqrt(min(mp.re(e) for e in eigs))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_polar_max_of_ill_conditioned_dual_optimizers_is_exact(dim):
+    # At kappa(X) = kappa(Y) = 1e8 polar_max reads the polar of L* to ~1e-14;
+    # what sits up to ~1e-8 off the boundary is L* itself, not polar_max
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for X, Y in _kappa_pairs((1e8, 1e8), dim):
+        pair = dual_optimizers("max", X, Y)
+        L0, L1 = hermitianize(pair.first), hermitianize(pair.second)
+        assert abs(polar_max(L0, L1) - float(_mp_polar_max(mp, L0, L1))) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -131,15 +131,15 @@ def test_boundary_degenerate_frame(capsys):
     assert "DegenerateFrame" in capsys.readouterr().err
 
 
-def test_compute_accepts_deprecated_seed(tmp_path, capsys):
+def test_compute_rejects_retired_seed(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     _write_matrix(a, [0.5, 0.5, 1.0])
     _write_matrix(b, [0.25, 0.75, 1.0])
-    assert main(["compute", str(a), str(b), "--format", "json"]) == 0
-    plain = json.loads(capsys.readouterr().out)
-    assert main(["compute", str(a), str(b), "--format", "json", "--seed", "7"]) == 0
-    assert json.loads(capsys.readouterr().out) == plain
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", str(a), str(b), "--format", "json", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):

@@ -88,13 +88,13 @@ def test_min_certificate_takes_no_svd(dim, lapack_calls):
 
 
 # ceilings on eigh + eigvalsh per call where the polar_min bracket sets the
-# count (for the min certificate, the bracket on its boundary pair L*),
-# measured with the chord bound and chord split; a midpoint split on the
-# endpoint bound min(g(a), g(b)) / cosh(h) takes 35/39/42/40 and 58/95/130
+# count, at dims >= 3 (for the min certificate, the bracket on its boundary
+# pair L*), measured with the chord bound and chord split; a midpoint split on
+# the endpoint bound min(g(a), g(b)) / cosh(h) takes 35/39/42/40 and 95/130.
+# Dim 2 takes the exact qubit form and no bracket, so its counts are exact.
 BRACKET_CEILINGS = {
     ("polar_min", 3): 11, ("polar_min", 4): 15, ("polar_min", 8): 20, ("polar_min", 12): 17,
-    ("duality_certificate_min", 2): 19, ("duality_certificate_min", 3): 32,
-    ("duality_certificate_min", 4): 47,
+    ("duality_certificate_min", 3): 32, ("duality_certificate_min", 4): 47,
 }
 
 
@@ -114,6 +114,16 @@ def test_qubit_polar_min_decompositions(lapack_calls):
     fidlab.polar_min(random_pd(2, rng), random_pd(2, rng))
     assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == 2
     assert lapack_calls["svd"] == 0
+
+
+def test_qubit_min_certificate_decompositions(lapack_calls):
+    # the two operands, the min frame, the Schur test and the two operands of
+    # the qubit polar of L*; the bracket on L* in its place makes it 19 here
+    rng = rng_for(70, 2)
+    fidlab.duality_certificate("min", random_pd(2, rng), random_pd(2, rng))
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == 6
+    assert lapack_calls["svd"] == 0
+    assert lapack_calls["spectral_norm"] == 0
 
 
 # scipy.optimize stays unloaded by the import, by a dim-2 polar_min with

@@ -122,6 +122,7 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
     lambda: optimal_measurement(I2, I3),
     lambda: fidelity_min_via_twist(I2, I3),
     lambda: fidlab.mfmax_membership(I2, I3),
+    lambda: fidlab.mfmin_qubit_membership(I2, I3),
     lambda: fidlab.block_psd(I2, np.zeros((2, 2)), I3),
 ], ids=["fidelity_max", "fidelity_min", "fidelity_half", "polar_max", "polar_min",
         "polar_min_qubit", "polar_half", "dual_optimizers_max", "dual_optimizers_min",
@@ -129,7 +130,7 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
         "composed_lyapunov_spectrum", "positive_fixed_point", "lyapunov_solve",
         "polar_max_qubit", "polar_min_qubit_direct", "schur_reduce", "OperatorPair",
         "povm_lower_bound", "optimal_measurement", "fidelity_min_via_twist",
-        "mfmax_membership", "block_psd"])
+        "mfmax_membership", "mfmin_qubit_membership", "block_psd"])
 def test_operands_of_unequal_dimension_are_refused(call):
     with pytest.raises(DimensionMismatch):
         call()
@@ -143,8 +144,9 @@ def test_operands_of_unequal_dimension_are_refused(call):
     (lambda: OperatorPair(I2, I3), ("first", "second")),
     (lambda: fidlab.lyapunov_solve(I2, I3), ("Z", "X")),
     (lambda: fidlab.mfmax_membership(I2, I3), ("L0", "L1")),
+    (lambda: fidlab.mfmin_qubit_membership(I2, I3), ("L0", "L1")),
 ], ids=["polar_min", "polar_half", "fidelity_min", "positive_fixed_point", "OperatorPair",
-        "lyapunov_solve", "mfmax_membership"])
+        "lyapunov_solve", "mfmax_membership", "mfmin_qubit_membership"])
 def test_unequal_dimension_message_names_both_operands(call, names):
     with pytest.raises(DimensionMismatch) as err:
         call()

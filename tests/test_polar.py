@@ -1,12 +1,16 @@
 import importlib
+import json
 import warnings
 
 import numpy as np
 import numpy.linalg as npl
 import pytest
 
+from fidlab.certify import duality_certificate
 from fidlab.channels import random_pd, rng_for
+from fidlab.cli import main
 from fidlab.errors import NoConvergence
+from fidlab.fidelity import dual_optimizers
 from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import (
     _polar_min_bracket,
@@ -252,14 +256,43 @@ def test_polar_min_bracket_never_returns_unconverged(monkeypatch):
         _polar_min_bracket(spectrum(L0), spectrum(L1))
 
 
-def test_polar_dead_knobs_warn_and_do_nothing():
+def test_polar_min_dispatch_raises_no_warning():
     rng = rng_for(16)
     L0, L1 = random_pd(3, rng), random_pd(3, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = polar_min(L0, L1)
-        assert polar("min", L0, L1) == value
-    with pytest.warns(DeprecationWarning, match="restarts"):
-        assert polar_min(L0, L1, restarts=20) == value
-    with pytest.warns(DeprecationWarning, match="seed"):
-        assert polar("min", L0, L1, seed=3) == value
+        assert polar("min", L0, L1) == polar_min(L0, L1)
+
+
+def test_polar_retired_knobs_raise_type_error():
+    rng = rng_for(16)
+    L0, L1 = random_pd(3, rng), random_pd(3, rng)
+    for knob in ("restarts", "seed"):
+        with pytest.raises(TypeError):
+            polar_min(L0, L1, **{knob: 3})
+        with pytest.raises(TypeError):
+            polar("min", L0, L1, **{knob: 3})
+
+
+def test_dim2_request_paths_never_enter_the_bracket(monkeypatch, tmp_path, capsys):
+    # every dim-2 min polar, lower end included, is the exact qubit form
+    polar_module = importlib.import_module("fidlab.polar")
+    bracket = polar_module._polar_min_bracket
+
+    def dims_3_and_up(S0, S1):
+        if S0.dim == 2:
+            raise AssertionError("a dim-2 pair reached _polar_min_bracket")
+        return bracket(S0, S1)
+
+    monkeypatch.setattr(polar_module, "_polar_min_bracket", dims_3_and_up)
+    rng = rng_for(71)
+    X, Y = random_pd(2, rng), random_pd(2, rng)
+    assert duality_certificate("min", X, Y).is_valid
+    pair = dual_optimizers("min", X, Y)
+    assert polar_membership("min", pair.first, pair.second)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps([
+        {"dim": 2, "entries": [[[z.real, z.imag] for z in row] for row in M]} for M in (X, Y)
+    ]))
+    assert main(["compute", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"]["min"]["valid"]
