@@ -3,10 +3,12 @@
 # SDP-style feasibility and optimality certificates: block positivity via
 # the support/Schur-complement criterion, dual-body membership for the max
 # kind, and zero-duality-gap certificates pairing the primal and dual
-# optimizers of `fidelity._optimizers` (max: one SVD, min: one eigh); the
-# dual pair is feasible iff its polar is >= 1, for min read off the exact
-# qubit form at dim 2 and the certified lower end of the `polar_min` bracket
-# at dims >= 3. No external SDP solver is used.
+# optimizers of `fidelity._optimizers` (max: one SVD, min: one eigh). F_max
+# and F_min are max tr C over [[X, C], [C^dagger, Y]] >= 0 (C Hermitian for
+# min); the dual of that program is [[2 L0, -I + iA], [-I - iA, 2 L1]] >= 0
+# with A Hermitian (A = 0 for max), so one eigvalsh of that block at the
+# optimal twist A* checks the dual pair at every dim. The half kind has no
+# such block and keeps its polar. No external SDP solver is used.
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy.linalg as npl
 from .errors import DimensionMismatch
 from .fidelity import _optimizers
 from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum, spectrum
-from .polar import _polar_lower
+from .polar import polar_half
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
 
@@ -72,36 +74,60 @@ def _block_psd(X: np.ndarray, Xs: Spectrum, C: np.ndarray, Ys: Spectrum) -> bool
     return bool(npl.eigvalsh(hermitianize(X - B @ B.conj().T))[0] >= -Xs.tol)
 
 
+def _dual_block(L0: np.ndarray, L1: np.ndarray, T=0.0) -> np.ndarray:
+    """[[2 L0, -I + T], [-I - T, 2 L1]] for an antihermitian twist T = iA (0 for max)."""
+    eye = np.eye(L0.shape[0])
+    return hermitianize(np.block([[2.0 * L0, T - eye], [-T - eye, 2.0 * L1]]))
+
+
+def _witness_shift(X: np.ndarray, Y: np.ndarray, L0: np.ndarray, L1: np.ndarray,
+                   T) -> float:
+    """
+    eps/2 tr(X + Y), what (L0, L1) must rise by in dual value to be exactly
+    feasible: with B = _dual_block(L0, L1, T) and
+    eps = max(0, -lambda_min(B)) + 4 d eps_mach max|lambda(B)|, the second term
+    eigvalsh's round-off, B + eps I >= 0 is the block of (L0 + eps/2 I, L1 + eps/2 I).
+    """
+    w = npl.eigvalsh(_dual_block(L0, L1, T))
+    eps = max(0.0, -w[0]) + 4 * L0.shape[0] * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+    return 0.5 * eps * float(np.trace(X + Y).real)
+
+
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     """Direct eigenvalue test of [[2 L0, -I], [-I, 2 L1]] >= 0."""
     L0 = hermitianize(as_square(L0))
     L1 = hermitianize(as_square(L1))
     if L0.shape != L1.shape:
         raise DimensionMismatch(f"L0 has dimension {L0.shape[0]} but L1 has {L1.shape[0]}")
-    k = L0.shape[0]
-    eye = np.eye(k)
-    return spectrum(np.block([[2.0 * L0, -eye], [-eye, 2.0 * L1]])).is_psd
+    return spectrum(_dual_block(L0, L1)).is_psd
 
 
 def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     """
     Analytic primal optimizer + analytic dual optimizer + feasibility
-    checks + duality gap for the chosen fidelity kind. The dual pair is
-    feasible iff its polar (`_polar_lower`) is at least 1 - _CERT_TOL.
+    checks + duality gap for the chosen fidelity kind.
+
+    For max and min the dual pair (L0*, L1*) is checked on one eigvalsh of its
+    dual block at the optimal twist (`_witness_shift`): it is feasible when the
+    shift eps/2 tr(X + Y) that makes it exactly feasible is at most
+    _CERT_TOL (1 + |primal_value|). A valid certificate then guarantees
+    primal_value <= F(X, Y) <= dual_value + eps/2 tr(X + Y). For half the dual
+    pair is feasible when its polar is at least 1 - _CERT_TOL; L*/p is then
+    feasible and worth dual_value/p.
     """
     X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
-    C, pair = _optimizers(kind, X, Y, Xs, Ys)
+    C, pair, T = _optimizers(kind, X, Y, Xs, Ys)
     if C is None:
         # half: tr sqrt(X) sqrt(Y) is attained by construction
         primal_value = float(np.trace(Xs.sqrt() @ Ys.sqrt()).real)
         primal_feasible = True
+        dual_feasible = polar_half(pair.first, pair.second) >= 1.0 - _CERT_TOL
     else:
         primal_value = float(np.trace(C).real)
         primal_feasible = _block_psd(X, Xs, C, Ys)
+        shift = _witness_shift(X, Y, pair.first, pair.second, T)
+        dual_feasible = shift <= _CERT_TOL * (1.0 + abs(primal_value))
     dual_value = float((np.trace(pair.first @ X) + np.trace(pair.second @ Y)).real)
-    # L* sits on the boundary, polar p = 1 up to round-off; L*/p is feasible and
-    # worth dual_value/p, so p >= 1 - _CERT_TOL keeps the gap's tolerance
-    dual_feasible = _polar_lower(kind, pair.first, pair.second) >= 1.0 - _CERT_TOL
     return Certificate(
         kind=kind,
         primal_value=primal_value,

@@ -30,7 +30,8 @@ def _parse_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ParseError("matrix object needs 'dim' and 'entries' fields")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    # bool is an int subclass, so "dim": true would read as 1
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"invalid dim {dim!r}")
     entries = obj["entries"]
     try:
@@ -42,6 +43,9 @@ def _parse_matrix(obj) -> np.ndarray:
         raise ParseError(f"entries are not [re, im] pairs: {exc}") from exc
     if arr.shape != (dim, dim):
         raise ParseError(f"entries shape {arr.shape} does not match dim {dim}")
+    # json.load accepts NaN and Infinity
+    if not np.all(np.isfinite(arr)):
+        raise ParseError("entries must be finite")
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
     asym = float(np.max(np.abs(arr - arr.conj().T)))
     if asym > 1e-6 * max(scale, 1e-300):

@@ -2,12 +2,14 @@
 #
 # The three quantum fidelities on PSD pairs, the classical fidelity,
 # derivative-based dual optimizers, and the optimal-measurement /
-# optimal-reverse-test constructions witnessing the operational forms. Every
-# min-kind quantity is read off one eigh of Y^{-1/2} X Y^{-1/2}, `_min_frame`.
-# Operands are admitted by `linalg_core.psd_pair`.
+# optimal-reverse-test / optimal-twist constructions witnessing the
+# operational forms. Every min-kind quantity is read off one eigh of
+# Y^{-1/2} X Y^{-1/2}, `_min_frame`. Operands are admitted by
+# `linalg_core.psd_pair`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ __all__ = [
     "dual_optimizers",
     "optimal_measurement",
     "optimal_reverse_test",
+    "optimal_twist",
     "fidelity_min_via_twist",
     "ReverseTest",
 ]
@@ -119,9 +122,13 @@ def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
     return _optimizers(kind, *psd_pair(X, Y, definite=True))[1]
 
 
-def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
-                Ys: Spectrum) -> tuple[np.ndarray | None, OperatorPair]:
-    """The primal optimizer C* (None for half) and the dual pair of a definite pair."""
+def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum
+                ) -> tuple[np.ndarray | None, OperatorPair, np.ndarray | None]:
+    """
+    The primal optimizer C* (None for half), the dual pair and the antihermitian
+    twist T = iA* of the dual block [[2 L0*, -I + T], [-I - T, 2 L1*]] (0 for max,
+    None for half, which has no such block) of a definite pair.
+    """
     if kind == "max":
         # sqrt(X) sqrt(Y) = U Sigma V^dagger gives C* = sqrt(X) U V^dagger sqrt(Y) and, as
         # sqrt(Y) X sqrt(Y) = V Sigma^2 V^dagger and sqrt(X) Y sqrt(X) = U Sigma^2 U^dagger,
@@ -131,21 +138,26 @@ def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
         C = sX @ U @ Vh @ sY
         B0, B1 = sY @ (Vh.conj().T * s ** -0.5), sX @ (U * s ** -0.5)
         L0, L1 = (hermitianize(0.5 * B @ B.conj().T) for B in (B0, B1))
+        T = np.zeros_like(C)
     elif kind == "min":
-        # both derivatives of tr G diag(r) G^dagger: G^dagger G times a Cauchy kernel, PSD
+        # both derivatives of tr G diag(r) G^dagger and the twist: G^dagger G times a
+        # Cauchy kernel; congruence by diag(G, G) turns the dual block into
+        # G^dagger G o (2/(r_i + r_j)) [[1, -r_j], [-r_i, r_i r_j]], PSD by the Schur
+        # product theorem
         d, S, W = _min_frame(X, Xs, Ys)
         r, G, Gi = W.eigenvalues, (S * d ** 0.5) @ W.eigenvectors, (S * d ** -0.5) @ W.eigenvectors
         C = hermitianize((G * r) @ G.conj().T)
         KC = (G.conj().T @ G) / (r[:, None] + r[None, :])
         L0, L1 = (hermitianize(Gi @ M @ Gi.conj().T) for M in (KC, r[:, None] * KC * r[None, :]))
+        T = Gi @ (KC * (r[:, None] - r[None, :])) @ Gi.conj().T
     elif kind == "half":
         sX, sY = Xs.sqrt_spectrum(), Ys.sqrt_spectrum()
-        C = None
+        C = T = None
         L0, L1 = _lyapunov_solve(sX, sY.reconstruct()), _lyapunov_solve(sY, sX.reconstruct())
     else:
         raise ValueError(f"unknown fidelity kind {kind!r}")
     # each side is PSD by construction (Gram forms, Cauchy kernels), so it is not decomposed again
-    return C, OperatorPair._of_psd(L0, L1)
+    return C, OperatorPair._of_psd(L0, L1), T
 
 
 def optimal_measurement(X: np.ndarray, Y: np.ndarray) -> Povm:
@@ -192,6 +204,17 @@ def optimal_reverse_test(X: np.ndarray, Y: np.ndarray) -> ReverseTest:
     return ReverseTest(states=states, p=p, q=q, x=X, y=Y)
 
 
+def optimal_twist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """
+    The Hermitian twist A* attaining F_min(X, Y) = min over Hermitian A of
+    F_max(X, (I - iA) Y (I + iA)) on a definite pair:
+    iA* = G^{-dagger} (G^dagger G o [(r_i - r_j)/(r_i + r_j)]) G^{-1} over the
+    frame G, r of _min_frame. It is also the twist of the min certificate's dual block.
+    """
+    T = _optimizers("min", *psd_pair(X, Y, definite=True))[2]
+    return hermitianize(-1j * T)
+
+
 def _herm_from_params(v: np.ndarray, dim: int) -> np.ndarray:
     A = np.zeros((dim, dim), dtype=complex)
     idx = 0
@@ -212,7 +235,11 @@ def fidelity_min_via_twist(
     """
     F_min as min over Hermitian A of F_max(X, (I - iA) Y (I + iA)),
     by multistart Nelder-Mead over the real parameterization of A.
+
+    Deprecated: `optimal_twist` gives the minimizing A in closed form.
     """
+    warnings.warn("fidelity_min_via_twist is deprecated and will be removed; "
+                  "use optimal_twist", DeprecationWarning, stacklevel=2)
     from scipy.optimize import minimize
 
     X, Y, _, _ = psd_pair(X, Y, definite=True)

@@ -6,7 +6,9 @@
 # chord of a concave function); the membership semantics (polar >= 1 <=>
 # dual-body membership), and a randomized POVM-decomposition lower bound for
 # the max polar. Every dual pair (L0, L1) is admitted by `linalg_core.psd_pair`
-# before any routing, so the dim-2 closed form sees only valid pairs.
+# before any routing, so the dim-2 closed form sees only valid pairs. Max and
+# min duality certificates do not come here: `certify` checks their dual pair
+# on one eigenvalue of the dual block at the optimal twist.
 
 from __future__ import annotations
 
@@ -83,9 +85,7 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     polar by up to the round-off of one eigvalsh of A = e^t L0 + e^{-t} L1
     at the minimizer, about eps * ||A||_2, in either direction (up to
     1.1 eps ||A||_2 seen against 40-digit references; tests/test_certify.py
-    holds both ends to 4 eps ||A||_2). On the boundary pairs L* of min
-    certificates at kappa(X) = kappa(Y) = 1e8 that is ~1.8e-8, and it, not
-    the cell bound or the min frame, sets how far their polar reads from 1.
+    holds both ends to 4 eps ||A||_2).
     """
     if S0.is_singular or S1.is_singular:
         return 0.0, 0.0
@@ -164,22 +164,14 @@ def polar(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
     raise ValueError(f"unknown polar kind {kind!r}")
 
 
-def _polar_lower(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
-    """
-    The polar for max and half. For min, the exact qubit form at dim 2 (its round-off is
-    two-sided, ~1e-14 relative, not a one-sided bound); the certified lower end at dims >= 3.
-    """
-    if kind == "min":
-        return _polar_min(L0, L1, 0)
-    return polar(kind, L0, L1)
-
-
 def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
     """
-    True iff the pair lies in the dual body: _polar_lower >= 1 - 1e-9 (for min,
-    the exact qubit form at dim 2 and the certified lower end at dims >= 3).
+    True iff the pair lies in the dual body: its polar is >= 1 - 1e-9. For min
+    that polar is the exact qubit form at dim 2 (its round-off is two-sided,
+    ~1e-14 relative) and the certified lower end of the bracket at dims >= 3.
     """
-    return _polar_lower(kind, L0, L1) >= 1.0 - 1e-9
+    p = _polar_min(L0, L1, 0) if kind == "min" else polar(kind, L0, L1)
+    return p >= 1.0 - 1e-9
 
 
 def _real_embed(H: np.ndarray) -> np.ndarray:

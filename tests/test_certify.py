@@ -2,17 +2,21 @@ import numpy as np
 import numpy.linalg as npl
 import pytest
 
-from fidlab.certify import block_psd, duality_certificate, mfmax_membership
+import fidlab.certify as certify
+from fidlab.certify import _CERT_TOL, block_psd, duality_certificate, mfmax_membership
 from fidlab.channels import random_pd, rng_for
 from fidlab.fidelity import (
     classical_fidelity,
     dual_optimizers,
     fidelity_half,
+    fidelity_max,
     fidelity_min,
     optimal_reverse_test,
+    optimal_twist,
+    _optimizers,
 )
-from fidlab.linalg_core import hermitianize, psd_sqrt, spectrum
-from fidlab.polar import _polar_lower, _polar_min_bracket, polar_max, polar_membership
+from fidlab.linalg_core import OperatorPair, hermitianize, psd_pair, psd_sqrt, spectrum
+from fidlab.polar import _polar_min, _polar_min_bracket, polar_max, polar_membership
 
 I2 = np.eye(2, dtype=complex)
 
@@ -206,7 +210,7 @@ def test_min_certificate_valid_across_condition_numbers(kappas, dim):
     for X, Y in _kappa_pairs(kappas, dim):
         assert duality_certificate("min", X, Y).is_valid
         pair = dual_optimizers("min", X, Y)
-        assert abs(_polar_lower("min", pair.first, pair.second) - 1.0) <= 1e-9
+        assert abs(_polar_min(pair.first, pair.second, 0) - 1.0) <= 1e-9
 
 
 def _bracket_and_argmin(L0, L1, monkeypatch):
@@ -284,7 +288,7 @@ def test_qubit_polar_lower_is_within_round_off_of_a_40_digit_reference(monkeypat
         L0, L1 = random_pd(2, rng), random_pd(2, rng)
         t0 = _bracket_and_argmin(L0, L1, monkeypatch)[2]
         ref = float(_mp_polar_min(mp, L0, L1, t0))
-        assert abs(_polar_lower("min", L0, L1) - ref) <= 1e-12 * ref
+        assert abs(_polar_min(L0, L1, 0) - ref) <= 1e-12 * ref
 
 
 def _mp_polar_max(mp, L0, L1):
@@ -317,3 +321,65 @@ def test_reverse_test_exact_across_condition_numbers(kappas, dim):
         recon_y = sum(q * s for q, s in zip(rt.q, rt.states))
         assert npl.norm(recon_x - X) <= 1e-12 * npl.norm(X)
         assert npl.norm(recon_y - Y) <= 1e-12 * npl.norm(Y)
+
+
+def _optimal_parts(kind, X, Y):
+    """The admitted pair, C*, the dual pair and the twist of `duality_certificate`."""
+    X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
+    C, pair, T = _optimizers(kind, X, Y, Xs, Ys)
+    return X, Y, C, pair, T
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_witness_shift_makes_the_dual_block_psd_at_40_digits(kind):
+    # the block the certificate decomposes, lifted by its shift eps, has no
+    # negative eigenvalue at 40 digits: (L0* + eps/2 I, L1* + eps/2 I) is
+    # exactly dual feasible even where L* is ~1e-8 off the boundary
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for dim in (2, 3, 4):
+        for X, Y in _kappa_pairs((1e8, 1e8), dim):
+            X, Y, C, pair, T = _optimal_parts(kind, X, Y)
+            shift = certify._witness_shift(X, Y, pair.first, pair.second, T)
+            assert shift <= _CERT_TOL * (1.0 + abs(np.trace(C).real))
+            eps = mp.mpf(2.0 * shift) / mp.mpf(float(np.trace(X + Y).real))
+            B = mp.matrix(certify._dual_block(pair.first, pair.second, T).tolist())
+            lifted = B + eps * mp.eye(2 * dim)
+            assert min(mp.eighe(lifted, eigvals_only=True)) >= 0
+
+
+def test_min_dual_pair_needs_its_twist():
+    # on a non-commuting pair the min L* is dual feasible only with its twist
+    rng = rng_for(73, 3)
+    X, Y, C, pair, T = _optimal_parts("min", random_pd(3, rng), random_pd(3, rng))
+    tol = _CERT_TOL * (1.0 + abs(np.trace(C).real))
+    assert certify._witness_shift(X, Y, pair.first, pair.second, T) <= tol
+    assert certify._witness_shift(X, Y, pair.first, pair.second, 0.0) > tol
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_certificate_refuses_a_shrunk_dual_pair(kind, dim, monkeypatch):
+    def shrunk(*args):
+        C, pair, T = _optimizers(*args)
+        s = 1.0 - 1e-6
+        return C, OperatorPair._of_psd(s * pair.first, s * pair.second), T
+
+    monkeypatch.setattr(certify, "_optimizers", shrunk)
+    rng = rng_for(74, dim)
+    cert = duality_certificate(kind, random_pd(dim, rng), random_pd(dim, rng))
+    assert not cert.dual_feasible
+    assert not cert.is_valid
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_optimal_twist_attains_fidelity_min(dim):
+    for t in range(10):
+        rng = rng_for(75, dim, t)
+        X, Y = random_pd(dim, rng), random_pd(dim, rng)
+        A = optimal_twist(X, Y)
+        assert np.array_equal(A, A.conj().T)
+        J = np.eye(dim) + 1j * A
+        f = fidelity_min(X, Y)
+        assert abs(fidelity_max(X, J.conj().T @ Y @ J) - f) <= 1e-12 * f

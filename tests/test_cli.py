@@ -74,6 +74,24 @@ def test_compute_rejects_asymmetry(tmp_path, capsys):
     assert "asymmetry" in capsys.readouterr().err
 
 
+def test_compute_rejects_boolean_dim(tmp_path, capsys):
+    # bool is an int in Python, so "dim": true once read as dim 1
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps([{"dim": True, "entries": [[[1.0, 0.0]]]}] * 2))
+    assert main(["compute", str(pair)]) == 2
+    assert "invalid dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_compute_rejects_non_finite_entries(bad, tmp_path, capsys):
+    # json.load accepts these tokens; they must not reach an eigendecomposition
+    pair = tmp_path / "pair.json"
+    good = '{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+    pair.write_text(f'[{good.replace("[1, 0], [0, 0]]", f"[{bad}, 0], [0, 0]]", 1)}, {good}]')
+    assert main(["compute", str(pair)]) == 2
+    assert "entries must be finite" in capsys.readouterr().err
+
+
 def test_compute_rejects_unequal_dimensions(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -28,8 +28,10 @@ CALLS = {
     "dual_optimizers_min": ((3, 0), lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
     "dual_optimizers_half": ((2, 0), lambda X, Y, Yk: fidlab.dual_optimizers("half", X, Y)),
     "optimal_reverse_test": ((3, 0), lambda X, Y, Yk: fidlab.optimal_reverse_test(X, Y)),
-    # the operands, the SVD, the Schur test and the three of polar_max
-    "duality_certificate_max": ((6, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
+    # the operands, the SVD, the Schur test and the dual block
+    "duality_certificate_max": ((4, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
+    # the operands, the min frame, the Schur test and the dual block at the optimal twist
+    "duality_certificate_min": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("min", X, Y)),
     # the operands and the three of polar_half
     "duality_certificate_half": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("half", X, Y)),
 }
@@ -66,7 +68,7 @@ def _rotated_kernel(dim, rank, rng):
     return 0.5 * (Y + Y.conj().T)
 
 
-@pytest.mark.parametrize("dim", [3, 8])
+@pytest.mark.parametrize("dim", [2, 3, 8])
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_decompositions_per_call(call, dim, lapack_calls):
     rng = rng_for(70, dim)
@@ -80,32 +82,26 @@ def test_decompositions_per_call(call, dim, lapack_calls):
 
 @pytest.mark.parametrize("dim", [3, 8])
 def test_min_certificate_takes_no_svd(dim, lapack_calls):
-    # its eigvalsh count is set by the polar_min bracket and has a ceiling below
     rng = rng_for(70, dim)
     fidlab.duality_certificate("min", random_pd(dim, rng), random_pd(dim, rng))
     assert lapack_calls["svd"] == 0
     assert lapack_calls["spectral_norm"] == 0
 
 
-# ceilings on eigh + eigvalsh per call where the polar_min bracket sets the
-# count, at dims >= 3 (for the min certificate, the bracket on its boundary
-# pair L*), measured with the chord bound and chord split; a midpoint split on
-# the endpoint bound min(g(a), g(b)) / cosh(h) takes 35/39/42/40 and 95/130.
-# Dim 2 takes the exact qubit form and no bracket, so its counts are exact.
+# ceilings on eigh + eigvalsh per polar_min at dims >= 3, where the bracket
+# sets the count, measured with the chord bound and chord split; a midpoint
+# split on the endpoint bound min(g(a), g(b)) / cosh(h) takes 35/39/42/40.
+# Dim 2 takes the exact qubit form and no bracket, so its count is exact.
+# No certificate runs the bracket: its dual check is one block eigenvalue.
 BRACKET_CEILINGS = {
     ("polar_min", 3): 11, ("polar_min", 4): 15, ("polar_min", 8): 20, ("polar_min", 12): 17,
-    ("duality_certificate_min", 3): 32, ("duality_certificate_min", 4): 47,
 }
 
 
 @pytest.mark.parametrize("call, dim", sorted(BRACKET_CEILINGS))
 def test_polar_min_bracket_decompositions(call, dim, lapack_calls):
     rng = rng_for(70, dim)
-    X, Y = random_pd(dim, rng), random_pd(dim, rng)
-    if call == "polar_min":
-        fidlab.polar_min(X, Y)
-    else:
-        fidlab.duality_certificate("min", X, Y)
+    fidlab.polar_min(random_pd(dim, rng), random_pd(dim, rng))
     assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= BRACKET_CEILINGS[call, dim]
 
 
@@ -114,16 +110,6 @@ def test_qubit_polar_min_decompositions(lapack_calls):
     fidlab.polar_min(random_pd(2, rng), random_pd(2, rng))
     assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == 2
     assert lapack_calls["svd"] == 0
-
-
-def test_qubit_min_certificate_decompositions(lapack_calls):
-    # the two operands, the min frame, the Schur test and the two operands of
-    # the qubit polar of L*; the bracket on L* in its place makes it 19 here
-    rng = rng_for(70, 2)
-    fidlab.duality_certificate("min", random_pd(2, rng), random_pd(2, rng))
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == 6
-    assert lapack_calls["svd"] == 0
-    assert lapack_calls["spectral_norm"] == 0
 
 
 # scipy.optimize stays unloaded by the import, by a dim-2 polar_min with

@@ -15,6 +15,7 @@ from fidlab.fidelity import (
     fidelity_min_via_twist,
     optimal_measurement,
     optimal_reverse_test,
+    optimal_twist,
 )
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -120,7 +121,8 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
     lambda: OperatorPair(I2, I3),
     lambda: fidlab.povm_lower_bound(I2, I3, n_outcomes=9),
     lambda: optimal_measurement(I2, I3),
-    lambda: fidelity_min_via_twist(I2, I3),
+    lambda: _twist_search(I2, I3),
+    lambda: optimal_twist(I2, I3),
     lambda: fidlab.mfmax_membership(I2, I3),
     lambda: fidlab.mfmin_qubit_membership(I2, I3),
     lambda: fidlab.block_psd(I2, np.zeros((2, 2)), I3),
@@ -130,7 +132,7 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
         "composed_lyapunov_spectrum", "positive_fixed_point", "lyapunov_solve",
         "polar_max_qubit", "polar_min_qubit_direct", "schur_reduce", "OperatorPair",
         "povm_lower_bound", "optimal_measurement", "fidelity_min_via_twist",
-        "mfmax_membership", "mfmin_qubit_membership", "block_psd"])
+        "optimal_twist", "mfmax_membership", "mfmin_qubit_membership", "block_psd"])
 def test_operands_of_unequal_dimension_are_refused(call):
     with pytest.raises(DimensionMismatch):
         call()
@@ -209,10 +211,17 @@ def test_optimal_reverse_test_commuting():
     assert np.allclose(recon_y, DIAG_Y, atol=1e-10)
 
 
+def _twist_search(*args, **kwargs):
+    """fidelity_min_via_twist, which is deprecated in favour of optimal_twist."""
+    with pytest.warns(DeprecationWarning, match="optimal_twist"):
+        return fidelity_min_via_twist(*args, **kwargs)
+
+
 def test_twist_on_commuting_pair():
     # already commuting: optimal A = 0 and the twist value meets F_min = F_max
-    val = fidelity_min_via_twist(DIAG_X, DIAG_Y, restarts=2, seed=0)
+    val = _twist_search(DIAG_X, DIAG_Y, restarts=2, seed=0)
     assert val == pytest.approx(F_DIAG, abs=1e-8)
+    assert np.allclose(optimal_twist(DIAG_X, DIAG_Y), 0.0, atol=1e-14)
 
 
 def _rotated_rank_deficient(dim, rank, rng):

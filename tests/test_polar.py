@@ -296,3 +296,20 @@ def test_dim2_request_paths_never_enter_the_bracket(monkeypatch, tmp_path, capsy
     ]))
     assert main(["compute", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["certificates"]["min"]["valid"]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_min_certificates_never_run_a_min_polar(dim, monkeypatch):
+    # a min certificate checks its dual pair on one block eigenvalue at the
+    # optimal twist, so neither the bracket nor the qubit form is reached
+    polar_module = importlib.import_module("fidlab.polar")
+    qubit_module = importlib.import_module("fidlab.qubit_geom")
+
+    def refuse(*args):
+        raise AssertionError("a min certificate ran a min polar")
+
+    monkeypatch.setattr(polar_module, "_polar_min_bracket", refuse)
+    monkeypatch.setattr(polar_module, "_polar_min_qubit", refuse)
+    monkeypatch.setattr(qubit_module, "_polar_min_qubit", refuse)
+    rng = rng_for(72, dim)
+    assert duality_certificate("min", random_pd(dim, rng), random_pd(dim, rng)).is_valid
