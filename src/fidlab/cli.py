@@ -25,6 +25,14 @@ from .verify import Report, run_suite
 _KINDS = ("max", "min", "half")
 
 
+def _entry(e) -> complex:
+    """One [re, im] list of two JSON numbers; exact types, so true and false are refused."""
+    if type(e) is list and len(e) == 2 and type(e[0]) in (int, float) \
+            and type(e[1]) in (int, float):
+        return complex(e[0], e[1])
+    raise ParseError(f"entry {e!r} is not an [re, im] pair of numbers")
+
+
 def _parse_matrix(obj) -> np.ndarray:
     """One MatrixFile object {dim, entries of [re, im] pairs} to Hermitian."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
@@ -35,12 +43,9 @@ def _parse_matrix(obj) -> np.ndarray:
         raise ParseError(f"invalid dim {dim!r}")
     entries = obj["entries"]
     try:
-        arr = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in entries],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"entries are not [re, im] pairs: {exc}") from exc
+        arr = np.array([[_entry(e) for e in row] for row in entries], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"entries are not rows of [re, im] pairs: {exc}") from exc
     if arr.shape != (dim, dim):
         raise ParseError(f"entries shape {arr.shape} does not match dim {dim}")
     # json.load accepts NaN and Infinity
@@ -141,6 +146,12 @@ def cmd_verify(args) -> int:
             dims = tuple(int(d) for d in args.dims.split(","))
         except ValueError as exc:
             raise ParseError(f"bad --dims list {args.dims!r}") from exc
+        if min(dims) < 1:
+            raise ParseError(f"--dims entries must be >= 1, got {args.dims!r}")
+    if args.trials is not None and args.trials < 1:
+        raise ParseError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     rep = run_suite(args.suite, dims=dims, trials=args.trials, seed=args.seed)
     _emit(_report_dict(rep, args.reproducible), args)
     return 0 if rep.passed else 1

@@ -9,13 +9,12 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.linalg as npl
 
-from .channels import Povm, rng_for
+from .channels import Povm
 from .errors import LengthMismatch, NegativeEntry
 from .linalg_core import OperatorPair, Spectrum, hermitianize, psd_pair, psd_sqrt
 from .superop import _lyapunov_solve
@@ -29,7 +28,6 @@ __all__ = [
     "optimal_measurement",
     "optimal_reverse_test",
     "optimal_twist",
-    "fidelity_min_via_twist",
     "ReverseTest",
 ]
 
@@ -213,54 +211,3 @@ def optimal_twist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     T = _optimizers("min", *psd_pair(X, Y, definite=True))[2]
     return hermitianize(-1j * T)
-
-
-def _herm_from_params(v: np.ndarray, dim: int) -> np.ndarray:
-    A = np.zeros((dim, dim), dtype=complex)
-    idx = 0
-    for i in range(dim):
-        A[i, i] = v[idx]
-        idx += 1
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            A[i, j] = v[idx] + 1j * v[idx + 1]
-            A[j, i] = v[idx] - 1j * v[idx + 1]
-            idx += 2
-    return A
-
-
-def fidelity_min_via_twist(
-    X: np.ndarray, Y: np.ndarray, restarts: int = 20, seed: int = 0
-) -> float:
-    """
-    F_min as min over Hermitian A of F_max(X, (I - iA) Y (I + iA)),
-    by multistart Nelder-Mead over the real parameterization of A.
-
-    Deprecated: `optimal_twist` gives the minimizing A in closed form.
-    """
-    warnings.warn("fidelity_min_via_twist is deprecated and will be removed; "
-                  "use optimal_twist", DeprecationWarning, stacklevel=2)
-    from scipy.optimize import minimize
-
-    X, Y, _, _ = psd_pair(X, Y, definite=True)
-    dim = X.shape[0]
-    eye = np.eye(dim)
-    n_params = dim * dim
-
-    def objective(v: np.ndarray) -> float:
-        A = _herm_from_params(v, dim)
-        Yt = hermitianize((eye - 1j * A) @ Y @ (eye + 1j * A))
-        return fidelity_max(X, Yt)
-
-    best = objective(np.zeros(n_params))
-    for r in range(restarts):
-        rng = rng_for(seed, r)
-        x0 = np.zeros(n_params) if r == 0 else rng.standard_normal(n_params)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-9, "fatol": 1e-12},
-        )
-        best = min(best, float(res.fun))
-    return best

@@ -211,15 +211,15 @@ def _decomposition_value(
     A = np.column_stack([_real_embed(M) for M in live])
     c0, r0 = nnls(A, _real_embed(L0))
     c1, r1 = nnls(A, _real_embed(L1))
-    if r0 > 1e-8 or r1 > 1e-8:
-        if strict:
-            return None
-        # soft penalty so direction refinement can walk toward feasibility
-        return float(np.min(2.0 * np.sqrt(np.maximum(c0 * c1, 0.0)))) - 50.0 * (r0 + r1)
     base = float(np.min(2.0 * np.sqrt(np.maximum(c0 * c1, 0.0))))
+    if r0 > 1e-8 or r1 > 1e-8:
+        # soft penalty so direction refinement can walk toward feasibility
+        return None if strict else base - 50.0 * (r0 + r1)
+    if not strict:
+        return base
     N = null_space(A)
     k = N.shape[1]
-    if k == 0 or not strict:
+    if k == 0:
         return base
 
     def interior(c: np.ndarray) -> np.ndarray | None:

@@ -92,6 +92,16 @@ def test_compute_rejects_non_finite_entries(bad, tmp_path, capsys):
     assert "entries must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [[True, False], [1, 0, 7], {"re": 1}, [10 ** 400, 0]],
+                         ids=["boolean", "three-numbers", "object", "beyond-float"])
+def test_compute_rejects_entries_that_are_not_number_pairs(entry, tmp_path, capsys):
+    # only [re, im] lists of two finite JSON numbers are read; bool is an int in Python
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps([{"dim": 1, "entries": [[entry]]}] * 2))
+    assert main(["compute", str(pair)]) == 2
+    assert "[re, im] pair" in capsys.readouterr().err
+
+
 def test_compute_rejects_unequal_dimensions(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -124,6 +134,21 @@ def test_verify_timestamp_present_by_default(capsys):
     assert main(["verify", "errata", "--seed", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "timestamp" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "--trials", "0"],
+    ["sandwich", "--trials", "-3"],
+    ["sandwich", "--dims", "0", "--trials", "2"],
+    ["duality", "--dims", "-1"],
+    ["duality", "--dims", "2,0", "--trials", "1"],
+    ["sandwich", "--dims", "2", "--trials", "1", "--seed", "-1"],
+], ids=["zero-trials", "negative-trials", "zero-dim", "negative-dim", "zero-dim-in-list",
+        "negative-seed"])
+def test_verify_rejects_out_of_range_arguments(argv, capsys):
+    # exit 1 is reserved for invariant failures, so an out-of-range argument exits 2
+    assert main(["verify", *argv]) == 2
+    assert "must be >= " in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):

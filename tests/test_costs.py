@@ -28,6 +28,8 @@ CALLS = {
     "dual_optimizers_min": ((3, 0), lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
     "dual_optimizers_half": ((2, 0), lambda X, Y, Yk: fidlab.dual_optimizers("half", X, Y)),
     "optimal_reverse_test": ((3, 0), lambda X, Y, Yk: fidlab.optimal_reverse_test(X, Y)),
+    # the operands and the min frame: the one path to F_min's twist form
+    "optimal_twist": ((3, 0), lambda X, Y, Yk: fidlab.optimal_twist(X, Y)),
     # the operands, the SVD, the Schur test and the dual block
     "duality_certificate_max": ((4, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
     # the operands, the min frame, the Schur test and the dual block at the optimal twist
@@ -113,20 +115,27 @@ def test_qubit_polar_min_decompositions(lapack_calls):
 
 
 # scipy.optimize stays unloaded by the import, by a dim-2 polar_min with
-# unequal Bloch radii (the qubit circle minimum) and by a whole
-# `fidlab compute` on the same pair
+# unequal Bloch radii (the qubit circle minimum), by optimal_twist, by a whole
+# `fidlab compute` on the same pair and by `fidlab verify duality`: only
+# povm_lower_bound loads it
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import numpy as np
 import fidlab, fidlab.cli
+pair = [np.array([[complex(*z) for z in row] for row in m["entries"]])
+        for m in json.load(open(sys.argv[1]))]
 loaded = ["scipy.optimize" in sys.modules]
-fidlab.polar_min(*(np.array([[complex(*z) for z in row] for row in m["entries"]])
-                   for m in json.load(open(sys.argv[1]))))
+fidlab.polar_min(*pair)
 loaded.append("scipy.optimize" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    code = fidlab.cli.main(["compute", sys.argv[1], "--format", "json"])
+fidlab.optimal_twist(*pair)
 loaded.append("scipy.optimize" in sys.modules)
-print(code, *loaded)
+codes = []
+for argv in (["compute", sys.argv[1], "--format", "json"],
+             ["verify", "duality", "--trials", "1", "--reproducible"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(fidlab.cli.main(argv))
+    loaded.append("scipy.optimize" in sys.modules)
+print(*codes, *loaded)
 """
 
 
@@ -141,4 +150,4 @@ def test_import_does_not_load_scipy_optimize(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(pair)], env=env,
                          check=True, capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["0", "False", "False", "False"]
+    assert out.stdout.split() == ["0", "0"] + ["False"] * 5

@@ -12,7 +12,6 @@ from fidlab.fidelity import (
     fidelity_half,
     fidelity_max,
     fidelity_min,
-    fidelity_min_via_twist,
     optimal_measurement,
     optimal_reverse_test,
     optimal_twist,
@@ -121,7 +120,6 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
     lambda: OperatorPair(I2, I3),
     lambda: fidlab.povm_lower_bound(I2, I3, n_outcomes=9),
     lambda: optimal_measurement(I2, I3),
-    lambda: _twist_search(I2, I3),
     lambda: optimal_twist(I2, I3),
     lambda: fidlab.mfmax_membership(I2, I3),
     lambda: fidlab.mfmin_qubit_membership(I2, I3),
@@ -131,8 +129,8 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
         "dual_optimizers_half", "duality_certificate", "optimal_reverse_test",
         "composed_lyapunov_spectrum", "positive_fixed_point", "lyapunov_solve",
         "polar_max_qubit", "polar_min_qubit_direct", "schur_reduce", "OperatorPair",
-        "povm_lower_bound", "optimal_measurement", "fidelity_min_via_twist",
-        "optimal_twist", "mfmax_membership", "mfmin_qubit_membership", "block_psd"])
+        "povm_lower_bound", "optimal_measurement", "optimal_twist",
+        "mfmax_membership", "mfmin_qubit_membership", "block_psd"])
 def test_operands_of_unequal_dimension_are_refused(call):
     with pytest.raises(DimensionMismatch):
         call()
@@ -211,17 +209,13 @@ def test_optimal_reverse_test_commuting():
     assert np.allclose(recon_y, DIAG_Y, atol=1e-10)
 
 
-def _twist_search(*args, **kwargs):
-    """fidelity_min_via_twist, which is deprecated in favour of optimal_twist."""
-    with pytest.warns(DeprecationWarning, match="optimal_twist"):
-        return fidelity_min_via_twist(*args, **kwargs)
-
-
 def test_twist_on_commuting_pair():
-    # already commuting: optimal A = 0 and the twist value meets F_min = F_max
-    val = _twist_search(DIAG_X, DIAG_Y, restarts=2, seed=0)
-    assert val == pytest.approx(F_DIAG, abs=1e-8)
-    assert np.allclose(optimal_twist(DIAG_X, DIAG_Y), 0.0, atol=1e-14)
+    # already commuting: optimal A = 0 and the twisted F_max meets F_min = F_max
+    A = optimal_twist(DIAG_X, DIAG_Y)
+    assert np.allclose(A, 0.0, atol=1e-14)
+    eye = np.eye(2)
+    twisted = (eye - 1j * A) @ DIAG_Y @ (eye + 1j * A)
+    assert fidelity_max(DIAG_X, twisted) == pytest.approx(F_DIAG, abs=1e-12)
 
 
 def _rotated_rank_deficient(dim, rank, rng):
