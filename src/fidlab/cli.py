@@ -19,7 +19,7 @@ from .errors import FidlabError, ParseError, UnknownSuite
 from .fidelity import fidelity
 from .polar import polar, polar_membership
 from .qubit_geom import M0Frame, f1, m0_extreme_points, m0_membership, \
-    mfmin_qubit_membership, unique_root_w
+    mfmin_qubit_membership
 from .verify import Report, run_suite
 
 _KINDS = ("max", "min", "half")

@@ -4,11 +4,12 @@
 # max and half kinds; for min the exact qubit form at dim 2 and at dims >= 3 a
 # certified branch-and-bound bracket over one scalar (bounded and split by the
 # chord of a concave function); the membership semantics (polar >= 1 <=>
-# dual-body membership), and a randomized POVM-decomposition lower bound for
-# the max polar. Every dual pair (L0, L1) is admitted by `linalg_core.psd_pair`
-# before any routing, so the dim-2 closed form sees only valid pairs. Max and
-# min duality certificates do not come here: `certify` checks their dual pair
-# on one eigenvalue of the dual block at the optimal twist.
+# dual-body membership), and the max polar's lower bound from one explicit
+# POVM decomposition on the eigenbases of L0 and of polar_max's slack. Every
+# dual pair (L0, L1) is admitted by `linalg_core.psd_pair` before any routing,
+# so the dim-2 closed form sees only valid pairs. Max and min duality
+# certificates do not come here: `certify` checks their dual pair on one
+# eigenvalue of the dual block at the optimal twist.
 
 from __future__ import annotations
 
@@ -18,11 +19,10 @@ import math
 import numpy as np
 import numpy.linalg as npl
 
-from .channels import rng_for
 from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
 from .linalg_core import Spectrum, hermitianize, psd_pair, spectrum
-from .superop import _composed_lyapunov_matrix, vec
+from .superop import _composed_lyapunov_matrix
 from .qubit_geom import _polar_min_qubit
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
 _BRACKET_REL_WIDTH = 1e-10
 _BRACKET_MAX_EVALS = 1000
 _DUAL_NAMES = ("L0", "L1")
+# weight of the slack's eigenbasis in _max_decomposition; its bound falls short
+# of polar_max by about _POVM_EPS sqrt(kappa(L0)) / 2 relative
+_POVM_EPS = 1e-9
 
 
 def polar_classical(l0, l1) -> float:
@@ -53,6 +56,11 @@ def polar_classical(l0, l1) -> float:
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
     L0, _, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
+    return _polar_max(L0, S0, S1)
+
+
+def _polar_max(L0: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
+    """polar_max of an admitted pair, read off its spectra S0, S1."""
     if S0.is_singular or S1.is_singular:
         return 0.0
     s1 = S1.sqrt()
@@ -174,173 +182,49 @@ def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
     return p >= 1.0 - 1e-9
 
 
-def _real_embed(H: np.ndarray) -> np.ndarray:
-    v = vec(H)
-    return np.concatenate([v.real, v.imag])
+def _max_decomposition(L0: np.ndarray, L1: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """
+    (elements, l0, l1): a POVM of 2 dim elements M_i with L_k = sum_i l_k,i M_i,
+    whose classical polar is within O(_POVM_EPS sqrt(kappa(L0))) below
+    p = polar_max; None on singular pairs.
 
-
-def _povm_from_vectors(G: np.ndarray) -> list[np.ndarray] | None:
-    """Rank-1 POVM S^{-1/2} g_i g_i^dagger S^{-1/2} from a vector family."""
-    raw = [np.outer(g, g.conj()) for g in G]
-    S = spectrum(sum(raw))
-    if S.eigenvalues[0] <= S.tol:
+    With (a_i, E_i) the eigenpairs of L0/p, the slack P = L1/p - (L0/p)^{-1}/4
+    is PSD (that is polar_max >= p); with (b_j, F_j) its eigenpairs and
+    delta = sqrt(a_min a_max), the POVM {(1-eps) E_i} u {eps F_j} carries
+    l0 = p (a_i - eps delta)/(1-eps), l1 = p (1/(4a_i) - eps/(4 delta))/(1-eps)
+    on the E_i and l0 = p delta, l1 = p (b_j/eps + 1/(4 delta)) on the F_j.
+    By AM-GM the E_i give p sqrt((1 - eps delta/a_i)(1 - eps a_i/delta))/(1-eps)
+    <= p and the F_j give >= p. The b_j are clamped at 0; a p above the polar
+    then leaves a residual, and any residual above 1e-8 (1 + ||L_k||) raises
+    DecompositionInfeasible rather than return a bound above the polar.
+    """
+    L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
+    p = _polar_max(L0, S0, S1)
+    if p == 0.0:
         return None
-    Sih = S.inv_sqrt()
-    return [hermitianize(Sih @ A @ Sih) for A in raw]
+    eps, dim = _POVM_EPS, S0.dim
+    a = S0.eigenvalues / p
+    delta = math.sqrt(a[0] * a[-1])
+    P = spectrum(L1 / p - S0.matrix(0.25 / a))
+    b = np.maximum(P.eigenvalues, 0.0)
+    vecs = np.concatenate([S0.eigenvectors, P.eigenvectors], axis=1)
+    weights = np.r_[np.full(dim, 1.0 - eps), np.full(dim, eps)]
+    elements = weights[:, None, None] * np.einsum("ik,jk->kij", vecs, vecs.conj())
+    l0 = p * np.r_[(a - eps * delta) / (1.0 - eps), np.full(dim, delta)]
+    l1 = p * np.r_[(0.25 / a - 0.25 * eps / delta) / (1.0 - eps), b / eps + 0.25 / delta]
+    for name, L, S, l in (("L0", L0, S0, l0), ("L1", L1, S1, l1)):
+        miss = float(npl.norm(np.tensordot(l, elements, 1) - L))
+        if miss > 1e-8 * (1.0 + S.norm):
+            raise DecompositionInfeasible(f"the decomposition misses {name} by {miss:.3e}")
+    return elements, l0, l1
 
 
-def _decomposition_value(
-    elements: list[np.ndarray], L0: np.ndarray, L1: np.ndarray, strict: bool
-) -> float | None:
+def povm_lower_bound(L0: np.ndarray, L1: np.ndarray) -> float:
     """
-    hat-F^C of the best coefficients found for this POVM, or None.
-
-    NNLS gives a vertex of each coefficient polytope; when the POVM spans
-    more than the Hermitian space, the leftover affine freedom is used by
-    a concave epigraph program maximizing min_i (log l0_i + log l1_i).
-    In strict mode any fit with residual above 1e-8 is rejected so the
-    returned value is a true lower bound.
+    The classical polar of one explicit POVM decomposition
+    L_k = sum_i l_k,i M_i (see _max_decomposition): a lower bound on
+    polar_max within O(1e-9 sqrt(kappa(L0))) relative; 0 on singular pairs.
     """
-    from scipy.linalg import null_space
-    from scipy.optimize import linprog, minimize, nnls
-
-    live = [M for M in elements if npl.norm(M) > 1e-12]
-    if not live:
-        return None
-    n = len(live)
-    A = np.column_stack([_real_embed(M) for M in live])
-    c0, r0 = nnls(A, _real_embed(L0))
-    c1, r1 = nnls(A, _real_embed(L1))
-    base = float(np.min(2.0 * np.sqrt(np.maximum(c0 * c1, 0.0))))
-    if r0 > 1e-8 or r1 > 1e-8:
-        # soft penalty so direction refinement can walk toward feasibility
-        return None if strict else base - 50.0 * (r0 + r1)
-    if not strict:
-        return base
-    N = null_space(A)
-    k = N.shape[1]
-    if k == 0:
-        return base
-
-    def interior(c: np.ndarray) -> np.ndarray | None:
-        # strictly positive point of {c + N xi >= 0} via max-min LP
-        res = linprog(
-            c=np.r_[np.zeros(k), -1.0],
-            A_ub=np.c_[-N, np.ones(n)],
-            b_ub=c,
-            bounds=[(None, None)] * (k + 1),
-            method="highs",
-        )
-        if not res.success or -res.fun <= 1e-12:
-            return None
-        return c + N @ res.x[:k]
-
-    l0 = interior(c0)
-    l1 = interior(c1)
-    if l0 is None or l1 is None:
-        return base
-
-    def l_of(x):
-        return l0 + N @ x[:k], l1 + N @ x[k : 2 * k]
-
-    def cons_f(x):
-        a, b = l_of(x)
-        return (
-            np.log(np.maximum(a, 1e-300))
-            + np.log(np.maximum(b, 1e-300))
-            - x[-1]
-        )
-
-    def cons_jac(x):
-        a, b = l_of(x)
-        J = np.zeros((n, 2 * k + 1))
-        J[:, :k] = N / np.maximum(a, 1e-300)[:, None]
-        J[:, k : 2 * k] = N / np.maximum(b, 1e-300)[:, None]
-        J[:, -1] = -1.0
-        return J
-
-    t0 = float(np.min(np.log(np.maximum(l0, 1e-300)) + np.log(np.maximum(l1, 1e-300))))
-    res = minimize(
-        lambda x: -x[-1],
-        np.r_[np.zeros(2 * k), t0],
-        jac=lambda x: np.r_[np.zeros(2 * k), -1.0],
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    base = max(base, 2.0 * float(np.exp(t0 / 2.0)))
-    if res.x is None or not np.all(np.isfinite(res.x)):
-        return base
-    a, b = l_of(res.x)
-    if a.min() < -1e-12 or b.min() < -1e-12:
-        return base
-    prods = np.maximum(a, 0.0) * np.maximum(b, 0.0)
-    return max(base, float(np.min(2.0 * np.sqrt(prods))))
-
-
-def povm_lower_bound(
-    L0: np.ndarray,
-    L1: np.ndarray,
-    n_outcomes: int,
-    trials: int = 100,
-    seed: int = 0,
-) -> float:
-    """
-    Best classical polar over sampled POVM decompositions
-    L_theta = sum_i l_{theta, i} M_i.
-
-    Random rank-1 POVMs are sampled, coefficients fitted by nonnegative
-    least squares, and the most promising direction sets refined by a
-    derivative-free local search. Only decompositions with fit residual
-    below 1e-8 contribute, so the result is a true lower bound for the max
-    polar.
-    """
-    from scipy.optimize import minimize
-
-    L0, L1, _, _ = psd_pair(L0, L1, _DUAL_NAMES)
-    dim = L0.shape[0]
-    if n_outcomes < dim * dim:
-        raise ValueError("n_outcomes must be at least dim^2")
-    best = None
-    # joint eigenbasis: exact for commuting pairs
-    _, V = npl.eigh(L0 + L1)
-    eig_els = [np.outer(V[:, i], V[:, i].conj()) for i in range(dim)]
-    cand = _decomposition_value(eig_els, L0, L1, strict=True)
-    if cand is not None:
-        best = cand
-
-    def vectors_value(flat: np.ndarray, strict: bool) -> float | None:
-        G = (
-            flat[: n_outcomes * dim] + 1j * flat[n_outcomes * dim :]
-        ).reshape(n_outcomes, dim)
-        els = _povm_from_vectors(G)
-        if els is None:
-            return None if strict else -100.0
-        return _decomposition_value(els, L0, L1, strict=strict)
-
-    starts: list[tuple[float, np.ndarray]] = []
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        flat = rng.standard_normal(2 * n_outcomes * dim)
-        v = vectors_value(flat, strict=False)
-        if v is not None:
-            starts.append((v, flat))
-        v_strict = vectors_value(flat, strict=True)
-        if v_strict is not None:
-            best = v_strict if best is None else max(best, v_strict)
-    starts.sort(key=lambda sv: -sv[0])
-    for _, flat in starts[: min(8, len(starts))]:
-        res = minimize(
-            lambda x: -(vectors_value(x, strict=False) or -100.0),
-            flat,
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "fatol": 1e-12, "xatol": 1e-9},
-        )
-        v = vectors_value(res.x, strict=True)
-        if v is not None:
-            best = v if best is None else max(best, v)
-    if best is None:
-        raise DecompositionInfeasible(
-            f"no nonnegative decomposition found in {trials} trials"
-        )
-    return float(best)
+    dec = _max_decomposition(L0, L1)
+    return 0.0 if dec is None else polar_classical(dec[1], dec[2])

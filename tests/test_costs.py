@@ -30,6 +30,8 @@ CALLS = {
     "optimal_reverse_test": ((3, 0), lambda X, Y, Yk: fidlab.optimal_reverse_test(X, Y)),
     # the operands and the min frame: the one path to F_min's twist form
     "optimal_twist": ((3, 0), lambda X, Y, Yk: fidlab.optimal_twist(X, Y)),
+    # the operands, lambda_min(sqrt(L1) L0 sqrt(L1)) and the slack of polar_max
+    "povm_lower_bound": ((4, 0), lambda X, Y, Yk: fidlab.povm_lower_bound(X, Y)),
     # the operands, the SVD, the Schur test and the dual block
     "duality_certificate_max": ((4, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
     # the operands, the min frame, the Schur test and the dual block at the optimal twist
@@ -114,27 +116,29 @@ def test_qubit_polar_min_decompositions(lapack_calls):
     assert lapack_calls["svd"] == 0
 
 
-# scipy.optimize stays unloaded by the import, by a dim-2 polar_min with
-# unequal Bloch radii (the qubit circle minimum), by optimal_twist, by a whole
-# `fidlab compute` on the same pair and by `fidlab verify duality`: only
-# povm_lower_bound loads it
+# no scipy module is loaded by the import, by a dim-2 polar_min with unequal
+# Bloch radii (the qubit circle minimum), by optimal_twist, by povm_lower_bound,
+# by a whole `fidlab compute` on the same pair, by `fidlab verify duality` or
+# by `fidlab verify operational`, which runs povm_lower_bound on every trial
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import numpy as np
 import fidlab, fidlab.cli
 pair = [np.array([[complex(*z) for z in row] for row in m["entries"]])
         for m in json.load(open(sys.argv[1]))]
-loaded = ["scipy.optimize" in sys.modules]
-fidlab.polar_min(*pair)
-loaded.append("scipy.optimize" in sys.modules)
-fidlab.optimal_twist(*pair)
-loaded.append("scipy.optimize" in sys.modules)
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+loaded = [scipy_loaded()]
+for call in (fidlab.polar_min, fidlab.optimal_twist, fidlab.povm_lower_bound):
+    call(*pair)
+    loaded.append(scipy_loaded())
 codes = []
 for argv in (["compute", sys.argv[1], "--format", "json"],
-             ["verify", "duality", "--trials", "1", "--reproducible"]):
+             ["verify", "duality", "--trials", "1", "--reproducible"],
+             ["verify", "operational", "--trials", "1", "--reproducible"]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(fidlab.cli.main(argv))
-    loaded.append("scipy.optimize" in sys.modules)
+    loaded.append(scipy_loaded())
 print(*codes, *loaded)
 """
 
@@ -150,4 +154,4 @@ def test_import_does_not_load_scipy_optimize(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(pair)], env=env,
                          check=True, capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["0", "0"] + ["False"] * 5
+    assert out.stdout.split() == ["0", "0", "0"] + ["False"] * 7

@@ -118,7 +118,7 @@ I2, I3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
     lambda: fidlab.polar_min_qubit(I3, I2),
     lambda: schur_reduce(I2, I3),
     lambda: OperatorPair(I2, I3),
-    lambda: fidlab.povm_lower_bound(I2, I3, n_outcomes=9),
+    lambda: fidlab.povm_lower_bound(I2, I3),
     lambda: optimal_measurement(I2, I3),
     lambda: optimal_twist(I2, I3),
     lambda: fidlab.mfmax_membership(I2, I3),

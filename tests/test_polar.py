@@ -7,12 +7,13 @@ import numpy.linalg as npl
 import pytest
 
 from fidlab.certify import duality_certificate
-from fidlab.channels import random_pd, rng_for
+from fidlab.channels import Povm, random_pd, rng_for
 from fidlab.cli import main
-from fidlab.errors import NoConvergence
+from fidlab.errors import DecompositionInfeasible, NoConvergence
 from fidlab.fidelity import dual_optimizers
 from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import (
+    _max_decomposition,
     _polar_min_bracket,
     polar,
     polar_classical,
@@ -127,29 +128,83 @@ def test_membership_min_below():
 
 
 def test_povm_lower_bound_identity_pair():
-    val = povm_lower_bound(I2, I2, n_outcomes=4, trials=10, seed=0)
-    assert val == pytest.approx(2.0, abs=1e-6)
-    assert val <= polar_max(I2, I2) + 1e-8
+    val = povm_lower_bound(I2, I2)
+    assert val == pytest.approx(2.0, abs=1e-12)
+    assert val <= polar_max(I2, I2) + 1e-12
 
 
 def test_povm_lower_bound_diagonal_pair():
     L0 = np.diag([1.0, 4.0]).astype(complex)
     L1 = np.diag([4.0, 1.0]).astype(complex)
-    val = povm_lower_bound(L0, L1, n_outcomes=4, trials=10, seed=0)
-    assert val == pytest.approx(polar_classical([1, 4], [4, 1]), abs=1e-6)
+    val = povm_lower_bound(L0, L1)
+    assert val == pytest.approx(polar_classical([1, 4], [4, 1]), rel=1e-7)
 
 
 def test_povm_lower_bound_one_sided():
     rng = rng_for(11)
     L0 = random_pd(2, rng)
     L1 = random_pd(2, rng)
-    val = povm_lower_bound(L0, L1, n_outcomes=4, trials=40, seed=1)
-    assert val <= polar_max(L0, L1) + 1e-8
+    pm = polar_max(L0, L1)
+    val = povm_lower_bound(L0, L1)
+    assert pm * (1 - 1e-7) <= val <= pm * (1 + 1e-12)
 
 
-def test_povm_lower_bound_rejects_small_n():
-    with pytest.raises(ValueError):
-        povm_lower_bound(I2, I2, n_outcomes=3, trials=5, seed=0)
+def test_povm_lower_bound_takes_no_knobs():
+    for knob in ("n_outcomes", "trials", "seed"):
+        with pytest.raises(TypeError):
+            povm_lower_bound(I2, I2, **{knob: 4})
+
+
+def _rotated(w, rng):
+    d = len(w)
+    U, _ = npl.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return hermitianize((U * np.asarray(w)) @ U.conj().T)
+
+
+def _check_decomposition(L0, L1):
+    elements, l0, l1 = _max_decomposition(L0, L1)
+    Povm(L0.shape[0], list(elements))
+    for L, l in ((L0, l0), (L1, l1)):
+        assert l.min() >= 0
+        assert npl.norm(np.tensordot(l, elements, 1) - L) <= 1e-10 * (1 + spectrum(L).norm)
+    pm, val = polar_max(L0, L1), povm_lower_bound(L0, L1)
+    assert val == polar_classical(l0, l1)
+    assert pm * (1 - 1e-7) <= val <= pm * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+def test_max_decomposition_is_a_povm_just_below_polar_max(dim):
+    for t in range(20):
+        rng = rng_for(5, dim, t)
+        _check_decomposition(random_pd(dim, rng), random_pd(dim, rng))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_max_decomposition_at_condition_number_1e4(dim):
+    # the shortfall grows as 1e-9 sqrt(kappa(L0)) / 2: 5e-8 relative here
+    for t in range(10):
+        rng = rng_for(38, dim, t)
+        w = np.geomspace(1.0, 1e-4, dim)
+        _check_decomposition(_rotated(w, rng), _rotated(w, rng))
+
+
+def test_povm_lower_bound_singular_pair_is_zero():
+    rng = rng_for(39)
+    L0 = _rotated([0.0, 1.5, 2.0], rng)
+    assert povm_lower_bound(L0, random_pd(3, rng)) == 0.0
+    assert povm_lower_bound(random_pd(3, rng), L0) == 0.0
+
+
+def test_povm_lower_bound_refuses_a_polar_above_polar_max(monkeypatch):
+    # a p above the polar leaves the slack L1/p - (L0/p)^{-1}/4 a negative
+    # eigenvalue; clamped at 0 it misses L1, and the fit gate raises
+    rng = rng_for(11)
+    L0, L1 = random_pd(3, rng), random_pd(3, rng)
+    polar_module = importlib.import_module("fidlab.polar")
+    exact = polar_module._polar_max
+    monkeypatch.setattr(polar_module, "_polar_max", lambda *a: 1.01 * exact(*a))
+    with pytest.raises(DecompositionInfeasible):
+        povm_lower_bound(L0, L1)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
