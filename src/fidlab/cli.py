@@ -116,13 +116,11 @@ def cmd_compute(args) -> int:
             certs[kind] = {"skipped": str(exc)}
     result["certificates"] = certs
     if A.shape[0] == 2:
-        memberships = {"max": mfmax_membership(A, B)}
-        try:
-            memberships["min"] = mfmin_qubit_membership(A, B)
-        except FidlabError as exc:
-            memberships["min"] = str(exc)
-        memberships["half"] = polar_membership("half", A, B)
-        result["dual_body_membership"] = memberships
+        result["dual_body_membership"] = {
+            "max": mfmax_membership(A, B),
+            "min": mfmin_qubit_membership(A, B),
+            "half": polar_membership("half", A, B),
+        }
     _emit(result, args)
     return 0
 
@@ -158,6 +156,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    # argparse's float() accepts nan and inf; the largest coordinate, 2 l^2, can overflow
+    if not np.all(np.isfinite([args.l, args.m, 2.0 * args.l * args.l])):
+        raise ParseError(f"--l, --m and 2 l^2 must be finite, got --l {args.l!r} --m {args.m!r}")
     frame = M0Frame(l=args.l, m=args.m, rotation=np.eye(2, dtype=complex))
     n = args.n_samples
     if n < 2:

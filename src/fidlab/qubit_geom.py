@@ -238,6 +238,8 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     4 L1 = L0^{-1} + sqrt(L0) K sqrt(L0) must have
     K = 4 L0^{-1/2} L1 L0^{-1/2} - L0^{-2} inside M0(L0^{-1}).
     L0 proportional to I falls back to the commuting test L1 >= (1/4) L0^{-1}.
+    An L0 that is PSD but not positive definite has no L0^{-1}; its pair is
+    decided by polar_membership's rule, exact qubit polar_min >= 1 - 1e-9.
     """
     L0 = hermitianize(as_square(L0))
     L1 = hermitianize(as_square(L1))
@@ -245,7 +247,9 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
         raise DimensionMismatch(f"L0 has dimension {L0.shape[0]} but L1 has {L1.shape[0]}")
     if L0.shape != (2, 2):
         raise DimensionMismatch("mfmin_qubit_membership is dim-2 only")
-    S0 = psd_spectrum(L0, "L0", definite=True)
+    S0 = psd_spectrum(L0, "L0")
+    if S0.eigenvalues[0] <= S0.tol:
+        return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= 1.0 - 1e-9
     # L0^{-1}, with eigenvalues mu ascending
     Minv = Spectrum(1.0 / S0.eigenvalues[::-1], S0.eigenvectors[:, ::-1])
     M = Minv.reconstruct()

@@ -174,6 +174,34 @@ def test_boundary_degenerate_frame(capsys):
     assert "DegenerateFrame" in capsys.readouterr().err
 
 
+def test_compute_singular_qubit_pair_reports_boolean_memberships(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    _write_matrix(a, [1.0, 0.0])
+    _write_matrix(b, [5.0, 5.0])
+    assert main(["compute", str(a), str(b), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["polar_min"] == 0.0
+    assert out["dual_body_membership"] == {"max": False, "min": False, "half": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l", "nan", "--m", "0"],
+    ["--l", "inf", "--m", "0"],
+    ["--l=-inf", "--m", "0"],
+    ["--l", "1e200", "--m", "0"],
+    ["--l", "1", "--m", "nan"],
+    ["--l", "1", "--m=-inf"],
+], ids=["l-nan", "l-inf", "l-minus-inf", "l-square-overflows", "m-nan", "m-minus-inf"])
+def test_boundary_rejects_non_finite_input(tmp_path, capsys, argv):
+    out_path = tmp_path / "boundary.csv"
+    assert main(["boundary", *argv, "--n-samples", "5", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_compute_rejects_retired_seed(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -5,7 +5,7 @@ import pytest
 from fidlab.channels import random_pd, rng_for
 from fidlab.errors import DegenerateFrame, DegenerateZ, SOutOfRange
 from fidlab.linalg_core import hermitianize, spectrum
-from fidlab.polar import _polar_min_bracket
+from fidlab.polar import _polar_min_bracket, polar_membership
 from fidlab.qubit_geom import (
     SIGMA_X,
     SIGMA_Y,
@@ -120,6 +120,33 @@ def test_mfmin_membership_extreme():
 def test_mfmin_membership_commuting_fallback():
     assert mfmin_qubit_membership(2 * I2, I2)
     assert not mfmin_qubit_membership(I2 / 4, I2 / 4)
+
+
+def test_mfmin_membership_on_a_singular_l0_is_false():
+    # polar_min is 0 whenever L0 has a kernel, so no L1 puts the pair in the body
+    assert not mfmin_qubit_membership(np.diag([1.0, 0.0]).astype(complex), 5 * I2)
+
+
+def test_mfmin_membership_on_a_near_singular_l0_follows_the_polar_rule():
+    # lambda_min(L0) in (2 eps ||L0||, 1e-10 (1 + ||L0||)]: too small for the
+    # M0 frame, so the pair is decided as polar_membership("min") decides it
+    eps = np.finfo(float).eps
+    members = 0
+    for t in range(200):
+        rng = rng_for(61, t)
+        U = npl.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        a = float(rng.uniform(0.5, 2.0))
+        lam = a * 10 ** rng.uniform(np.log10(3 * eps), -10)
+        L0 = U @ np.diag([lam, a]) @ U.conj().T
+        S0 = spectrum(L0)
+        assert 2 * eps * S0.norm < S0.eigenvalues[0] <= S0.tol
+        L1 = random_pd(2, rng)
+        # polar_min is homogeneous of degree 1/2 in L1: put the pair's polar near 1
+        L1 = L1 * (float(rng.uniform(0.9, 1.1)) / polar_min_qubit(L0, L1)) ** 2
+        got = mfmin_qubit_membership(L0, L1)
+        assert got == polar_membership("min", L0, L1)
+        members += got
+    assert 0 < members < 200
 
 
 def test_polar_max_qubit_values():
