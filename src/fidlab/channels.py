@@ -159,19 +159,17 @@ def random_cptp(dim_in: int, dim_out: int, env_dim: int, seed: int) -> KrausChan
 def measurement_channel(M: Povm) -> KrausChannel:
     """
     The CPTP map rho -> sum_i tr(rho M_i) |i><i| on an n-dimensional output,
-    with Kraus operators sqrt(lam) |i><phi| from the eigendecompositions of
-    the POVM elements.
+    with Kraus operators sqrt(lam) |i><phi| from the support eigenpairs of
+    each POVM element, one per unit of its rank.
     """
     n = M.n_outcomes
     dim = M.dim
     ops: list[np.ndarray] = []
     for i, el in enumerate(M.elements):
-        w, V = npl.eigh(el)
-        for r in range(dim):
-            if w[r] <= 0:
-                continue
+        sup = spectrum(el).support()
+        for lam, phi in zip(sup.eigenvalues, sup.eigenvectors.T):
             K = np.zeros((n, dim), dtype=complex)
-            K[i, :] = np.sqrt(w[r]) * V[:, r].conj()
+            K[i, :] = np.sqrt(lam) * phi.conj()
             ops.append(K)
     return KrausChannel(dim_in=dim, dim_out=n, kraus_ops=ops)
 
@@ -179,7 +177,8 @@ def measurement_channel(M: Povm) -> KrausChannel:
 def preparation_channel(states: list[np.ndarray]) -> KrausChannel:
     """
     The CPTP map |i><i| -> rho_i (off-diagonal inputs annihilated), realized
-    by the canonical dilation K_{i,r} = sqrt(lam_{i,r}) |v_{i,r}><i|.
+    by the canonical dilation K_{i,r} = sqrt(lam_{i,r}) |v_{i,r}><i| over the
+    support eigenpairs of each state.
     """
     states = [hermitianize(as_square(s)) for s in states]
     if not states:
@@ -191,17 +190,14 @@ def preparation_channel(states: list[np.ndarray]) -> KrausChannel:
         if rho.shape != (dim, dim):
             raise InvalidState("states have inconsistent dimensions")
         try:
-            sp = psd_spectrum(rho, "state")
+            sup = psd_spectrum(rho, "state").support()
         except Exception as exc:
             raise InvalidState(str(exc)) from exc
         if abs(np.trace(rho).real - 1.0) > 1e-9:
             raise InvalidState("state trace differs from 1")
-        w, V = sp.eigenvalues, sp.eigenvectors
-        for r in range(dim):
-            if w[r] <= 0:
-                continue
+        for lam, v in zip(sup.eigenvalues, sup.eigenvectors.T):
             K = np.zeros((dim, n), dtype=complex)
-            K[:, i] = np.sqrt(w[r]) * V[:, r]
+            K[:, i] = np.sqrt(lam) * v
             ops.append(K)
     return KrausChannel(dim_in=n, dim_out=dim, kraus_ops=ops)
 

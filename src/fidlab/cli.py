@@ -156,9 +156,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    # argparse's float() accepts nan and inf; the largest coordinate, 2 l^2, can overflow
-    if not np.all(np.isfinite([args.l, args.m, 2.0 * args.l * args.l])):
-        raise ParseError(f"--l, --m and 2 l^2 must be finite, got --l {args.l!r} --m {args.m!r}")
     frame = M0Frame(l=args.l, m=args.m, rotation=np.eye(2, dtype=complex))
     n = args.n_samples
     if n < 2:

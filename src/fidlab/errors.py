@@ -56,11 +56,11 @@ class RootAmbiguity(FidlabError):
 
 
 class DegenerateFrame(FidlabError):
-    """Frame parameter l vanishes; the sigma_z alignment is undefined."""
+    """Frame parameter l vanishes, or l, m or 2 l^2 is not finite."""
 
 
 class DecompositionInfeasible(FidlabError):
-    """No nonnegative POVM decomposition was found within the trial budget."""
+    """The explicit POVM decomposition misses L_k: p lies above the polar."""
 
 
 class UnknownSuite(FidlabError):

@@ -82,6 +82,10 @@ class M0Frame:
     rotation: np.ndarray
 
     def __post_init__(self) -> None:
+        # the largest extreme-point coordinate is 2 l^2, which can overflow
+        if not all(map(math.isfinite, (self.l, self.m, 2.0 * self.l * self.l))):
+            raise DegenerateFrame(
+                f"frame parameters l, m and 2 l^2 must be finite, got l={self.l!r} m={self.m!r}")
         if abs(self.l) <= FRAME_TOL:
             raise DegenerateFrame("frame parameter l vanishes")
 

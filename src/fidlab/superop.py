@@ -1,20 +1,19 @@
 # src/fidlab/superop.py
 #
 # Linear transforms on operator space: the Lyapunov operator S_Z solving
-# X = S Z + Z S, its dim^2 x dim^2 matrix representation (column-stacking
-# vectorization), the spectrum of the composition S_{L0} o S_{L1}, and a
+# X = S Z + Z S, the spectrum of the composition S_{L0} o S_{L1}, and a
 # PSD-cone power iteration for its leading eigenvector. Everything is built
-# from the spectrum of Z: S_Z is diagonal in the basis kron(conj V, V) with
-# weights 1 / (lambda_i + lambda_j), so the private helpers take a Spectrum
-# and never decompose Z again. S_{L0} o S_{L1} commutes with H -> H^dagger,
-# so its spectrum is that of its restriction to Hermitian operators: a real
-# symmetric Gram matrix A A^T of size dim^2 in L1's eigenbasis. Operand pairs
+# from the spectrum of Z: S_Z is diagonal on the matrix units |v_i><v_j| of
+# Z's eigenbasis with weights 1 / (lambda_i + lambda_j), so the private
+# helpers take a Spectrum and never decompose Z again. S_{L0} o S_{L1}
+# commutes with H -> H^dagger, so its spectrum is that of its restriction to
+# Hermitian operators: a real symmetric Gram matrix A A^T of size dim^2 in
+# L1's eigenbasis. Operand pairs
 # (L0, L1) are admitted by `linalg_core.psd_pair`; lyapunov_solve's X is a
 # Hermitian right-hand side, not a PSD operand, so only its size is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,36 +23,10 @@ from .errors import DimensionMismatch, NoConvergence, SingularPair
 from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum
 
 __all__ = [
-    "vec",
-    "unvec",
-    "SuperOperator",
     "lyapunov_solve",
-    "lyapunov_superop",
     "composed_lyapunov_spectrum",
     "positive_fixed_point",
 ]
-
-
-def vec(X: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(X, dtype=complex).flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vec for a dim x dim matrix."""
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
-
-
-@dataclass(frozen=True)
-class SuperOperator:
-    """A linear map on dim x dim operators, stored as a dim^2 x dim^2 matrix."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def apply(self, H: np.ndarray) -> np.ndarray:
-        H = as_square(H)
-        return unvec(self.matrix @ vec(H), self.dim)
 
 
 def lyapunov_solve(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -82,19 +55,6 @@ def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:
         raise SingularPair("X has weight on the kernel block of S_Z")
     St = np.where(singular, 0.0, Xt / np.where(singular, 1.0, denom))
     return hermitianize(V @ St @ V.conj().T)
-
-
-def lyapunov_superop(Z: np.ndarray) -> SuperOperator:
-    """
-    Matrix representation of S_Z for strictly positive Z: the matrix unit
-    |v_i><v_j| of Z's eigenbasis, at index j*dim + i of column stacking, is
-    an eigenvector with eigenvalue 1 / (lambda_i + lambda_j).
-    """
-    Zs = psd_spectrum(Z, "Z", definite=True)
-    w, V = Zs.eigenvalues, Zs.eigenvectors
-    basis = np.kron(V.conj(), V)
-    weights = (1.0 / (w[:, None] + w[None, :])).flatten(order="F")
-    return SuperOperator(dim=Zs.dim, matrix=hermitianize((basis * weights) @ basis.conj().T))
 
 
 @lru_cache(maxsize=64)
@@ -145,10 +105,11 @@ def _composed_lyapunov_matrix(S0: Spectrum, S1: Spectrum) -> np.ndarray:
 def composed_lyapunov_spectrum(L0: np.ndarray, L1: np.ndarray) -> Spectrum:
     """
     All dim^2 eigenvalues of S_{L0} o S_{L1}, via the similar Hermitian form
-    S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}, with eigenvectors in column-stacking
-    coordinates. The form commutes with H -> H^dagger, so its eigenpairs are
-    those of its real restriction to Hermitian operators, mapped back from
-    L1's basis of _hermitian_basis. Every eigenvalue is strictly positive.
+    S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}. Eigenvector k is the eigen-operator
+    H_k in column-stacking coordinates, H_k.flatten(order="F"). The form
+    commutes with H -> H^dagger, so its eigenpairs are those of its real
+    restriction to Hermitian operators, mapped back from L1's basis of
+    _hermitian_basis. Every eigenvalue is strictly positive.
     """
     _, _, S0, S1 = psd_pair(L0, L1, ("L0", "L1"), definite=True)
     d = S0.dim

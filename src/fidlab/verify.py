@@ -15,8 +15,11 @@ import numpy.linalg as npl
 
 from .certify import block_psd, duality_certificate, mfmax_membership
 from .channels import (
+    KrausChannel,
     adjoint,
     apply,
+    measurement_channel,
+    preparation_channel,
     random_cptp,
     random_density,
     random_hermitian,
@@ -61,7 +64,7 @@ from .qubit_geom import (
     unique_root_w,
     w2_min_oracle,
 )
-from .superop import lyapunov_solve, positive_fixed_point, vec
+from .superop import lyapunov_solve, positive_fixed_point
 from .errors import UnknownSuite
 from .linalg_core import hermitianize, pinv, psd_sqrt, spectrum
 
@@ -194,8 +197,7 @@ def _irreducible(L0: np.ndarray, L1: np.ndarray) -> bool:
     basis = [np.eye(dim, dtype=complex), L0, L1]
     rank = 0
     for _ in range(2 * dim):
-        vecs = np.array([vec(B) for B in basis])
-        new_rank = npl.matrix_rank(vecs, tol=1e-10)
+        new_rank = npl.matrix_rank(np.array([B.ravel() for B in basis]), tol=1e-10)
         if new_rank == dim * dim:
             return True
         if new_rank == rank:
@@ -341,6 +343,11 @@ def _twisted(Y: np.ndarray, A: np.ndarray) -> np.ndarray:
     return hermitianize(J.conj().T @ Y @ J)
 
 
+def _outcomes(meas: KrausChannel, X: np.ndarray) -> np.ndarray:
+    """The outcome distribution of a measurement channel on X: the diagonal of its output."""
+    return np.diag(apply(meas, X)).real
+
+
 def suite_operational(dims=(2, 3), trials=50, seed=42) -> Report:
     rep = Report(suite="operational", trials=0, seed=seed)
     for dim, t, rng, case in _cases(rep, dims, trials):
@@ -349,41 +356,33 @@ def suite_operational(dims=(2, 3), trials=50, seed=42) -> Report:
         fmax = fidelity_max(X, Y)
         fmin = fidelity_min(X, Y)
         # optimal measurement achieves F_max; every POVM stays above it
-        M = optimal_measurement(X, Y)
-        px = np.array([np.trace(X @ E).real for E in M.elements])
-        py = np.array([np.trace(Y @ E).real for E in M.elements])
-        rep.close(classical_fidelity(px, py), fmax, 1e-7,
+        meas = measurement_channel(optimal_measurement(X, Y))
+        rep.close(classical_fidelity(_outcomes(meas, X), _outcomes(meas, Y)), fmax, 1e-7,
                   case, "optimal-measurement-value")
-        Mr = random_povm(dim, dim + 1, int(rng.integers(2**31 - 1)))
-        px = np.array([np.trace(X @ E).real for E in Mr.elements])
-        py = np.array([np.trace(Y @ E).real for E in Mr.elements])
-        rep.ge(classical_fidelity(px, py), fmax, 1e-8,
+        meas = measurement_channel(random_povm(dim, dim + 1, int(rng.integers(2**31 - 1))))
+        rep.ge(classical_fidelity(_outcomes(meas, X), _outcomes(meas, Y)), fmax, 1e-8,
                case, "measurement-bound")
         # optimal reverse test achieves F_min with exact reconstruction
         rt = optimal_reverse_test(X, Y)
         rep.close(classical_fidelity(rt.p, rt.q), fmin, 1e-7,
                   case, "reverse-test-value")
-        recon_x = sum(p * s for p, s in zip(rt.p, rt.states))
-        recon_y = sum(q * s for q, s in zip(rt.q, rt.states))
-        rep.check(npl.norm(recon_x - X) <= 1e-8, case,
+        prep = preparation_channel(rt.states)
+        rep.check(npl.norm(apply(prep, np.diag(rt.p)) - X) <= 1e-8, case,
                   "reverse-test-reconstruct-X", "X", None, 1e-8)
-        rep.check(npl.norm(recon_y - Y) <= 1e-8, case,
+        rep.check(npl.norm(apply(prep, np.diag(rt.q)) - Y) <= 1e-8, case,
                   "reverse-test-reconstruct-Y", "Y", None, 1e-8)
         # perturbed reverse tests never beat F_min of their own pair
-        states = [random_density(dim, rng) for _ in range(dim)]
+        prep = preparation_channel([random_density(dim, rng) for _ in range(dim)])
         p = rng.random(dim)
         q = rng.random(dim)
-        Xp = sum(pi * s for pi, s in zip(p, states))
-        Yp = sum(qi * s for qi, s in zip(q, states))
         rep.check(
-            classical_fidelity(p, q) <= fidelity_min(Xp, Yp) + 1e-8,
+            classical_fidelity(p, q)
+            <= fidelity_min(apply(prep, np.diag(p)), apply(prep, np.diag(q))) + 1e-8,
             case, "reverse-test-bound", None, None, 1e-8,
         )
         # measurement o preparation is the transpose of a stochastic map
-        pov = random_povm(dim, dim, int(rng.integers(2**31 - 1)))
-        T = np.array(
-            [[np.trace(s @ E).real for s in states] for E in pov.elements]
-        )
+        meas = measurement_channel(random_povm(dim, dim, int(rng.integers(2**31 - 1))))
+        T = np.column_stack([_outcomes(meas, apply(prep, np.diag(e))) for e in np.eye(dim)])
         rep.check(np.max(np.abs(T.sum(axis=0) - 1.0)) <= 1e-10, case,
                   "stochastic-transpose", 1.0, T.sum(axis=0), 1e-10)
         # the optimal twist attains F_min through F_max; other twists stay above it

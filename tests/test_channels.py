@@ -9,10 +9,12 @@ from fidlab.channels import (
     measurement_channel,
     preparation_channel,
     random_cptp,
+    random_pd,
     random_povm,
     rng_for,
 )
 from fidlab.errors import DimensionMismatch, InvalidPovm, InvalidState
+from fidlab.fidelity import optimal_measurement, optimal_reverse_test
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -102,6 +104,18 @@ def test_preparation_channel_basis_states():
         e = np.zeros((2, 2), dtype=complex)
         e[i, i] = 1.0
         assert np.allclose(apply(chan, e), rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_kraus_count_is_total_rank(dim):
+    # optimal_measurement's elements are rank-one projectors and the reverse
+    # test's states have ranks summing to dim (its frame G is invertible), so
+    # each map takes exactly dim Kraus operators: none from round-off eigenvalues
+    for t in range(10):
+        rng = rng_for(16, dim, t)
+        X, Y = random_pd(dim, rng), random_pd(dim, rng)
+        assert len(measurement_channel(optimal_measurement(X, Y)).kraus_ops) == dim
+        assert len(preparation_channel(optimal_reverse_test(X, Y).states).kraus_ops) == dim
 
 
 def test_preparation_channel_rejects_unnormalized():

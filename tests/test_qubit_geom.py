@@ -101,6 +101,16 @@ def test_frame_degeneracy():
         M0Frame(l=0.0, m=1.0, rotation=I2.copy())
 
 
+@pytest.mark.parametrize("l, m", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0),
+                                  (1.0, np.nan), (1.0, np.inf), (1e200, 0.0)],
+                         ids=["l-nan", "l-inf", "l-minus-inf", "m-nan", "m-inf",
+                              "l-square-overflows"])
+def test_frame_rejects_non_finite_parameters(l, m):
+    # a non-finite frame would give non-finite extreme points that membership accepts
+    with pytest.raises(DegenerateFrame, match="must be finite"):
+        M0Frame(l=l, m=m, rotation=I2.copy())
+
+
 def test_frame_from_operator():
     fr = frame_from_operator(2.0 * SIGMA_Z + 0.5 * I2)
     assert fr.l == pytest.approx(2.0)
