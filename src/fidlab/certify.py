@@ -8,7 +8,8 @@
 # min); the dual of that program is [[2 L0, -I + iA], [-I - iA, 2 L1]] >= 0
 # with A Hermitian (A = 0 for max), so one eigvalsh of that block at the
 # optimal twist A* checks the dual pair at every dim. The half kind has no
-# such block and keeps its polar. No external SDP solver is used.
+# such block and keeps its polar. `_certificate` is the kernel over an admitted
+# pair and reads definiteness off its spectra. No external SDP solver is used.
 
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch
-from .fidelity import _optimizers
-from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum, spectrum
+from .fidelity import _fidelity_half, _optimizers
+from .linalg_core import (Spectrum, _admitted, _hermitian_pair, as_square, hermitianize,
+                          psd_pair, psd_spectrum, spectrum)
 from .polar import polar_half
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
@@ -95,11 +97,7 @@ def _witness_shift(X: np.ndarray, Y: np.ndarray, L0: np.ndarray, L1: np.ndarray,
 
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     """Direct eigenvalue test of [[2 L0, -I], [-I, 2 L1]] >= 0."""
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    if L0.shape != L1.shape:
-        raise DimensionMismatch(f"L0 has dimension {L0.shape[0]} but L1 has {L1.shape[0]}")
-    return spectrum(_dual_block(L0, L1)).is_psd
+    return spectrum(_dual_block(*_hermitian_pair(L0, L1, ("L0", "L1")))).is_psd
 
 
 def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
@@ -115,11 +113,17 @@ def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     pair is feasible when its polar is at least 1 - _CERT_TOL; L*/p is then
     feasible and worth dual_value/p.
     """
-    X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
+    return _certificate(kind, *psd_pair(X, Y, definite=True))
+
+
+def _certificate(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
+                 Ys: Spectrum) -> Certificate:
+    _admitted(Xs, "X", definite=True)
+    _admitted(Ys, "Y", definite=True)
     C, pair, T = _optimizers(kind, X, Y, Xs, Ys)
     if C is None:
         # half: tr sqrt(X) sqrt(Y) is attained by construction
-        primal_value = float(np.trace(Xs.sqrt() @ Ys.sqrt()).real)
+        primal_value = _fidelity_half(X, Y, Xs, Ys)
         primal_feasible = True
         dual_feasible = polar_half(pair.first, pair.second) >= 1.0 - _CERT_TOL
     else:

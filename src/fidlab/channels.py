@@ -13,7 +13,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch, InvalidPovm, InvalidState
-from .linalg_core import as_square, hermitianize, psd_spectrum, spectrum
+from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
 
 __all__ = [
     "KrausChannel",
@@ -36,13 +36,11 @@ _FLAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators."""
+    """A completely positive map given by its Kraus operators; its flags are decided on read."""
 
     dim_in: int
     dim_out: int
     kraus_ops: list[np.ndarray]
-    trace_preserving: bool = field(init=False)
-    unital: bool = field(init=False)
 
     def __post_init__(self) -> None:
         ops = [np.asarray(K, dtype=complex) for K in self.kraus_ops]
@@ -52,35 +50,38 @@ class KrausChannel:
                     f"Kraus operator shape {K.shape} != ({self.dim_out}, {self.dim_in})"
                 )
         object.__setattr__(self, "kraus_ops", ops)
-        ktk = sum(K.conj().T @ K for K in ops)
-        kkt = sum(K @ K.conj().T for K in ops)
-        tp = spectrum(ktk - np.eye(self.dim_in)).norm <= _FLAG_TOL
-        un = spectrum(kkt - np.eye(self.dim_out)).norm <= _FLAG_TOL
-        object.__setattr__(self, "trace_preserving", bool(tp))
-        object.__setattr__(self, "unital", bool(un))
+
+    @property
+    def trace_preserving(self) -> bool:
+        ktk = sum(K.conj().T @ K for K in self.kraus_ops)
+        return spectrum(ktk - np.eye(self.dim_in)).norm <= _FLAG_TOL
+
+    @property
+    def unital(self) -> bool:
+        kkt = sum(K @ K.conj().T for K in self.kraus_ops)
+        return spectrum(kkt - np.eye(self.dim_out)).norm <= _FLAG_TOL
 
 
 @dataclass(frozen=True)
 class Povm:
-    """PSD elements summing to the identity."""
+    """PSD elements summing to the identity; `_supports` keeps each one's support eigenpairs."""
 
     dim: int
     elements: list[np.ndarray]
+    _supports: list[Spectrum] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         els = [hermitianize(as_square(M)) for M in self.elements]
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for M in els:
-            if M.shape != (self.dim, self.dim):
-                raise DimensionMismatch("POVM element dimension mismatch")
-            try:
-                psd_spectrum(M, "POVM element")
-            except Exception as exc:
-                raise InvalidPovm(str(exc)) from exc
-            total += M
-        if spectrum(total - np.eye(self.dim)).norm > _FLAG_TOL:
+        if any(M.shape != (self.dim, self.dim) for M in els):
+            raise DimensionMismatch("POVM element dimension mismatch")
+        try:
+            supports = [psd_spectrum(M, "POVM element").support() for M in els]
+        except Exception as exc:
+            raise InvalidPovm(str(exc)) from exc
+        if spectrum(sum(els) - np.eye(self.dim)).norm > _FLAG_TOL:
             raise InvalidPovm("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "_supports", supports)
 
     @property
     def n_outcomes(self) -> int:
@@ -165,8 +166,7 @@ def measurement_channel(M: Povm) -> KrausChannel:
     n = M.n_outcomes
     dim = M.dim
     ops: list[np.ndarray] = []
-    for i, el in enumerate(M.elements):
-        sup = spectrum(el).support()
+    for i, sup in enumerate(M._supports):
         for lam, phi in zip(sup.eigenvalues, sup.eigenvectors.T):
             K = np.zeros((n, dim), dtype=complex)
             K[i, :] = np.sqrt(lam) * phi.conj()

@@ -14,11 +14,12 @@ import sys
 
 import numpy as np
 
-from .certify import duality_certificate, mfmax_membership
+from .certify import _certificate, mfmax_membership
 from .errors import FidlabError, ParseError, UnknownSuite
-from .fidelity import fidelity
-from .polar import polar, polar_membership
-from .qubit_geom import M0Frame, f1, m0_extreme_points, m0_membership, \
+from .fidelity import _FIDELITIES
+from .linalg_core import psd_pair
+from .polar import _POLARS
+from .qubit_geom import _DUAL_BODY_FLOOR, M0Frame, f1, m0_extreme_points, m0_membership, \
     mfmin_qubit_membership
 from .verify import Report, run_suite
 
@@ -92,18 +93,18 @@ def _json_ready(value):
 
 def cmd_compute(args) -> int:
     A, B = load_pair(args.pair)
+    pair = psd_pair(A, B)  # admitted once: every quantity below is read off it
     result: dict = {
         "dim": A.shape[0],
         "interpretation": "dual" if args.as_dual else "states",
     }
     for kind in _KINDS:
-        result[f"fidelity_{kind}"] = fidelity(kind, A, B)
-    for kind in _KINDS:
-        result[f"polar_{kind}"] = polar(kind, A, B)
+        result[f"fidelity_{kind}"] = _FIDELITIES[kind](*pair)
+        result[f"polar_{kind}"] = _POLARS[kind](*pair)
     certs = {}
     for kind in _KINDS:
         try:
-            c = duality_certificate(kind, A, B)
+            c = _certificate(kind, *pair)
             certs[kind] = {
                 "primal_value": c.primal_value,
                 "dual_value": c.dual_value,
@@ -119,7 +120,7 @@ def cmd_compute(args) -> int:
         result["dual_body_membership"] = {
             "max": mfmax_membership(A, B),
             "min": mfmin_qubit_membership(A, B),
-            "half": polar_membership("half", A, B),
+            "half": result["polar_half"] >= _DUAL_BODY_FLOOR,
         }
     _emit(result, args)
     return 0

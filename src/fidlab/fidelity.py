@@ -4,8 +4,8 @@
 # derivative-based dual optimizers, and the optimal-measurement /
 # optimal-reverse-test / optimal-twist constructions witnessing the
 # operational forms. Every min-kind quantity is read off one eigh of
-# Y^{-1/2} X Y^{-1/2}, `_min_frame`. Operands are admitted by
-# `linalg_core.psd_pair`.
+# Y^{-1/2} X Y^{-1/2}, `_min_frame`. Each fidelity is a kernel over the pair
+# `linalg_core.psd_pair` admits, and `_FIDELITIES` maps each kind to it.
 
 from __future__ import annotations
 
@@ -53,7 +53,10 @@ def classical_fidelity(p, q) -> float:
 
 def fidelity_max(X: np.ndarray, Y: np.ndarray) -> float:
     """tr sqrt( sqrt(Y) X sqrt(Y) ), evaluated on arbitrary PSD inputs."""
-    X, _, _, Ys = psd_pair(X, Y)
+    return _fidelity_max(*psd_pair(X, Y))
+
+
+def _fidelity_max(X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum) -> float:
     sY = Ys.sqrt()
     w = npl.eigvalsh(hermitianize(sY @ X @ sY))
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
@@ -84,26 +87,31 @@ def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
     Schur reduction onto supp Y when supp X is not contained in supp Y; it is
     sum_k r_k ||g_k||^2 over _min_frame's G, with ||g_k||^2 = sum_i d_i |U_ik|^2.
     """
-    X, _, Xs, Ys = psd_pair(X, Y)
+    return _fidelity_min(*psd_pair(X, Y))
+
+
+def _fidelity_min(X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum) -> float:
     d, _, W = _min_frame(X, Xs, Ys)
     return float(W.eigenvalues @ (np.abs(W.eigenvectors) ** 2).T @ d)
 
 
 def fidelity_half(X: np.ndarray, Y: np.ndarray) -> float:
     """tr X^{1/2} Y^{1/2}."""
-    _, _, Xs, Ys = psd_pair(X, Y)
+    return _fidelity_half(*psd_pair(X, Y))
+
+
+def _fidelity_half(X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum) -> float:
     return float(np.trace(Xs.sqrt() @ Ys.sqrt()).real)
+
+
+_FIDELITIES = {"max": _fidelity_max, "min": _fidelity_min, "half": _fidelity_half}
 
 
 def fidelity(kind: str, X: np.ndarray, Y: np.ndarray) -> float:
     """Dispatch by kind in {max, min, half}."""
-    if kind == "max":
-        return fidelity_max(X, Y)
-    if kind == "min":
-        return fidelity_min(X, Y)
-    if kind == "half":
-        return fidelity_half(X, Y)
-    raise ValueError(f"unknown fidelity kind {kind!r}")
+    if kind not in _FIDELITIES:
+        raise ValueError(f"unknown fidelity kind {kind!r}")
+    return _FIDELITIES[kind](*psd_pair(X, Y))
 
 
 def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:

@@ -5,9 +5,9 @@
 # its tolerance 1e-10 * (1 + max |lambda|), its PSD/PD/singular verdicts,
 # square root, inverse square root, pseudoinverse, support, kernel and the
 # Schur reduction of another operator onto that support. The public matrix functions are
-# one-liners over it. Operand pairs are admitted here too: `psd_pair` is the one
-# gate every two-operand PSD function passes, refusing unequal dimensions with
-# a DimensionMismatch that names both operands.
+# one-liners over it. Operand pairs are admitted here too: `psd_pair` decomposes
+# each operand once, and its (X, Y, Xs, Ys) is what every two-operand kernel takes;
+# `_hermitian_pair` is the gate under it, refusing empty or unequal operands.
 
 from __future__ import annotations
 
@@ -153,18 +153,25 @@ def _admitted(sp: Spectrum, name: str, definite: bool) -> Spectrum:
     return sp
 
 
+def _hermitian_pair(A: np.ndarray, B: np.ndarray, names=("X", "Y")) -> tuple[np.ndarray, ...]:
+    """Hermitian parts of two square operands of one nonzero dimension, else DimensionMismatch."""
+    A, B = hermitianize(as_square(A)), hermitianize(as_square(B))
+    if A.shape != B.shape:
+        raise DimensionMismatch(
+            f"{names[0]} has dimension {A.shape[0]} but {names[1]} has {B.shape[0]}")
+    if not A.size:
+        raise DimensionMismatch(f"{names[0]} and {names[1]} are empty")
+    return A, B
+
+
 def psd_pair(A: np.ndarray, B: np.ndarray, names: tuple[str, str] = ("X", "Y"),
              definite: bool = False) -> tuple[np.ndarray, np.ndarray, Spectrum, Spectrum]:
     """
     (A_h, B_h, SA, SB): the Hermitian parts of an ordered pair of PSD operands
     and their spectra, each operand hermitianized and decomposed once. Raises
-    DimensionMismatch naming both operands when their dimensions differ, then
-    NotPsd or NotPositiveDefinite as psd_spectrum does.
+    DimensionMismatch as _hermitian_pair does, then as psd_spectrum does.
     """
-    A, B = hermitianize(as_square(A)), hermitianize(as_square(B))
-    if A.shape != B.shape:
-        raise DimensionMismatch(
-            f"{names[0]} has dimension {A.shape[0]} but {names[1]} has {B.shape[0]}")
+    A, B = _hermitian_pair(A, B, names)
     return (A, B, _admitted(Spectrum(*npl.eigh(A)), names[0], definite),
             _admitted(Spectrum(*npl.eigh(B)), names[1], definite))
 

@@ -5,9 +5,9 @@
 # certified branch-and-bound bracket over one scalar (bounded and split by the
 # chord of a concave function); the membership semantics (polar >= 1 <=>
 # dual-body membership), and the max polar's lower bound from one explicit
-# POVM decomposition on the eigenbases of L0 and of polar_max's slack. Every
-# dual pair (L0, L1) is admitted by `linalg_core.psd_pair` before any routing,
-# so the dim-2 closed form sees only valid pairs. Max and min duality
+# POVM decomposition on the eigenbases of L0 and of polar_max's slack. Each polar
+# is a kernel over the pair `linalg_core.psd_pair` admits, so the dim-2 closed
+# form sees only valid pairs, and `_POLARS` maps each kind to it. Max and min duality
 # certificates do not come here: `certify` checks their dual pair on one
 # eigenvalue of the dual block at the optimal twist.
 
@@ -23,7 +23,7 @@ from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
 from .linalg_core import Spectrum, hermitianize, psd_pair, spectrum
 from .superop import _composed_lyapunov_matrix
-from .qubit_geom import _polar_min_qubit
+from .qubit_geom import _DUAL_BODY_FLOOR, _polar_min_qubit
 
 __all__ = [
     "polar_classical",
@@ -55,12 +55,10 @@ def polar_classical(l0, l1) -> float:
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
-    L0, _, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
-    return _polar_max(L0, S0, S1)
+    return _polar_max(*psd_pair(L0, L1, _DUAL_NAMES))
 
 
-def _polar_max(L0: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
-    """polar_max of an admitted pair, read off its spectra S0, S1."""
+def _polar_max(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
     if S0.is_singular or S1.is_singular:
         return 0.0
     s1 = S1.sqrt()
@@ -131,9 +129,8 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     )
 
 
-def _polar_min(L0: np.ndarray, L1: np.ndarray, end: int) -> float:
+def _polar_min(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum, end: int = 1) -> float:
     """The exact qubit form at dim 2; at dims >= 3, end 0 (lower) or 1 (upper) of the bracket."""
-    L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
     if S0.dim == 2:
         return _polar_min_qubit(L0, L1, S0, S1)
     return _polar_min_bracket(S0, S1)[end]
@@ -145,7 +142,7 @@ def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
     qubit closed form at dim 2, and at dims >= 3 the upper end of the
     certified bracket of _polar_min_bracket.
     """
-    return _polar_min(L0, L1, 1)
+    return _polar_min(*psd_pair(L0, L1, _DUAL_NAMES))
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -154,22 +151,24 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     from the real symmetric Gram form of the composed Lyapunov operator on
     Hermitian operators; 0 on singular inputs (continuity of the polar).
     """
-    _, _, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
+    return _polar_half(*psd_pair(L0, L1, _DUAL_NAMES))
+
+
+def _polar_half(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
     if S0.is_singular or S1.is_singular:
         return 0.0
     top = float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1])
     return top ** -0.5
 
 
+_POLARS = {"max": _polar_max, "min": _polar_min, "half": _polar_half}
+
+
 def polar(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
     """Dispatch by kind in {max, min, half}."""
-    if kind == "max":
-        return polar_max(L0, L1)
-    if kind == "min":
-        return polar_min(L0, L1)
-    if kind == "half":
-        return polar_half(L0, L1)
-    raise ValueError(f"unknown polar kind {kind!r}")
+    if kind not in _POLARS:
+        raise ValueError(f"unknown polar kind {kind!r}")
+    return _POLARS[kind](*psd_pair(L0, L1, _DUAL_NAMES))
 
 
 def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
@@ -178,8 +177,8 @@ def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
     that polar is the exact qubit form at dim 2 (its round-off is two-sided,
     ~1e-14 relative) and the certified lower end of the bracket at dims >= 3.
     """
-    p = _polar_min(L0, L1, 0) if kind == "min" else polar(kind, L0, L1)
-    return p >= 1.0 - 1e-9
+    p = _polar_min(*psd_pair(L0, L1, _DUAL_NAMES), end=0) if kind == "min" else polar(kind, L0, L1)
+    return p >= _DUAL_BODY_FLOOR
 
 
 def _max_decomposition(L0: np.ndarray, L1: np.ndarray
@@ -200,7 +199,7 @@ def _max_decomposition(L0: np.ndarray, L1: np.ndarray
     DecompositionInfeasible rather than return a bound above the polar.
     """
     L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
-    p = _polar_max(L0, S0, S1)
+    p = _polar_max(L0, L1, S0, S1)
     if p == 0.0:
         return None
     eps, dim = _POVM_EPS, S0.dim

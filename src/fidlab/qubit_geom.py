@@ -20,7 +20,8 @@ from .errors import (
     RootAmbiguity,
     SOutOfRange,
 )
-from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum, spectrum
+from .linalg_core import (Spectrum, _hermitian_pair, as_square, hermitianize, psd_pair,
+                          psd_spectrum, spectrum)
 
 __all__ = [
     "SIGMA_X",
@@ -47,6 +48,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 FRAME_TOL = 1e-10
+_DUAL_BODY_FLOOR = 1.0 - 1e-9  # a pair is in a dual body iff its polar is >= this
 
 
 @dataclass(frozen=True)
@@ -245,15 +247,12 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     An L0 that is PSD but not positive definite has no L0^{-1}; its pair is
     decided by polar_membership's rule, exact qubit polar_min >= 1 - 1e-9.
     """
-    L0 = hermitianize(as_square(L0))
-    L1 = hermitianize(as_square(L1))
-    if L0.shape != L1.shape:
-        raise DimensionMismatch(f"L0 has dimension {L0.shape[0]} but L1 has {L1.shape[0]}")
+    L0, L1 = _hermitian_pair(L0, L1, ("L0", "L1"))
     if L0.shape != (2, 2):
         raise DimensionMismatch("mfmin_qubit_membership is dim-2 only")
     S0 = psd_spectrum(L0, "L0")
     if S0.eigenvalues[0] <= S0.tol:
-        return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= 1.0 - 1e-9
+        return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= _DUAL_BODY_FLOOR
     # L0^{-1}, with eigenvalues mu ascending
     Minv = Spectrum(1.0 / S0.eigenvalues[::-1], S0.eigenvectors[:, ::-1])
     M = Minv.reconstruct()

@@ -9,8 +9,8 @@
 # commutes with H -> H^dagger, so its spectrum is that of its restriction to
 # Hermitian operators: a real symmetric Gram matrix A A^T of size dim^2 in
 # L1's eigenbasis. Operand pairs
-# (L0, L1) are admitted by `linalg_core.psd_pair`; lyapunov_solve's X is a
-# Hermitian right-hand side, not a PSD operand, so only its size is checked.
+# (L0, L1) are admitted by `linalg_core.psd_pair`; lyapunov_solve's X is a Hermitian
+# right-hand side, not a PSD operand, so it passes only psd_pair's gate `_hermitian_pair`.
 
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import DimensionMismatch, NoConvergence, SingularPair
-from .linalg_core import Spectrum, as_square, hermitianize, psd_pair, psd_spectrum
+from .errors import NoConvergence, SingularPair
+from .linalg_core import Spectrum, _hermitian_pair, hermitianize, psd_pair, psd_spectrum
 
 __all__ = [
     "lyapunov_solve",
@@ -37,11 +37,8 @@ def lyapunov_solve(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     (lambda_i + lambda_j). Entries with vanishing denominator must have a
     vanishing right-hand side, otherwise the equation is unsolvable.
     """
-    X = hermitianize(as_square(X))
-    Zs = psd_spectrum(Z, "Z")
-    if X.shape[0] != Zs.dim:
-        raise DimensionMismatch(f"Z has dimension {Zs.dim} but X has {X.shape[0]}")
-    return _lyapunov_solve(Zs, X)
+    Z, X = _hermitian_pair(Z, X, ("Z", "X"))
+    return _lyapunov_solve(psd_spectrum(Z, "Z"), X)
 
 
 def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import fidlab
@@ -27,3 +29,27 @@ def test_public_api_is_pinned():
                          ("fidlab.superop", "lyapunov_superop")):
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
+
+
+# the public two-operand functions, with their parameters and defaults
+SIGNATURES = {
+    "fidelity_max": "(X, Y)", "fidelity_min": "(X, Y)", "fidelity_half": "(X, Y)",
+    "fidelity": "(kind, X, Y)", "dual_optimizers": "(kind, X, Y)",
+    "duality_certificate": "(kind, X, Y)", "optimal_measurement": "(X, Y)",
+    "optimal_reverse_test": "(X, Y)", "optimal_twist": "(X, Y)", "schur_reduce": "(X, Y)",
+    "polar_max": "(L0, L1)", "polar_min": "(L0, L1)", "polar_half": "(L0, L1)",
+    "polar": "(kind, L0, L1)", "polar_membership": "(kind, L0, L1)",
+    "povm_lower_bound": "(L0, L1)", "mfmax_membership": "(L0, L1)",
+    "mfmin_qubit_membership": "(L0, L1)", "polar_max_qubit": "(L0, L1)",
+    "polar_min_qubit": "(L0, L1)", "composed_lyapunov_spectrum": "(L0, L1)",
+    "positive_fixed_point": "(L0, L1, max_iter=10000, tol=1e-10)",
+    "lyapunov_solve": "(Z, X)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_two_operand_signatures_are_pinned(name):
+    sig = inspect.signature(getattr(fidlab, name))
+    bare = sig.replace(parameters=[p.replace(annotation=p.empty) for p in sig.parameters.values()],
+                       return_annotation=sig.empty)
+    assert str(bare) == SIGNATURES[name]

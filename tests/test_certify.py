@@ -210,7 +210,7 @@ def test_min_certificate_valid_across_condition_numbers(kappas, dim):
     for X, Y in _kappa_pairs(kappas, dim):
         assert duality_certificate("min", X, Y).is_valid
         pair = dual_optimizers("min", X, Y)
-        assert abs(_polar_min(pair.first, pair.second, 0) - 1.0) <= 1e-9
+        assert abs(_polar_min(*psd_pair(pair.first, pair.second), end=0) - 1.0) <= 1e-9
 
 
 def _bracket_and_argmin(L0, L1, monkeypatch):
@@ -288,7 +288,7 @@ def test_qubit_polar_lower_is_within_round_off_of_a_40_digit_reference(monkeypat
         L0, L1 = random_pd(2, rng), random_pd(2, rng)
         t0 = _bracket_and_argmin(L0, L1, monkeypatch)[2]
         ref = float(_mp_polar_min(mp, L0, L1, t0))
-        assert abs(_polar_min(L0, L1, 0) - ref) <= 1e-12 * ref
+        assert abs(_polar_min(*psd_pair(L0, L1), end=0) - ref) <= 1e-12 * ref
 
 
 def _mp_polar_max(mp, L0, L1):

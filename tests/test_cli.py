@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fidlab.cli import build_parser, main
+import fidlab
+from fidlab.channels import random_pd, rng_for
+from fidlab.cli import build_parser, load_pair, main
+from fidlab.errors import FidlabError
 
 
 def _write_matrix(path, diag):
@@ -183,6 +186,62 @@ def test_compute_singular_qubit_pair_reports_boolean_memberships(tmp_path, capsy
     out = json.loads(capsys.readouterr().out)
     assert out["polar_min"] == 0.0
     assert out["dual_body_membership"] == {"max": False, "min": False, "half": False}
+
+
+def _kernel_pairs(dim):
+    """A definite pair, Y with a trailing kernel and X with a rotated kernel."""
+    rng = rng_for(77, dim)
+    X, Y = random_pd(dim, rng), random_pd(dim, rng)
+    w = np.r_[rng.uniform(0.2, 2.0, dim - 1), 0.0]
+    U, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return {"definite": (X, Y), "trailing-kernel": (X, np.diag(w)),
+            "rotated-kernel": ((U * w) @ U.conj().T, Y)}
+
+
+def _expected_report(A, B):
+    """What compute reports, key by key, from the public functions on the parsed pair."""
+    out = {"dim": A.shape[0], "interpretation": "states", "certificates": {}}
+    for kind in ("max", "min", "half"):
+        out[f"fidelity_{kind}"] = fidlab.fidelity(kind, A, B)
+        out[f"polar_{kind}"] = fidlab.polar(kind, A, B)
+        try:
+            c = fidlab.duality_certificate(kind, A, B)
+            out["certificates"][kind] = {
+                "primal_value": c.primal_value, "dual_value": c.dual_value, "gap": c.gap,
+                "primal_feasible": c.primal_feasible, "dual_feasible": c.dual_feasible,
+                "valid": c.is_valid}
+        except FidlabError as exc:
+            out["certificates"][kind] = {"skipped": str(exc)}
+    if A.shape[0] == 2:
+        out["dual_body_membership"] = {
+            "max": fidlab.mfmax_membership(A, B),
+            "min": fidlab.mfmin_qubit_membership(A, B),
+            "half": fidlab.polar_membership("half", A, B)}
+    return out
+
+
+SKIPPED = {"definite": None, "trailing-kernel": "Y is not strictly positive definite",
+           "rotated-kernel": "X is not strictly positive definite"}
+
+
+@pytest.mark.parametrize("case", sorted(SKIPPED))
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_compute_reports_the_public_functions_values(dim, case, tmp_path, capsys):
+    # compute admits its pair once and reads every quantity off it; each value
+    # equals the public function's on the same parsed pair, bit for bit
+    X, Y = _kernel_pairs(dim)[case]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps([
+        {"dim": dim, "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}
+        for H in (X, Y)]))
+    assert main(["compute", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    expected = _expected_report(*load_pair([str(path)]))
+    assert out.keys() == expected.keys()
+    for key in expected:
+        assert out[key] == expected[key], key
+    skipped = {c.get("skipped") for c in out["certificates"].values()}
+    assert skipped == {SKIPPED[case]}
 
 
 @pytest.mark.parametrize("argv", [

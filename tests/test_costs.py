@@ -10,6 +10,7 @@ import numpy.linalg as npl
 import pytest
 
 import fidlab
+import fidlab.cli
 from fidlab.channels import random_pd, rng_for
 
 # LAPACK decompositions per call, (eigh + eigvalsh, svd), with Y_k a
@@ -82,6 +83,48 @@ def test_decompositions_per_call(call, dim, lapack_calls):
     assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == eighs
     assert lapack_calls["svd"] == svds
     assert lapack_calls["spectral_norm"] == 0
+
+
+# eigh + eigvalsh per in-process `fidlab compute` request, on a definite pair
+# and with Y_k: the pair is admitted once and every fidelity, polar and
+# certificate is a kernel over it; only the half certificate admits another
+# pair, its dual pair L*. At dim 2, mfmax_membership's dual block and
+# mfmin_qubit_membership's L0 add one each. The definite pair's max certificate
+# takes the one SVD.
+COMPUTE = {2: (16, 7), 3: (23, 5), 4: (27, 5), 8: (32, 5)}
+
+
+@pytest.mark.parametrize("dim", sorted(COMPUTE))
+def test_decompositions_per_compute_request(dim, tmp_path, lapack_calls):
+    rng = rng_for(70, dim)
+    X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
+    for expected, svds, B in zip(COMPUTE[dim], (1, 0), (Y, Yk)):
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps([
+            {"dim": dim, "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}
+            for H in (X, B)]))
+        lapack_calls.clear()
+        assert fidlab.cli.main(["compute", str(pair), "--format", "json"]) == 0
+        assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == expected
+        assert lapack_calls["svd"] == svds
+
+
+# a channel decomposes nothing when it is built: its trace_preserving and
+# unital flags are decided when read, one eigh each, and measurement_channel
+# reuses the element supports its Povm decomposed to validate them
+@pytest.mark.parametrize("build", [
+    lambda chan, M: fidlab.measurement_channel(M),
+    lambda chan, M: fidlab.random_cptp(3, 3, 2, seed=2),
+    lambda chan, M: fidlab.adjoint(chan),
+], ids=["measurement_channel", "random_cptp", "adjoint"])
+def test_channels_decompose_no_operator_when_built(build, lapack_calls):
+    M, chan = fidlab.random_povm(3, 4, seed=1), fidlab.random_cptp(3, 3, 2, seed=2)
+    lapack_calls.clear()
+    built = build(chan, M)
+    assert sum(lapack_calls.values()) == 0
+    # each is trace preserving or, for the adjoint, unital
+    assert True in (built.trace_preserving, built.unital)
+    assert lapack_calls["eigh"] == 2
 
 
 @pytest.mark.parametrize("dim", [3, 8])

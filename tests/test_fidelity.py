@@ -136,6 +136,26 @@ def test_operands_of_unequal_dimension_are_refused(call):
         call()
 
 
+E0 = np.zeros((0, 0), dtype=complex)
+_PAIR_FUNCTIONS = [
+    "fidelity_max", "fidelity_min", "fidelity_half", "polar_max", "polar_min", "polar_half",
+    "povm_lower_bound", "mfmax_membership", "mfmin_qubit_membership", "polar_max_qubit",
+    "polar_min_qubit", "optimal_measurement", "optimal_reverse_test", "optimal_twist",
+    "lyapunov_solve", "schur_reduce", "composed_lyapunov_spectrum", "positive_fixed_point",
+    "OperatorPair",
+]
+_KIND_FUNCTIONS = ["fidelity", "polar", "polar_membership", "dual_optimizers",
+                   "duality_certificate"]
+
+
+@pytest.mark.parametrize("name, args", [pytest.param(n, (), id=n) for n in _PAIR_FUNCTIONS] + [
+    pytest.param(n, (k,), id=f"{n}-{k}") for n in _KIND_FUNCTIONS for k in ("max", "min", "half")])
+def test_empty_operands_are_refused(name, args):
+    # the pair gate refuses 0 x 0 operands before any spectrum is read
+    with pytest.raises(DimensionMismatch, match="are empty"):
+        getattr(fidlab, name)(*args, E0, E0)
+
+
 @pytest.mark.parametrize("call, names", [
     (lambda: fidlab.polar_min(I2, I3), ("L0", "L1")),
     (lambda: fidlab.polar_half(I3, I2), ("L0", "L1")),
