@@ -20,7 +20,7 @@ import numpy.linalg as npl
 
 from .errors import DimensionMismatch
 from .fidelity import _fidelity_half, _optimizers
-from .linalg_core import (Spectrum, _admitted, _hermitian_pair, as_square, hermitianize,
+from .linalg_core import (Spectrum, _admitted, _hermitian, _hermitian_pair, hermitianize,
                           psd_pair, psd_spectrum, spectrum)
 from .polar import polar_half
 
@@ -56,9 +56,10 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
     conditions (I - pi_X) C = 0, C (I - pi_Y) = 0 and the generalized Schur
     complement X - C Y^{-1} C^dagger >= 0.
     """
-    X = hermitianize(as_square(X))
-    Y = hermitianize(as_square(Y))
+    X, Y = _hermitian(X, "X"), _hermitian(Y, "Y")
     C = np.asarray(C, dtype=complex)
+    if not (X.size and Y.size):
+        raise DimensionMismatch("X and Y must be nonempty")
     if C.shape != (X.shape[0], Y.shape[0]):
         raise DimensionMismatch("C has incompatible shape")
     return _block_psd(X, psd_spectrum(X, "X"), C, psd_spectrum(Y, "Y"))

@@ -7,10 +7,16 @@
 # Schur reduction of another operator onto that support. The public matrix functions are
 # one-liners over it. Operand pairs are admitted here too: `psd_pair` decomposes
 # each operand once, and its (X, Y, Xs, Ys) is what every two-operand kernel takes;
-# `_hermitian_pair` is the gate under it, refusing empty or unequal operands.
+# `_hermitian_pair` is the gate under it, refusing empty, unequal or non-finite operands.
+# An operand is decomposed once per process, not once per call: `psd_pair` and
+# `psd_spectrum` share `_operand_spectrum`, a memo of the latest 64 operand spectra
+# (read-only arrays) keyed by the dimension and bytes of the Hermitian part. The PSD/PD
+# verdict and the operand's name are still decided per call, and `spectrum()` of an
+# intermediate matrix is never memoized.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,14 @@ def as_square(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
     return A
+
+
+def _hermitian(A: np.ndarray, name: str) -> np.ndarray:
+    """The Hermitian part of a square operand; DimensionMismatch, or NotPsd if not finite."""
+    A = as_square(A)
+    if not np.isfinite(A).all():
+        raise NotPsd(f"{name} has a non-finite entry")
+    return hermitianize(A)
 
 
 @dataclass(frozen=True)
@@ -139,10 +153,35 @@ def spectrum(H: np.ndarray) -> Spectrum:
 
 def psd_spectrum(H: np.ndarray, name: str = "operator", definite: bool = False) -> Spectrum:
     """
-    The spectrum of a PSD operand; raises NotPsd below -tol, or, when
-    `definite`, NotPositiveDefinite unless every eigenvalue is above tol.
+    The spectrum of a PSD operand; raises NotPsd on a non-finite entry or below
+    -tol, or, when `definite`, NotPositiveDefinite unless every eigenvalue is above tol.
     """
-    return _admitted(spectrum(H), name, definite)
+    return _admitted(_operand_spectrum(_hermitian(H, name)), name, definite)
+
+
+# the operand spectra of _operand_spectrum, oldest first; writes hold the lock
+_MEMO_ENTRIES = 64
+_SPECTRA: dict[tuple[int, bytes], Spectrum] = {}
+_SPECTRA_LOCK = threading.Lock()
+
+
+def _operand_spectrum(H: np.ndarray) -> Spectrum:
+    """
+    The spectrum of an operand's Hermitian part H, decomposed once per content:
+    memoized by H's dimension and bytes, the oldest of _MEMO_ENTRIES evicted first.
+    """
+    key = (H.shape[0], H.tobytes())
+    sp = _SPECTRA.get(key)
+    if sp is None:
+        w, V = npl.eigh(H)
+        w.setflags(write=False)
+        V.setflags(write=False)
+        sp = Spectrum(w, V)
+        with _SPECTRA_LOCK:
+            if len(_SPECTRA) >= _MEMO_ENTRIES:
+                del _SPECTRA[next(iter(_SPECTRA))]
+            _SPECTRA[key] = sp
+    return sp
 
 
 def _admitted(sp: Spectrum, name: str, definite: bool) -> Spectrum:
@@ -154,8 +193,11 @@ def _admitted(sp: Spectrum, name: str, definite: bool) -> Spectrum:
 
 
 def _hermitian_pair(A: np.ndarray, B: np.ndarray, names=("X", "Y")) -> tuple[np.ndarray, ...]:
-    """Hermitian parts of two square operands of one nonzero dimension, else DimensionMismatch."""
-    A, B = hermitianize(as_square(A)), hermitianize(as_square(B))
+    """
+    Hermitian parts of two square operands of one nonzero dimension with finite
+    entries, else DimensionMismatch or NotPsd.
+    """
+    A, B = _hermitian(A, names[0]), _hermitian(B, names[1])
     if A.shape != B.shape:
         raise DimensionMismatch(
             f"{names[0]} has dimension {A.shape[0]} but {names[1]} has {B.shape[0]}")
@@ -172,8 +214,8 @@ def psd_pair(A: np.ndarray, B: np.ndarray, names: tuple[str, str] = ("X", "Y"),
     DimensionMismatch as _hermitian_pair does, then as psd_spectrum does.
     """
     A, B = _hermitian_pair(A, B, names)
-    return (A, B, _admitted(Spectrum(*npl.eigh(A)), names[0], definite),
-            _admitted(Spectrum(*npl.eigh(B)), names[1], definite))
+    return (A, B, _admitted(_operand_spectrum(A), names[0], definite),
+            _admitted(_operand_spectrum(B), names[1], definite))
 
 
 def psd_sqrt(H: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 import fidlab.certify as certify
 from fidlab.certify import _CERT_TOL, block_psd, duality_certificate, mfmax_membership
 from fidlab.channels import random_pd, rng_for
+from fidlab.errors import DimensionMismatch, NotPsd
 from fidlab.fidelity import (
     classical_fidelity,
     dual_optimizers,
@@ -28,6 +29,21 @@ def _pd_inverse(H):
 
 def test_block_psd_identity():
     assert block_psd(I2, I2, I2)
+
+
+@pytest.mark.parametrize("X, C, Y", [
+    (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    (np.zeros((0, 0)), np.zeros((0, 2)), I2),
+    (I2, np.zeros((2, 0)), np.zeros((0, 0))),
+], ids=["both", "X", "Y"])
+def test_block_psd_refuses_empty_operands(X, C, Y):
+    with pytest.raises(DimensionMismatch, match="X and Y must be nonempty"):
+        block_psd(X, C, Y)
+
+
+def test_block_psd_refuses_non_finite_operands():
+    with pytest.raises(NotPsd, match="^Y has a non-finite entry"):
+        block_psd(I2, np.zeros((2, 2)), np.diag([np.inf, 1.0]))
 
 
 def test_block_psd_large_offdiagonal():

@@ -11,6 +11,7 @@ import pytest
 
 import fidlab
 import fidlab.cli
+from fidlab import linalg_core
 from fidlab.channels import random_pd, rng_for
 
 # LAPACK decompositions per call, (eigh + eigvalsh, svd), with Y_k a
@@ -42,9 +43,19 @@ CALLS = {
 }
 
 
+class _ColdCounts(Counter):
+    """LAPACK call counts whose clear() also empties the operand spectrum memo."""
+
+    def clear(self):
+        super().clear()
+        linalg_core._SPECTRA.clear()
+
+
+# counts start cold: no operand spectrum is left in the memo by an earlier test
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    counts = Counter()
+    counts = _ColdCounts()
+    counts.clear()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -85,13 +96,34 @@ def test_decompositions_per_call(call, dim, lapack_calls):
     assert lapack_calls["spectral_norm"] == 0
 
 
+# eigh + eigvalsh for three public calls on one pair, as the benchmark's states
+# and duals ops make them: the first call decomposes both operands, and the
+# next two read their spectra from the memo (without it, 4 more each)
+TRIPLES = {
+    "states": ({2: 4, 3: 4, 8: 4, 32: 4},
+               lambda X, Y: (fidlab.fidelity_max(X, Y), fidlab.fidelity_min(X, Y),
+                             fidlab.fidelity_half(X, Y))),
+    "duals": ({2: 4, 3: 13, 4: 17, 8: 22},
+              lambda X, Y: (fidlab.polar_max(X, Y), fidlab.polar_half(X, Y),
+                            fidlab.polar_min(X, Y))),
+}
+
+
+@pytest.mark.parametrize("triple, dim", [(t, d) for t in sorted(TRIPLES) for d in TRIPLES[t][0]])
+def test_decompositions_per_triple_on_one_pair(triple, dim, lapack_calls):
+    rng = rng_for(70, dim)
+    counts, run = TRIPLES[triple]
+    run(random_pd(dim, rng), random_pd(dim, rng))
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == counts[dim]
+
+
 # eigh + eigvalsh per in-process `fidlab compute` request, on a definite pair
 # and with Y_k: the pair is admitted once and every fidelity, polar and
 # certificate is a kernel over it; only the half certificate admits another
-# pair, its dual pair L*. At dim 2, mfmax_membership's dual block and
-# mfmin_qubit_membership's L0 add one each. The definite pair's max certificate
-# takes the one SVD.
-COMPUTE = {2: (16, 7), 3: (23, 5), 4: (27, 5), 8: (32, 5)}
+# pair, its dual pair L*. At dim 2, mfmax_membership's dual block adds one,
+# and mfmin_qubit_membership's L0 is the admitted operand's memoized spectrum.
+# The definite pair's max certificate takes the one SVD.
+COMPUTE = {2: (15, 6), 3: (23, 5), 4: (27, 5), 8: (32, 5)}
 
 
 @pytest.mark.parametrize("dim", sorted(COMPUTE))

@@ -1,14 +1,20 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.linalg as npl
 import pytest
 
+import fidlab
+from fidlab import linalg_core
 from fidlab.channels import random_pd, rng_for
-from fidlab.errors import DimensionMismatch, NotPsd
+from fidlab.errors import DimensionMismatch, NotPositiveDefinite, NotPsd
 from fidlab.linalg_core import (
     OperatorPair,
     hermitianize,
     pinch,
     pinv,
+    psd_pair,
     psd_spectrum,
     psd_sqrt,
     schur_reduce,
@@ -147,3 +153,100 @@ def test_schur_reduce_rotated_kernel(dim, rank):
     reduced = A - B @ npl.inv(C) @ B.conj().T
     expect = U[:, :rank] @ reduced @ U[:, :rank].conj().T
     assert np.allclose(schur_reduce(X, Y), expect, atol=1e-9)
+
+
+# the operand spectrum memo: keyed by content, read-only, bounded, and the
+# PSD/PD verdict and the operand's name decided on every call, hit or miss
+
+
+def test_memo_is_keyed_by_content():
+    X = random_pd(3, rng_for(83, 3))
+    psd_spectrum(X)
+    X[0, 0] += 1.0  # mutated in place: same object, new content
+    w, V = npl.eigh(hermitianize(X))
+    sp = psd_spectrum(X)
+    assert np.array_equal(sp.eigenvalues, w)
+    assert np.allclose(np.abs(sp.eigenvectors.conj().T @ V), np.eye(3), atol=1e-12)
+    assert np.array_equal(psd_pair(X, np.eye(3))[2].eigenvalues, w)
+
+
+def test_memoized_spectra_are_read_only():
+    X, Y = (random_pd(3, rng_for(84, 3, k)) for k in range(2))
+    for sp in (psd_spectrum(X), psd_spectrum(X), *psd_pair(X, Y)[2:]):
+        assert not sp.eigenvalues.flags.writeable and not sp.eigenvectors.flags.writeable
+        with pytest.raises(ValueError):
+            sp.eigenvalues[0] = 0.0
+
+
+def test_memo_hit_raises_as_a_miss_does():
+    X = random_pd(2, rng_for(85, 2))
+    Ysing, Yneg = np.diag([1.0, 0.0]), np.diag([1.0, -0.5])
+    psd_pair(X, Ysing)  # admitted and memoized as the PSD "Y"
+    with pytest.raises(NotPositiveDefinite, match="^X is not"):
+        psd_pair(Ysing, X, definite=True)
+    with pytest.raises(NotPositiveDefinite, match="^L1 is not"):
+        psd_pair(X, Ysing, ("L0", "L1"), definite=True)
+    for names in (("X", "Y"), ("Y", "X")):
+        with pytest.raises(NotPsd, match=f"^{names[1]} has eigenvalue"):
+            psd_pair(X, Yneg, names)
+    with pytest.raises(NotPsd, match="^Z has eigenvalue"):
+        psd_spectrum(Yneg, "Z")
+
+
+def test_memo_stays_within_its_bound():
+    rng = rng_for(86, 2)
+    for _ in range(3 * linalg_core._MEMO_ENTRIES):
+        psd_spectrum(random_pd(2, rng))
+        assert len(linalg_core._SPECTRA) <= linalg_core._MEMO_ENTRIES
+    assert len(linalg_core._SPECTRA) == linalg_core._MEMO_ENTRIES
+
+
+def test_memo_is_thread_safe():
+    # more threads than cores, a short switch interval and a memo overrun many
+    # times: an unlocked evict-then-insert loses the race within a second
+    rng = rng_for(88, 2)
+    operands = [random_pd(2, rng) for _ in range(1000)]
+    expect = [npl.eigvalsh(H) for H in operands]
+
+    def admit_all(shift):
+        for k in range(shift, shift + len(operands)):
+            w = psd_spectrum(operands[k % len(operands)]).eigenvalues
+            assert np.allclose(w, expect[k % len(operands)], atol=1e-12)
+            assert len(linalg_core._SPECTRA) <= linalg_core._MEMO_ENTRIES
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert len(list(pool.map(admit_all, range(0, 1000, 50), timeout=60))) == 20
+    finally:
+        sys.setswitchinterval(interval)
+
+
+_PAIR_VALUES = ["fidelity_max", "fidelity_min", "fidelity_half",
+                "polar_max", "polar_min", "polar_half"]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_cold_and_warm_results_are_bit_identical(dim):
+    rng = rng_for(87, dim)
+    for _ in range(50):
+        X, Y = random_pd(dim, rng), random_pd(dim, rng)
+        cold = []
+        for name in _PAIR_VALUES:
+            linalg_core._SPECTRA.clear()
+            cold.append(getattr(fidlab, name)(X, Y))
+        assert [getattr(fidlab, name)(X, Y) for name in _PAIR_VALUES] == cold
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", _PAIR_VALUES)
+def test_non_finite_operands_are_refused(name, bad):
+    B = np.diag([bad, 1.0])
+    first, second = ("L0", "L1") if name.startswith("polar") else ("X", "Y")
+    with pytest.raises(NotPsd, match=f"^{first} has a non-finite entry"):
+        getattr(fidlab, name)(B, np.eye(2))
+    with pytest.raises(NotPsd, match=f"^{second} has a non-finite entry"):
+        getattr(fidlab, name)(np.eye(2), B)
+    with pytest.raises(NotPsd, match="^Z has a non-finite entry"):
+        psd_spectrum(B, "Z")
