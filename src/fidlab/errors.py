@@ -36,7 +36,7 @@ class InvalidState(FidlabError):
 
 
 class NegativeEntry(FidlabError):
-    """A weight vector contains a negative entry."""
+    """A weight vector contains a negative or non-finite entry."""
 
 
 class LengthMismatch(FidlabError):

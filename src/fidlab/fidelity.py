@@ -40,8 +40,9 @@ def _weights(p, q) -> tuple[np.ndarray, np.ndarray]:
     if p.shape != q.shape:
         raise LengthMismatch(f"lengths {p.size} and {q.size} differ")
     for v in (p, q):
-        if v.size and v.min() < -_CLAMP:
-            raise NegativeEntry(f"weight entry {v.min():.3e} is negative")
+        bad = v[~(np.isfinite(v) & (v >= -_CLAMP))]
+        if bad.size:
+            raise NegativeEntry(f"weight entry {bad[0]:.3e} is negative or non-finite")
     return np.maximum(p, 0.0), np.maximum(q, 0.0)
 
 

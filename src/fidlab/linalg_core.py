@@ -146,8 +146,8 @@ class Spectrum:
 
 
 def spectrum(H: np.ndarray) -> Spectrum:
-    """Hermitian eigendecomposition (symmetrizes the input first)."""
-    w, V = npl.eigh(hermitianize(as_square(H)))
+    """Hermitian eigendecomposition (symmetrizes the input first); NotPsd if not finite."""
+    w, V = npl.eigh(_hermitian(H, "operator"))
     return Spectrum(eigenvalues=w, eigenvectors=V)
 
 

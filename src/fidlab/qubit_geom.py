@@ -1,9 +1,9 @@
 # src/fidlab/qubit_geom.py
 #
-# Exact dim-2 geometry: the convex body M0(M) with its quartic discriminant
-# boundary, the induced membership test for the min-fidelity dual body,
-# closed forms for both qubit polars, and the necessary conditions for
-# unital convertibility of dual pairs.
+# Exact dim-2 geometry: the convex body M0(M), its boundary as a minimum over t
+# (which membership reads) and as the quartic discriminant's root (a reference),
+# the induced membership test for the min-fidelity dual body, closed forms for both
+# qubit polars, and the necessary conditions for unital convertibility of dual pairs.
 
 from __future__ import annotations
 
@@ -97,16 +97,10 @@ def frame_from_operator(M: np.ndarray) -> M0Frame:
     M = as_square(M)
     if M.shape != (2, 2):
         raise DimensionMismatch("frame_from_operator needs a 2x2 operator")
-    return _frame(spectrum(M))
-
-
-def _frame(sp: Spectrum) -> M0Frame:
-    w, V = sp.eigenvalues, sp.eigenvectors
+    sp = spectrum(M)
+    (w0, w1), V = sp.eigenvalues, sp.eigenvectors
     # eigenvalues ascend; put the larger eigenvalue on sigma_z's +1 axis
-    U = np.column_stack([V[:, 1], V[:, 0]])
-    l = float((w[1] - w[0]) / 2)
-    m = float((w[1] + w[0]) / 2)
-    return M0Frame(l=l, m=m, rotation=U)
+    return M0Frame(l=float((w1 - w0) / 2), m=float((w1 + w0) / 2), rotation=V[:, ::-1])
 
 
 def f1(x: float) -> float:
@@ -123,8 +117,8 @@ def f2(x: float, z: float) -> float:
 
 def _quartic(x: float, z: float) -> list[float]:
     """The coefficients c4, ..., c0 of D(x, z, .), highest power of w first."""
-    x2 = float(x) ** 2
-    z2 = float(z) ** 2
+    x2 = float(x) * float(x)
+    z2 = float(z) * float(z)
     return [
         16.0,
         -8.0 * x2 + 8.0 * z2 + 32.0,
@@ -150,13 +144,18 @@ def discriminant_D(x: float, z: float, w: float) -> float:
 
 def unique_root_w(x: float, z: float) -> float:
     """
-    The unique real root of D(x, z, .) in [f2(x, z), infinity), via the
-    companion matrix of the quartic. Raises RootAmbiguity if filtering does
-    not isolate exactly one root.
+    The unique real root of D(x, z, .) in [f2(x, z), infinity), via the companion
+    matrix of the quartic; RootAmbiguity if a coefficient is not finite (x or z is
+    not, or overflows) or filtering does not isolate exactly one root. Domain:
+    |x| <= 4, 1e-3 <= |z| <= 3, within 6e-8 of w2_min_oracle; the error grows below
+    it (5e-7 at |z| = 3e-4), and some x raise RootAmbiguity (14 of 401 at |z| = 1e-6).
     """
+    coeffs = _quartic(x, z)
+    if not all(map(math.isfinite, coeffs)):
+        raise RootAmbiguity(f"the quartic at (x={x!r}, z={z!r}) has a non-finite coefficient")
     if abs(z) <= 1e-12:
         raise DegenerateZ("z = 0: use the f1 branch instead")
-    roots = np.roots(_quartic(x, z))
+    roots = np.roots(coeffs)
     floor = f2(x, z)
     scale = 1.0 + max(abs(x), abs(z))
     real = [
@@ -203,22 +202,29 @@ def w2_min_oracle(x_prime: float, z: float) -> float:
     return s * s / 4.0 + math.hypot(x_prime - s, z)
 
 
+def _m0_boundary(x_prime: float, z: float) -> float:
+    """
+    M0's lower boundary w_b(x', z) in l^2-scaled coordinates: f1(x') at z = 0, and in
+    general min over t > 0 of x'^2 / (4 (1 + t)) + z^2 / (4 t) + t, whose slope exceeds
+    1/2 at t = 1 + |x'| + |z|; bisection on [0, that] finds it.
+    """
+    a, b = x_prime * x_prime / 4.0, z * z / 4.0
+
+    def slope(t: float) -> float:
+        return 1.0 - a / ((1.0 + t) * (1.0 + t)) - b / (t * t)
+
+    t = _convex_argmin(slope, 0.0, 1.0 + abs(x_prime) + abs(z))
+    return a / (1.0 + t) + b / t + t
+
+
 def m0_membership(frame: M0Frame, p: QubitDualPoint) -> bool:
     """
-    Decide whether the operator with frame coordinates p lies in M0(M).
-    The boundary conditions apply to the coordinates divided by l^2.
+    Decide whether the operator with frame coordinates p lies in M0(M): with
+    the coordinates divided by l^2 and x' = |(x, y)|, whether w is at least the
+    boundary w_b(x', z) less 1e-9, a tolerance in w.
     """
     l2 = frame.l * frame.l
-    x = p.x / l2
-    y = p.y / l2
-    z = p.z / l2
-    w = p.w / l2
-    x_prime = float(np.hypot(x, y))
-    if abs(z) <= 1e-12:
-        return w >= f1(x_prime) - 1e-9
-    return (w >= f2(x_prime, z) - 1e-9) and (
-        discriminant_D(x_prime, z, w) >= -1e-7
-    )
+    return p.w / l2 >= _m0_boundary(math.hypot(p.x, p.y) / l2, p.z / l2) - 1e-9
 
 
 def m0_extreme_points(frame: M0Frame, s: float, alpha: float) -> QubitDualPoint:
@@ -242,7 +248,9 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     """
     Exact membership of a qubit pair in the min-fidelity dual body:
     4 L1 = L0^{-1} + sqrt(L0) K sqrt(L0) must have
-    K = 4 L0^{-1/2} L1 L0^{-1/2} - L0^{-2} inside M0(L0^{-1}).
+    K = 4 L0^{-1/2} L1 L0^{-1/2} - L0^{-2} inside M0(L0^{-1}). K is written in the
+    eigenbasis of L0's eigenvalues lam_0 <= lam_1, where L0^{-1}'s frame is
+    l, m = (1/lam_0 -+ 1/lam_1) / 2.
     L0 proportional to I falls back to the commuting test L1 >= (1/4) L0^{-1}.
     An L0 that is PSD but not positive definite has no L0^{-1}; its pair is
     decided by polar_membership's rule, exact qubit polar_min >= 1 - 1e-9.
@@ -253,18 +261,13 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     S0 = psd_spectrum(L0, "L0")
     if S0.eigenvalues[0] <= S0.tol:
         return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= _DUAL_BODY_FLOOR
-    # L0^{-1}, with eigenvalues mu ascending
-    Minv = Spectrum(1.0 / S0.eigenvalues[::-1], S0.eigenvectors[:, ::-1])
-    M = Minv.reconstruct()
-    mu = Minv.eigenvalues
-    if (mu.max() - mu.min()) / 2.0 <= FRAME_TOL * (1.0 + mu.max()):
-        return spectrum(L1 - 0.25 * M).is_psd
-    L0_inv_h = S0.inv_sqrt()
-    K = hermitianize(4.0 * L0_inv_h @ L1 @ L0_inv_h - M @ M)
-    frame = _frame(Minv)
-    U = frame.rotation
-    K_rot = hermitianize(U.conj().T @ K @ U)
-    return m0_membership(frame, QubitDualPoint.from_operator(K_rot))
+    mu, V = 1.0 / S0.eigenvalues, S0.eigenvectors  # L0^{-1}'s eigenvalues descend
+    L1v = V.conj().T @ L1 @ V
+    l, m = (mu[0] - mu[1]) / 2.0, (mu[0] + mu[1]) / 2.0
+    if l <= FRAME_TOL * (1.0 + mu[0]):
+        return spectrum(L1v - 0.25 * np.diag(mu)).is_psd
+    K = 4.0 * np.sqrt(np.outer(mu, mu)) * L1v - np.diag(mu * mu)
+    return m0_membership(M0Frame(l, m, V), QubitDualPoint.from_operator(K))
 
 
 def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:

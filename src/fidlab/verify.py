@@ -50,7 +50,7 @@ from .polar import (
     povm_lower_bound,
 )
 from .qubit_geom import (
-    _convex_argmin,
+    _m0_boundary,
     SIGMA_X,
     SIGMA_Z,
     M0Frame,
@@ -410,16 +410,20 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
     for t in range(trials):
         rng = rng_for(seed, 1, t)
         x, y = rng.normal(0, 1.5, 2)
-        z = 0.0 if t % 7 == 0 else float(rng.normal(0, 1.2))
-        xp = float(np.hypot(x, y))
-        wline = w2_min_oracle(xp, z)
-        w = wline + float(rng.uniform(-1.0, 1.0))
-        if abs(w - wline) <= 1e-7:
+        if t % 7 == 1:
+            # small |z|, where M0's boundary lies about |z| above f2: log-uniform
+            # |z| in [1e-10, 1e-2], and a log-uniform distance in [3e-7, 1] from it
+            z, dw = map(float, rng.choice([-1.0, 1.0], 2)
+                        * 10.0 ** rng.uniform([-10.0, -6.5], [-2.0, 0.0]))
+        else:
+            z = 0.0 if t % 7 == 0 else float(rng.normal(0, 1.2))
+            dw = float(rng.uniform(-1.0, 1.0))
+        if abs(dw) <= 1e-7:
             continue
         rep.trials += 1
+        w = w2_min_oracle(float(np.hypot(x, y)), z) + dw
         got = m0_membership(frame, QubitDualPoint(x=x, y=y, z=z, w=w))
-        rep.check(got == (w >= wline), f"point {t}", "m0-vs-oracle",
-                  w >= wline, got, 1e-7)
+        rep.check(got == (dw > 0), f"point {t}", "m0-vs-oracle", dw > 0, got, 1e-7)
     # quartic root vs oracle on a side x side grid (50 at the default 500 trials)
     side = max(2, math.isqrt(5 * trials))
     for x in np.linspace(-3, 3, side):
@@ -440,22 +444,13 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
         rep.trials += 1
         rep.check(m0_membership(fr, point), f"commutator {t}",
                   "m0-2-membership", True, False, 0)
-    # boundary reproduction through the delta-parameterization
+    # the boundary's t-parameterization, which membership decides by, against the quartic root
     for t in range(max(1, trials // 10)):
         rng = rng_for(seed, 3, t)
         xp = float(rng.uniform(0.1, 3.0))
         z = float(rng.uniform(0.05, 2.0))
-        wline = unique_root_w(xp, z)
-
-        def w_of_t(tt):
-            return xp * xp / (4 * (1 + tt)) + z * z / (4 * tt) + tt
-
-        def slope(tt):
-            return 1 - xp * xp / (4 * (1 + tt) ** 2) - z * z / (4 * tt * tt)
-
-        tt = _convex_argmin(slope, 1e-9, 10 + xp + z)
         rep.trials += 1
-        rep.close(w_of_t(tt), wline, 1e-6, f"boundary {t}",
+        rep.close(_m0_boundary(xp, z), unique_root_w(xp, z), 1e-6, f"boundary {t}",
                   "m0-2-parameterization")
     # extreme points span a 3-dimensional affine set
     pts = [m0_extreme_points(frame, s, a)

@@ -188,6 +188,24 @@ def test_compute_singular_qubit_pair_reports_boolean_memberships(tmp_path, capsy
     assert out["dual_body_membership"] == {"max": False, "min": False, "half": False}
 
 
+def test_compute_as_dual_refuses_a_pair_just_outside_the_min_body(tmp_path, capsys):
+    # L0 = diag(1, 2): L0^{-1} has the frame l = 1/4 in the standard basis. K's scaled
+    # coordinates x' = 1, z = 1e-4 and w halfway from f2 up to M0's boundary put
+    # 4 L1 = L0^{-1} + sqrt(L0) K sqrt(L0) just outside the min-fidelity dual body
+    x_prime, z = 1.0, 1e-4
+    w = (fidlab.f2(x_prime, z) + fidlab.w2_min_oracle(x_prime, z)) / 2
+    K = np.array([[w + z, x_prime], [x_prime, w - z]]) / 16
+    sq = np.diag([1.0, np.sqrt(2.0)])
+    L0, L1 = np.diag([1.0, 2.0]), (np.diag([1.0, 0.5]) + sq @ K @ sq) / 4
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps([
+        {"dim": 2, "entries": [[[float(v), 0.0] for v in row] for row in H]} for H in (L0, L1)]))
+    assert main(["compute", str(path), "--as-dual", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["polar_min"] < 1.0 - 1e-9
+    assert out["dual_body_membership"]["min"] is False
+
+
 def _kernel_pairs(dim):
     """A definite pair, Y with a trailing kernel and X with a rotated kernel."""
     rng = rng_for(77, dim)

@@ -45,6 +45,15 @@ def test_classical_input_validation():
         classical_fidelity([-0.1, 1.1], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["classical_fidelity", "polar_classical"])
+def test_classical_quantities_refuse_non_finite_weights(name, bad):
+    with pytest.raises(NegativeEntry, match="negative or non-finite"):
+        getattr(fidlab, name)([bad, 1.0], [0.5, 0.5])
+    with pytest.raises(NegativeEntry, match="negative or non-finite"):
+        getattr(fidlab, name)([0.5, 0.5], [1.0, bad])
+
+
 def test_fidelity_max_self():
     rng = rng_for(0)
     rho = random_pd(3, rng)

@@ -250,3 +250,11 @@ def test_non_finite_operands_are_refused(name, bad):
         getattr(fidlab, name)(np.eye(2), B)
     with pytest.raises(NotPsd, match="^Z has a non-finite entry"):
         psd_spectrum(B, "Z")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["spectrum", "pinv"])
+def test_spectrum_and_pinv_refuse_non_finite_entries(name, bad):
+    # a NaN tolerance would keep no support, and pinv would return the zero matrix
+    with pytest.raises(NotPsd, match="^operator has a non-finite entry"):
+        getattr(fidlab, name)(np.diag([bad, 1.0]))

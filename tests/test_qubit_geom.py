@@ -3,10 +3,11 @@ import numpy.linalg as npl
 import pytest
 
 from fidlab.channels import random_pd, rng_for
-from fidlab.errors import DegenerateFrame, DegenerateZ, SOutOfRange
+from fidlab.errors import DegenerateFrame, DegenerateZ, RootAmbiguity, SOutOfRange
 from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import _polar_min_bracket, polar_membership
 from fidlab.qubit_geom import (
+    _m0_boundary,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -63,6 +64,22 @@ def test_unique_root_rejects_z_zero():
         unique_root_w(1.0, 0.0)
 
 
+@pytest.mark.parametrize("x, z", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf),
+                                  (-np.inf, 1.0), (np.inf, 0.0), (1e200, 1.0), (1.0, 1e80)],
+                         ids=["x-nan", "z-nan", "z-inf", "x-minus-inf", "x-inf-z-zero",
+                              "x-square-overflows", "z-power-overflows"])
+def test_unique_root_refuses_non_finite_coefficients(x, z):
+    with pytest.raises(RootAmbiguity, match="non-finite coefficient"):
+        unique_root_w(x, z)
+
+
+@pytest.mark.parametrize("z", [1e-3, -1e-3, 3.0])
+def test_unique_root_within_its_stated_domain(z):
+    # the docstring's domain |x| <= 4, 1e-3 <= |z| <= 3, at its edges
+    for x in np.linspace(-4.0, 4.0, 801):
+        assert unique_root_w(x, z) == pytest.approx(w2_min_oracle(x, z), abs=6e-8, rel=0)
+
+
 def test_w2_oracle_values():
     assert w2_min_oracle(1, 0) == pytest.approx(0.25, abs=1e-9)
     assert w2_min_oracle(3, 0) == pytest.approx(2.0, abs=1e-9)
@@ -85,6 +102,31 @@ def test_m0_membership_boundary_points():
     assert m0_membership(FRAME, QubitDualPoint(x=1, y=0, z=0, w=0.25))
     assert not m0_membership(FRAME, QubitDualPoint(x=0, y=0, z=1, w=0.999))
     assert m0_membership(FRAME, QubitDualPoint(x=0, y=0, z=1, w=1.0))
+
+
+def test_m0_boundary_matches_the_oracle():
+    # w_b(x', z), the minimum over t > 0 that membership decides by, is the same
+    # boundary as the independent minimum over s of w2_min_oracle, and f1 at z = 0
+    rng = rng_for(95)
+    for _ in range(2000):
+        x_prime = float(rng.uniform(0.0, 4.0))
+        z = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, np.log10(3.0)))
+        assert _m0_boundary(x_prime, z) == pytest.approx(
+            w2_min_oracle(x_prime, z), rel=1e-12, abs=0)
+    for x_prime in np.linspace(0.0, 4.0, 41):
+        assert _m0_boundary(x_prime, 0.0) == pytest.approx(f1(x_prime), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("z", [1e-5, 1e-4, 1e-3])
+def test_m0_membership_refuses_points_between_f2_and_the_boundary(z):
+    # at small |z| and x' < 2 the boundary lies about |z| above f2; a point a tenth
+    # of that gap below the boundary is outside M0, one 1e-10 below it is inside
+    for x_prime in (0.5, 1.0, 1.9):
+        top = w2_min_oracle(x_prime, z)
+        gap = top - f2(x_prime, z)
+        assert gap > 1e-7
+        assert not m0_membership(FRAME, QubitDualPoint(x=x_prime, y=0, z=z, w=top - 0.1 * gap))
+        assert m0_membership(FRAME, QubitDualPoint(x=x_prime, y=0, z=z, w=top - 1e-10))
 
 
 def test_m0_extreme_points():
@@ -125,6 +167,36 @@ def test_mfmin_membership_extreme():
     L1 = 0.25 * _pd_inverse(L0)
     assert mfmin_qubit_membership(L0, L1)
     assert not mfmin_qubit_membership(L0, L1 - 1e-3 * I2)
+
+
+def _near_boundary_pair(t):
+    """
+    A qubit pair just outside the min-fidelity dual body: 4 L1 = L0^{-1} + sqrt(L0) K
+    sqrt(L0) with K's l^2-scaled frame coordinates at x' in (0.2, 1.8), small |z| in
+    (1e-5, 3e-4) and w 30-90% of the way from f2 up to the w2_min_oracle boundary.
+    """
+    rng = rng_for(3, t)
+    L0 = random_pd(2, rng)
+    S = spectrum(L0)
+    mu, V = 1.0 / S.eigenvalues, S.eigenvectors
+    l2 = ((mu[0] - mu[1]) / 2) ** 2
+    x_prime = rng.uniform(0.2, 1.8)
+    z = rng.uniform(1e-5, 3e-4) * rng.choice([-1.0, 1.0])
+    a = rng.uniform(0.0, 2 * np.pi)
+    lo, hi = f2(x_prime, z), w2_min_oracle(x_prime, z)
+    w = lo + rng.uniform(0.3, 0.9) * (hi - lo)
+    K = V @ (l2 * (x_prime * (np.cos(a) * SIGMA_X + np.sin(a) * SIGMA_Y)
+                   + z * SIGMA_Z + w * I2)) @ V.conj().T
+    sq = S.sqrt()
+    return L0, hermitianize(S.pinv() + sq @ K @ sq) / 4
+
+
+def test_mfmin_membership_agrees_with_the_polar_near_small_z_boundary():
+    # K just below M0's boundary at small |z|: the polar rule and M0 both say outside
+    for t in range(200):
+        L0, L1 = _near_boundary_pair(t)
+        assert not polar_membership("min", L0, L1)
+        assert not mfmin_qubit_membership(L0, L1)
 
 
 def test_mfmin_membership_commuting_fallback():
