@@ -97,8 +97,20 @@ def _witness_shift(X: np.ndarray, Y: np.ndarray, L0: np.ndarray, L1: np.ndarray,
 
 
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
-    """Direct eigenvalue test of [[2 L0, -I], [-I, 2 L1]] >= 0."""
-    return spectrum(_dual_block(*_hermitian_pair(L0, L1, ("L0", "L1")))).is_psd
+    """
+    Eigenvalue test of [[2 L0, -I], [-I, 2 L1]] >= 0 in the polar's units: the congruence
+    diag((2 L0)^{-1/2}, (2 L1)^{-1/2}) gives [[I, -K], [-K^dagger, I]], whose lowest
+    eigenvalue is 1 - 1/polar_max; a member has it >= -1e-9. False when L0 or L1 is
+    singular or not PSD. Its round-off is about eps times the larger condition number
+    kappa (against 40-digit references at dims 2-8: <= 5e-13 at kappa <= 1e4, 3.4e-11
+    at 1e6, 7.4e-9 at 1e8), so beyond kappa ~1e7 it can exceed the tolerance.
+    """
+    S0, S1 = (spectrum(L) for L in _hermitian_pair(L0, L1, ("L0", "L1")))
+    if S0.is_singular or S1.is_singular:
+        return False
+    K = 0.5 * S0.matrix(S0.eigenvalues ** -0.5) @ S1.matrix(S1.eigenvalues ** -0.5)
+    eye = np.eye(K.shape[0])
+    return bool(npl.eigvalsh(np.block([[eye, -K], [-K.conj().T, eye]]))[0] >= -1e-9)
 
 
 def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:

@@ -14,13 +14,12 @@ import sys
 
 import numpy as np
 
-from .certify import _certificate, mfmax_membership
+from .certify import _certificate
 from .errors import FidlabError, ParseError, UnknownSuite
 from .fidelity import _FIDELITIES
 from .linalg_core import psd_pair
 from .polar import _POLARS
-from .qubit_geom import _DUAL_BODY_FLOOR, M0Frame, f1, m0_extreme_points, m0_membership, \
-    mfmin_qubit_membership
+from .qubit_geom import _DUAL_BODY_FLOOR, M0Frame, f1, m0_extreme_points, m0_membership
 from .verify import Report, run_suite
 
 _KINDS = ("max", "min", "half")
@@ -117,11 +116,9 @@ def cmd_compute(args) -> int:
             certs[kind] = {"skipped": str(exc)}
     result["certificates"] = certs
     if A.shape[0] == 2:
+        # a pair is in a dual body iff its polar is >= 1, read off the polars above
         result["dual_body_membership"] = {
-            "max": mfmax_membership(A, B),
-            "min": mfmin_qubit_membership(A, B),
-            "half": result["polar_half"] >= _DUAL_BODY_FLOOR,
-        }
+            kind: result[f"polar_{kind}"] >= _DUAL_BODY_FLOOR for kind in _KINDS}
     _emit(result, args)
     return 0
 

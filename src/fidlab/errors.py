@@ -8,7 +8,7 @@ class FidlabError(Exception):
 
 
 class NotPsd(FidlabError):
-    """An operator expected to be positive semidefinite has a negative eigenvalue."""
+    """An operator expected to be positive semidefinite has a negative eigenvalue or a non-finite entry."""
 
 
 class NotPositiveDefinite(FidlabError):

@@ -17,11 +17,12 @@ from .errors import (
     DegenerateFrame,
     DegenerateZ,
     DimensionMismatch,
+    NotPsd,
     RootAmbiguity,
     SOutOfRange,
 )
-from .linalg_core import (Spectrum, _hermitian_pair, as_square, hermitianize, psd_pair,
-                          psd_spectrum, spectrum)
+from .linalg_core import (Spectrum, _hermitian, _hermitian_pair, as_square, hermitianize,
+                          psd_pair, psd_spectrum, spectrum)
 
 __all__ = [
     "SIGMA_X",
@@ -60,6 +61,10 @@ class QubitDualPoint:
     z: float
     w: float
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x, self.y, self.z, self.w))):
+            raise NotPsd(f"QubitDualPoint has a non-finite coordinate: {self!r}")
+
     def to_operator(self) -> np.ndarray:
         return (
             self.x * SIGMA_X + self.y * SIGMA_Y + self.z * SIGMA_Z
@@ -68,7 +73,7 @@ class QubitDualPoint:
 
     @staticmethod
     def from_operator(H: np.ndarray) -> "QubitDualPoint":
-        H = hermitianize(as_square(H))
+        H = _hermitian(H, "operator")
         if H.shape != (2, 2):
             raise DimensionMismatch("QubitDualPoint needs a 2x2 operator")
         w, (x, y, z) = _bloch_split(H)
@@ -136,10 +141,18 @@ def _quartic(x: float, z: float) -> list[float]:
 
 
 def discriminant_D(x: float, z: float, w: float) -> float:
-    """The quartic-in-w boundary polynomial, evaluated as printed."""
-    c4, c3, c2, c1, c0 = _quartic(x, z)
+    """
+    The quartic-in-w boundary polynomial, evaluated as printed; RootAmbiguity,
+    as in unique_root_w, if a coefficient or the value is not finite (x, z or w
+    is not, or overflows).
+    """
+    coeffs = _quartic(x, z)
+    c4, c3, c2, c1, c0 = coeffs
     w = float(w)
-    return ((c4 * w + c3) * w + c2) * w * w + c1 * w + c0
+    value = ((c4 * w + c3) * w + c2) * w * w + c1 * w + c0
+    if not all(map(math.isfinite, (*coeffs, value))):
+        raise RootAmbiguity(f"D at (x={x!r}, z={z!r}, w={w!r}) is not finite")
+    return value
 
 
 def unique_root_w(x: float, z: float) -> float:
@@ -250,24 +263,21 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     4 L1 = L0^{-1} + sqrt(L0) K sqrt(L0) must have
     K = 4 L0^{-1/2} L1 L0^{-1/2} - L0^{-2} inside M0(L0^{-1}). K is written in the
     eigenbasis of L0's eigenvalues lam_0 <= lam_1, where L0^{-1}'s frame is
-    l, m = (1/lam_0 -+ 1/lam_1) / 2.
-    L0 proportional to I falls back to the commuting test L1 >= (1/4) L0^{-1}.
-    An L0 that is PSD but not positive definite has no L0^{-1}; its pair is
-    decided by polar_membership's rule, exact qubit polar_min >= 1 - 1e-9.
+    l, m = (1/lam_0 -+ 1/lam_1) / 2. A pair with no such frame, because L0 is PSD
+    but not positive definite (no L0^{-1}) or proportional to I (l vanishes), is
+    decided by polar_membership's rule: exact qubit polar_min >= 1 - 1e-9.
     """
     L0, L1 = _hermitian_pair(L0, L1, ("L0", "L1"))
     if L0.shape != (2, 2):
         raise DimensionMismatch("mfmin_qubit_membership is dim-2 only")
     S0 = psd_spectrum(L0, "L0")
-    if S0.eigenvalues[0] <= S0.tol:
-        return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= _DUAL_BODY_FLOOR
-    mu, V = 1.0 / S0.eigenvalues, S0.eigenvectors  # L0^{-1}'s eigenvalues descend
-    L1v = V.conj().T @ L1 @ V
-    l, m = (mu[0] - mu[1]) / 2.0, (mu[0] + mu[1]) / 2.0
-    if l <= FRAME_TOL * (1.0 + mu[0]):
-        return spectrum(L1v - 0.25 * np.diag(mu)).is_psd
-    K = 4.0 * np.sqrt(np.outer(mu, mu)) * L1v - np.diag(mu * mu)
-    return m0_membership(M0Frame(l, m, V), QubitDualPoint.from_operator(K))
+    if S0.eigenvalues[0] > S0.tol:
+        mu, V = 1.0 / S0.eigenvalues, S0.eigenvectors  # L0^{-1}'s eigenvalues descend
+        l, m = (mu[0] - mu[1]) / 2.0, (mu[0] + mu[1]) / 2.0
+        if l > FRAME_TOL * (1.0 + mu[0]):
+            K = 4.0 * np.sqrt(np.outer(mu, mu)) * (V.conj().T @ L1 @ V) - np.diag(mu * mu)
+            return m0_membership(M0Frame(l, m, V), QubitDualPoint.from_operator(K))
+    return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= _DUAL_BODY_FLOOR
 
 
 def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:

@@ -117,6 +117,13 @@ def _direct_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rotated(eigenvalues: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """U diag(eigenvalues) U^dagger, U the unitary factor of a complex Gaussian's QR."""
+    dim = len(eigenvalues)
+    U = npl.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return hermitianize((U * eigenvalues) @ U.conj().T)
+
+
 def _cases(rep: Report, dims, trials: int):
     """(dim, t, rng, case) per trial of every dim, each counted on rep as it starts."""
     for dim in dims:
@@ -304,12 +311,19 @@ def suite_duality(dims=(2, 3), trials=100, seed=42) -> Report:
         rep.check(not mfmax_membership(L0, ext - 1e-3 * np.eye(dim)),
                   case, "below-extreme-nonmember", False, True, 0)
         L1 = random_pd(dim, rng)
-        # boundary-straddling scaling: membership iff polar_max >= 1
-        s = polar_max(L0, L1) * float(rng.uniform(0.9, 1.1))
-        v = polar_max(L0 / s, L1 / s)
-        if abs(v - 1) > 1e-8:
-            rep.check(mfmax_membership(L0 / s, L1 / s) == (v >= 1),
-                      case, "membership-vs-polar", v >= 1, None, 1e-8)
+        # boundary-straddling scaling: membership iff polar_max >= 1, on the trial's pair and
+        # on an ill-conditioned one (kappa <= 1e4, rotated operands) from its own stream
+        ill_rng = rng_for(rep.seed, dim, t, 1)
+        ill = tuple(_rotated(10.0 ** ill_rng.uniform(lo, lo + 4.0, dim), ill_rng)
+                    for lo in (-4.0, 0.0))
+        gap = 10.0 ** ill_rng.uniform(-8.0, -2.0) * ill_rng.choice([-1.0, 1.0])
+        for (A0, A1), s, label in (
+                ((L0, L1), polar_max(L0, L1) * float(rng.uniform(0.9, 1.1)), ""),
+                (ill, polar_max(*ill) / (1.0 + gap), "[ill-conditioned]")):
+            v = polar_max(A0 / s, A1 / s)
+            if abs(v - 1) > 1e-8:
+                rep.check(mfmax_membership(A0 / s, A1 / s) == (v >= 1),
+                          case, "membership-vs-polar" + label, v >= 1, None, 1e-8)
         if mfmax_membership(L0, L1):
             M0 = random_psd(dim, rng)
             M1 = random_psd(dim, rng)

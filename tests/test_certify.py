@@ -18,6 +18,7 @@ from fidlab.fidelity import (
 )
 from fidlab.linalg_core import OperatorPair, hermitianize, psd_pair, psd_sqrt, spectrum
 from fidlab.polar import _polar_min, _polar_min_bracket, polar_max, polar_membership
+from fidlab.verify import _rotated
 
 I2 = np.eye(2, dtype=complex)
 
@@ -108,6 +109,35 @@ def test_mfmax_membership_extreme_point():
     L1 = _pd_inverse(4 * L0)
     assert mfmax_membership(L0, L1)
     assert not mfmax_membership(L0, L1 - 1e-3 * I2)
+
+
+def test_mfmax_membership_refuses_a_commuting_pair_just_outside_the_body():
+    # polar_max = 2 sqrt(1e-4 * 2497.5) = 0.99950; the dual block's lowest
+    # eigenvalue, -2e-7, sat inside a tolerance of 1e-10 (1 + ||block||)
+    L0, L1 = np.diag([1e-4, 1.0]), np.diag([2497.5, 0.25])
+    assert polar_max(L0, L1) < 0.9996
+    assert not mfmax_membership(L0, L1)
+    assert mfmax_membership(L0 / 0.9994, L1 / 0.9994)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_mfmax_membership_agrees_with_the_polar_on_ill_conditioned_straddling_pairs(dim):
+    # rotated operands with eigenvalues 10^U(-4, 0) and 10^U(0, 4), scaled to sit
+    # 10^U(-8, -2) inside or outside the boundary polar_max = 1
+    for t in range(200):
+        rng = rng_for(23, dim, t)
+        L0, L1 = (_rotated(10.0 ** rng.uniform(lo, lo + 4.0, dim), rng) for lo in (-4.0, 0.0))
+        s = polar_max(L0, L1) / (1.0 + 10.0 ** rng.uniform(-8.0, -2.0) * rng.choice([-1.0, 1.0]))
+        v = polar_max(L0 / s, L1 / s)
+        if abs(v - 1.0) > 1e-8:
+            assert mfmax_membership(L0 / s, L1 / s) == (v >= 1.0), (t, v)
+
+
+def test_mfmax_membership_is_false_on_singular_or_indefinite_operands():
+    assert not mfmax_membership(np.diag([1.0, 0.0]), 100 * I2)
+    assert not mfmax_membership(I2, np.diag([1.0, -1e-3]))
+    with pytest.raises(NotPsd):
+        mfmax_membership(np.diag([np.nan, 1.0]), I2)
 
 
 def test_certificate_self_pair():

@@ -206,6 +206,20 @@ def test_compute_as_dual_refuses_a_pair_just_outside_the_min_body(tmp_path, caps
     assert out["dual_body_membership"]["min"] is False
 
 
+def test_compute_as_dual_reports_a_commuting_pair_outside_every_body(tmp_path, capsys):
+    # on a commuting pair the three bodies coincide: all three polars are
+    # 2 sqrt(1e-4 * 2497.5) = 0.99950, so no body holds the pair
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    _write_matrix(a, [1e-4, 1.0])
+    _write_matrix(b, [2497.5, 0.25])
+    assert main(["compute", str(a), str(b), "--as-dual", "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for kind in ("max", "min", "half"):
+        assert out[f"polar_{kind}"] == pytest.approx(2 * np.sqrt(0.24975), rel=1e-12)
+    assert out["dual_body_membership"] == {"max": False, "min": False, "half": False}
+
+
 def _kernel_pairs(dim):
     """A definite pair, Y with a trailing kernel and X with a rotated kernel."""
     rng = rng_for(77, dim)
@@ -232,9 +246,7 @@ def _expected_report(A, B):
             out["certificates"][kind] = {"skipped": str(exc)}
     if A.shape[0] == 2:
         out["dual_body_membership"] = {
-            "max": fidlab.mfmax_membership(A, B),
-            "min": fidlab.mfmin_qubit_membership(A, B),
-            "half": fidlab.polar_membership("half", A, B)}
+            kind: fidlab.polar_membership(kind, A, B) for kind in ("max", "min", "half")}
     return out
 
 

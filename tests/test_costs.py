@@ -120,10 +120,10 @@ def test_decompositions_per_triple_on_one_pair(triple, dim, lapack_calls):
 # eigh + eigvalsh per in-process `fidlab compute` request, on a definite pair
 # and with Y_k: the pair is admitted once and every fidelity, polar and
 # certificate is a kernel over it; only the half certificate admits another
-# pair, its dual pair L*. At dim 2, mfmax_membership's dual block adds one,
-# and mfmin_qubit_membership's L0 is the admitted operand's memoized spectrum.
+# pair, its dual pair L*. At dim 2 the dual-body memberships are read off the
+# three polars and take no decomposition of their own.
 # The definite pair's max certificate takes the one SVD.
-COMPUTE = {2: (15, 6), 3: (23, 5), 4: (27, 5), 8: (32, 5)}
+COMPUTE = {2: (14, 5), 3: (23, 5), 4: (27, 5), 8: (32, 5)}
 
 
 @pytest.mark.parametrize("dim", sorted(COMPUTE))

@@ -3,7 +3,7 @@ import numpy.linalg as npl
 import pytest
 
 from fidlab.channels import random_pd, rng_for
-from fidlab.errors import DegenerateFrame, DegenerateZ, RootAmbiguity, SOutOfRange
+from fidlab.errors import DegenerateFrame, DegenerateZ, NotPsd, RootAmbiguity, SOutOfRange
 from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import _polar_min_bracket, polar_membership
 from fidlab.qubit_geom import (
@@ -57,6 +57,15 @@ def test_unique_root_values():
     assert unique_root_w(0, 1) == pytest.approx(1.0, abs=1e-9)
     assert unique_root_w(0, 0.3) == pytest.approx(0.3, abs=1e-9)
     assert unique_root_w(1, 1) == pytest.approx(w2_min_oracle(1, 1), abs=1e-6)
+
+
+@pytest.mark.parametrize("x, z, w", [(1.0, 1e80, 1.0), (np.nan, 1.0, 1.0), (1.0, 1.0, np.inf),
+                                     (1e200, 1.0, 1.0), (1.0, 1.0, 1e100)],
+                         ids=["z-power-overflows", "x-nan", "w-inf", "x-square-overflows",
+                              "value-overflows"])
+def test_discriminant_refuses_non_finite_values(x, z, w):
+    with pytest.raises(RootAmbiguity, match="is not finite"):
+        discriminant_D(x, z, w)
 
 
 def test_unique_root_rejects_z_zero():
@@ -204,6 +213,16 @@ def test_mfmin_membership_commuting_fallback():
     assert not mfmin_qubit_membership(I2 / 4, I2 / 4)
 
 
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-5])
+def test_mfmin_membership_with_l0_proportional_to_i_follows_the_polar_rule(eps):
+    # polar_min = 2 sqrt(1e-6 (1 - eps) / 4e-6) = sqrt(1 - eps), just outside the body;
+    # L1 - L0^{-1}/4 = diag(-eps / 4e-6, ~1e8) sat inside an eigenvalue tolerance of 1e-2
+    L0, L1 = 1e-6 * I2, np.diag([(1.0 - eps) / 4e-6, 1e8]).astype(complex)
+    assert polar_min_qubit(L0, L1) == pytest.approx(np.sqrt(1.0 - eps), rel=1e-12)
+    assert not mfmin_qubit_membership(L0, L1)
+    assert mfmin_qubit_membership(L0, L1 / (1.0 - eps))
+
+
 def test_mfmin_membership_on_a_singular_l0_is_false():
     # polar_min is 0 whenever L0 has a kernel, so no L1 puts the pair in the body
     assert not mfmin_qubit_membership(np.diag([1.0, 0.0]).astype(complex), 5 * I2)
@@ -330,6 +349,19 @@ def test_qubit_dual_point_roundtrip():
     p = QubitDualPoint(x=0.3, y=-0.2, z=0.7, w=1.1)
     q = QubitDualPoint.from_operator(p.to_operator())
     assert (q.x, q.y, q.z, q.w) == pytest.approx((p.x, p.y, p.z, p.w), abs=1e-12)
+
+
+@pytest.mark.parametrize("coords", [(np.nan, 0, 0, 1), (0, 0, 0, np.inf), (0, -np.inf, 0, 1)],
+                         ids=["x-nan", "w-inf", "y-minus-inf"])
+def test_qubit_dual_point_refuses_non_finite_coordinates(coords):
+    with pytest.raises(NotPsd, match="non-finite"):
+        QubitDualPoint(*coords)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qubit_dual_point_from_operator_refuses_non_finite_entries(bad):
+    with pytest.raises(NotPsd, match="non-finite"):
+        QubitDualPoint.from_operator(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_convertibility_identical_pairs():
