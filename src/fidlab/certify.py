@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ _CERT_TOL = 1e-7
 
 @dataclass(frozen=True)
 class Certificate:
-    """A primal/dual pair of values with feasibility flags and their gap."""
+    """Primal and dual values, feasibility flags and gap; valid if gap <= _CERT_TOL |primal|."""
 
     kind: str
     primal_value: float
@@ -46,7 +47,7 @@ class Certificate:
         return (
             self.primal_feasible
             and self.dual_feasible
-            and self.gap <= _CERT_TOL * (1.0 + abs(self.primal_value))
+            and self.gap <= _CERT_TOL * abs(self.primal_value)
         )
 
 
@@ -66,10 +67,10 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
 
 
 def _block_psd(X: np.ndarray, Xs: Spectrum, C: np.ndarray, Ys: Spectrum) -> bool:
-    # (I - pi_X) C = 0 is K_X^dagger C = 0, K_X the kernel; definite operands take no norm
+    # (I - pi_X) C = 0 is K_X^dagger C = 0, K_X the kernel, relative to sqrt(||X|| ||Y||) >= ||C||
     KX, KY = Xs.kernel(), Ys.kernel()
     if KX.shape[1] or KY.shape[1]:
-        tol = 1e-9 * (1.0 + npl.norm(C, 2))
+        tol = 1e-9 * (Xs.norm * Ys.norm) ** 0.5
         if npl.norm(KX.conj().T @ C, 2) > tol or npl.norm(C @ KY, 2) > tol:
             return False
     # X - C Y^+ C^dagger through B = C Y^{+1/2}: round-off eps sqrt(kappa(Y)), not eps kappa(Y)
@@ -86,14 +87,15 @@ def _dual_block(L0: np.ndarray, L1: np.ndarray, T=0.0) -> np.ndarray:
 def _witness_shift(X: np.ndarray, Y: np.ndarray, L0: np.ndarray, L1: np.ndarray,
                    T) -> float:
     """
-    eps/2 tr(X + Y), what (L0, L1) must rise by in dual value to be exactly
-    feasible: with B = _dual_block(L0, L1, T) and
-    eps = max(0, -lambda_min(B)) + 4 d eps_mach max|lambda(B)|, the second term
-    eigvalsh's round-off, B + eps I >= 0 is the block of (L0 + eps/2 I, L1 + eps/2 I).
+    What (L0, L1) must rise by in dual value to be exactly feasible: B = _dual_block(L0, L1, T)
+    balanced by diag(c I, I/c), c^2 = sqrt(tr L1 / tr L0), keeps its inertia, and with
+    eps = max(0, -lambda_min(B)) + 4 d eps_mach max|lambda(B)| (eigvalsh's round-off) lifting
+    (L0, L1) by (eps/(2 c^2) I, eps c^2/2 I) makes it PSD, at eps/2 (tr X / c^2 + c^2 tr Y).
     """
-    w = npl.eigvalsh(_dual_block(L0, L1, T))
+    c2 = math.sqrt(L1.trace().real / L0.trace().real)
+    w = npl.eigvalsh(_dual_block(c2 * L0, L1 / c2, T))
     eps = max(0.0, -w[0]) + 4 * L0.shape[0] * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
-    return 0.5 * eps * float(np.trace(X + Y).real)
+    return 0.5 * eps * float(X.trace().real / c2 + c2 * Y.trace().real)
 
 
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
@@ -119,12 +121,12 @@ def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     checks + duality gap for the chosen fidelity kind.
 
     For max and min the dual pair (L0*, L1*) is checked on one eigvalsh of its
-    dual block at the optimal twist (`_witness_shift`): it is feasible when the
-    shift eps/2 tr(X + Y) that makes it exactly feasible is at most
-    _CERT_TOL (1 + |primal_value|). A valid certificate then guarantees
-    primal_value <= F(X, Y) <= dual_value + eps/2 tr(X + Y). For half the dual
-    pair is feasible when its polar is at least 1 - _CERT_TOL; L*/p is then
-    feasible and worth dual_value/p.
+    dual block at the optimal twist (`_witness_shift`): it is feasible when the shift
+    s = eps/2 (tr X / c^2 + c^2 tr Y) that makes it exactly feasible is at most
+    _CERT_TOL sqrt(tr X tr Y), a scale >= F that holds eigvalsh's round-off where F << tr X,
+    and is unit-free. A valid certificate guarantees primal_value <= F <= dual_value + s.
+    For half the dual pair is feasible when its polar is at least 1 - _CERT_TOL; L*/p is
+    then feasible and worth dual_value/p.
     """
     return _certificate(kind, *psd_pair(X, Y, definite=True))
 
@@ -143,7 +145,7 @@ def _certificate(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
         primal_value = float(np.trace(C).real)
         primal_feasible = _block_psd(X, Xs, C, Ys)
         shift = _witness_shift(X, Y, pair.first, pair.second, T)
-        dual_feasible = shift <= _CERT_TOL * (1.0 + abs(primal_value))
+        dual_feasible = shift <= _CERT_TOL * math.sqrt(X.trace().real * Y.trace().real)
     dual_value = float((np.trace(pair.first @ X) + np.trace(pair.second @ Y)).real)
     return Certificate(
         kind=kind,

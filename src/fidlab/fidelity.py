@@ -87,6 +87,8 @@ def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
     tr Y sqrt( Y^{-1/2} X Y^{-1/2} ) with generalized inverses, X replaced by its
     Schur reduction onto supp Y when supp X is not contained in supp Y; it is
     sum_k r_k ||g_k||^2 over _min_frame's G, with ||g_k||^2 = sum_i d_i |U_ik|^2.
+    Y's eigenvalues <= Spectrum.tol are cut, so F_min can fall short by about sqrt(tol ||X||)
+    per cut direction: X = diag(0, 1), Y = diag(1, 1e-10) give 0, not the overlap 1e-5.
     """
     return _fidelity_min(*psd_pair(X, Y))
 

@@ -2,12 +2,12 @@
 #
 # One spectrum per operand: `psd_spectrum` validates and decomposes a PSD
 # operand once, and everything else about it is read off that Spectrum —
-# its tolerance 1e-10 * (1 + max |lambda|), its PSD/PD/singular verdicts,
+# its tolerance 1e-10 * max |lambda|, its PSD/PD/singular verdicts,
 # square root, inverse square root, pseudoinverse, support, kernel and the
 # Schur reduction of another operator onto that support. The public matrix functions are
 # one-liners over it. Operand pairs are admitted here too: `psd_pair` decomposes
 # each operand once, and its (X, Y, Xs, Ys) is what every two-operand kernel takes;
-# `_hermitian_pair` is the gate under it, refusing empty, unequal or non-finite operands.
+# `_hermitian_pair`, the gate under it, refuses empty, unequal, non-finite, out-of-range operands.
 # An operand is decomposed once per process, not once per call: `psd_pair` and
 # `psd_spectrum` share `_operand_spectrum`, a memo of the latest 64 operand spectra
 # (read-only arrays) keyed by the dimension and bytes of the Hermitian part. The PSD/PD
@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -55,11 +56,14 @@ def as_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _hermitian(A: np.ndarray, name: str) -> np.ndarray:
-    """The Hermitian part of a square operand; DimensionMismatch, or NotPsd if not finite."""
+def _hermitian(A: np.ndarray, name: str, bounded: bool = False) -> np.ndarray:
+    """The Hermitian part; DimensionMismatch, or NotPsd if not finite or (bounded) out of range."""
     A = as_square(A)
-    if not np.isfinite(A).all():
+    top = float(np.abs(A).max(initial=0.0))
+    if not math.isfinite(top):
         raise NotPsd(f"{name} has a non-finite entry")
+    if bounded and not (top == 0.0 or 1e-100 <= top <= 1e100):
+        raise NotPsd(f"{name} has largest |entry| {top:.3e}, outside [1e-100, 1e100]")
     return hermitianize(A)
 
 
@@ -82,8 +86,8 @@ class Spectrum:
 
     @property
     def tol(self) -> float:
-        """Positivity and rank tolerance 1e-10 * (1 + max |lambda|)."""
-        return 1e-10 * (1.0 + self.norm)
+        """Positivity and rank tolerance 1e-10 * max |lambda|, relative to the operator's scale."""
+        return 1e-10 * self.norm
 
     @property
     def is_psd(self) -> bool:
@@ -194,10 +198,11 @@ def _admitted(sp: Spectrum, name: str, definite: bool) -> Spectrum:
 
 def _hermitian_pair(A: np.ndarray, B: np.ndarray, names=("X", "Y")) -> tuple[np.ndarray, ...]:
     """
-    Hermitian parts of two square operands of one nonzero dimension with finite
-    entries, else DimensionMismatch or NotPsd.
+    Hermitian parts of two square operands of one nonzero dimension, finite and of largest
+    |entry| 0 or in [1e-100, 1e100], where the kernels' products of three operand-scale
+    factors stay finite; else DimensionMismatch or NotPsd.
     """
-    A, B = _hermitian(A, names[0]), _hermitian(B, names[1])
+    A, B = _hermitian(A, names[0], bounded=True), _hermitian(B, names[1], bounded=True)
     if A.shape != B.shape:
         raise DimensionMismatch(
             f"{names[0]} has dimension {A.shape[0]} but {names[1]} has {B.shape[0]}")

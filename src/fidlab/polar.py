@@ -21,7 +21,7 @@ import numpy.linalg as npl
 
 from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
-from .linalg_core import Spectrum, hermitianize, psd_pair, spectrum
+from .linalg_core import Spectrum, psd_pair, spectrum
 from .superop import _composed_lyapunov_matrix
 from .qubit_geom import _DUAL_BODY_FLOOR, _polar_min_qubit
 
@@ -54,16 +54,18 @@ def polar_classical(l0, l1) -> float:
 
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
-    """2 sqrt( lambda_min( sqrt(L1) L0 sqrt(L1) ) ); 0 on singular inputs."""
+    """2 sigma_min(sqrt(L0) sqrt(L1)), within 2 eps max kappa(L_k) relative; 0 if singular."""
     return _polar_max(*psd_pair(L0, L1, _DUAL_NAMES))
 
 
 def _polar_max(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
     if S0.is_singular or S1.is_singular:
         return 0.0
-    s1 = S1.sqrt()
-    lam_min = float(npl.eigvalsh(hermitianize(s1 @ L0 @ s1))[0])
-    return 2.0 * float(np.sqrt(max(lam_min, 0.0)))
+    # sigma(sqrt(L0) sqrt(L1)) = sigma(D0^{1/2} V0^dagger V1 D1^{1/2}); the squared form
+    # 2 sqrt(lambda_min(sqrt(L1) L0 sqrt(L1))) loses the small singular values
+    W = S0.eigenvectors.conj().T @ S1.eigenvectors
+    M = np.sqrt(S0.eigenvalues)[:, None] * W * np.sqrt(S1.eigenvalues)
+    return 2.0 * float(npl.svd(M, compute_uv=False)[-1])
 
 
 def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
@@ -195,7 +197,7 @@ def _max_decomposition(L0: np.ndarray, L1: np.ndarray
     on the E_i and l0 = p delta, l1 = p (b_j/eps + 1/(4 delta)) on the F_j.
     By AM-GM the E_i give p sqrt((1 - eps delta/a_i)(1 - eps a_i/delta))/(1-eps)
     <= p and the F_j give >= p. The b_j are clamped at 0; a p above the polar
-    then leaves a residual, and any residual above 1e-8 (1 + ||L_k||) raises
+    then leaves a residual, and any residual above 1e-8 ||L_k|| raises
     DecompositionInfeasible rather than return a bound above the polar.
     """
     L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
@@ -214,7 +216,7 @@ def _max_decomposition(L0: np.ndarray, L1: np.ndarray
     l1 = p * np.r_[(0.25 / a - 0.25 * eps / delta) / (1.0 - eps), b / eps + 0.25 / delta]
     for name, L, S, l in (("L0", L0, S0, l0), ("L1", L1, S1, l1)):
         miss = float(npl.norm(np.tensordot(l, elements, 1) - L))
-        if miss > 1e-8 * (1.0 + S.norm):
+        if miss > 1e-8 * S.norm:
             raise DecompositionInfeasible(f"the decomposition misses {name} by {miss:.3e}")
     return elements, l0, l1
 

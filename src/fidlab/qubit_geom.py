@@ -7,6 +7,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,8 @@ class M0Frame:
         if not all(map(math.isfinite, (self.l, self.m, 2.0 * self.l * self.l))):
             raise DegenerateFrame(
                 f"frame parameters l, m and 2 l^2 must be finite, got l={self.l!r} m={self.m!r}")
-        if abs(self.l) <= FRAME_TOL:
+        # M ~ m I has no frame; membership divides by l^2, which must be a normal float
+        if abs(self.l) <= FRAME_TOL * abs(self.m) or self.l * self.l < np.finfo(float).tiny:
             raise DegenerateFrame("frame parameter l vanishes")
 
 
@@ -264,7 +266,7 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     K = 4 L0^{-1/2} L1 L0^{-1/2} - L0^{-2} inside M0(L0^{-1}). K is written in the
     eigenbasis of L0's eigenvalues lam_0 <= lam_1, where L0^{-1}'s frame is
     l, m = (1/lam_0 -+ 1/lam_1) / 2. A pair with no such frame, because L0 is PSD
-    but not positive definite (no L0^{-1}) or proportional to I (l vanishes), is
+    but not positive definite (no L0^{-1}) or M0Frame finds l degenerate (L0 ~ I), is
     decided by polar_membership's rule: exact qubit polar_min >= 1 - 1e-9.
     """
     L0, L1 = _hermitian_pair(L0, L1, ("L0", "L1"))
@@ -273,26 +275,28 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     S0 = psd_spectrum(L0, "L0")
     if S0.eigenvalues[0] > S0.tol:
         mu, V = 1.0 / S0.eigenvalues, S0.eigenvectors  # L0^{-1}'s eigenvalues descend
-        l, m = (mu[0] - mu[1]) / 2.0, (mu[0] + mu[1]) / 2.0
-        if l > FRAME_TOL * (1.0 + mu[0]):
+        with contextlib.suppress(DegenerateFrame):
+            frame = M0Frame((mu[0] - mu[1]) / 2.0, (mu[0] + mu[1]) / 2.0, V)
             K = 4.0 * np.sqrt(np.outer(mu, mu)) * (V.conj().T @ L1 @ V) - np.diag(mu * mu)
-            return m0_membership(M0Frame(l, m, V), QubitDualPoint.from_operator(K))
+            return m0_membership(frame, QubitDualPoint.from_operator(K))
     return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= _DUAL_BODY_FLOOR
 
 
 def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     """
-    Closed form for the max-fidelity polar of a qubit pair:
-    2 sqrt( (tr L0 L1 - sqrt((tr L0 L1)^2 - 4 det L0 det L1)) / 2 ).
+    2 sqrt(lambda_min(L0 L1)) by the stable root lambda_min = 2 det / (t + sqrt(t^2 - 4 det)),
+    t = tr L0 L1 and det = det L0 det L1, in units of ||L0|| ||L1||; 0 on singular inputs.
+    Relative error <= 2 eps max kappa(L_k) (50-digit references), as for polar_max.
     """
     L0, L1, S0, S1 = psd_pair(L0, L1, ("L0", "L1"))
     if S0.dim != 2:
         raise DimensionMismatch("polar_max_qubit is dim-2 only")
-    t = float(np.trace(L0 @ L1).real)
-    d = float(np.prod(S0.eigenvalues) * np.prod(S1.eigenvalues))
-    disc = max(t * t - 4.0 * d, 0.0)
-    lam_min = (t - np.sqrt(disc)) / 2.0
-    return 2.0 * float(np.sqrt(max(lam_min, 0.0)))
+    if S0.is_singular or S1.is_singular:
+        return 0.0
+    n0, n1 = S0.norm, S1.norm
+    t = float(np.trace(L0 @ L1).real) / (n0 * n1)
+    d = float(np.prod(S0.eigenvalues / n0) * np.prod(S1.eigenvalues / n1))
+    return 2.0 * math.sqrt(2.0 * d * n0 * n1 / (t + math.sqrt(max(t * t - 4.0 * d, 0.0))))
 
 
 def _bloch_split(L: np.ndarray) -> tuple[float, np.ndarray]:
@@ -374,15 +378,15 @@ def convertibility_necessary(
         if L.shape != (2, 2):
             raise DimensionMismatch("convertibility_necessary is dim-2 only")
     L0, L1, L0p, L1p = mats
-    if polar_max_qubit(L0, L1) > polar_max_qubit(L0p, L1p) + 1e-9:
-        return False
-    if polar_min_qubit(L0, L1) > polar_min_qubit(L0p, L1p) + 1e-9:
-        return False
-    if abs(np.trace(L0).real - np.trace(L0p).real) > 1e-9:
-        return False
-    if abs(np.trace(L1).real - np.trace(L1p).real) > 1e-9:
-        return False
-    if spectrum(L0 - L1).norm < spectrum(L0p - L1p).norm - 1e-9:
+
+    def exceeds(a: float, b: float) -> bool:  # by 1e-9 of the larger, at every scale
+        return a > b and not math.isclose(a, b, rel_tol=1e-9)
+
+    t0, t1, t0p, t1p = (float(np.trace(L).real) for L in mats)
+    if (exceeds(polar_max_qubit(L0, L1), polar_max_qubit(L0p, L1p))
+            or exceeds(polar_min_qubit(L0, L1), polar_min_qubit(L0p, L1p))
+            or not (math.isclose(t0, t0p, rel_tol=1e-9) and math.isclose(t1, t1p, rel_tol=1e-9))
+            or exceeds(spectrum(L0p - L1p).norm, spectrum(L0 - L1).norm)):
         return False
     r0, r1, r0p, r1p = (spectrum(L).support().dim for L in mats)
     if min(r0, r1) == 1 and min(r0p, r1p) != 1:

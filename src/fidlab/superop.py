@@ -47,8 +47,8 @@ def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:
     Xt = V.conj().T @ X @ V
     denom = w[:, None] + w[None, :]
     singular = denom <= Zs.tol
-    # the Frobenius norm of Xt bounds the operator norm of X
-    if np.any(singular & (np.abs(Xt) > 1e-10 * (1.0 + npl.norm(Xt)))):
+    # relative to the Frobenius norm of Xt, which bounds the operator norm of X
+    if np.any(singular & (np.abs(Xt) > 1e-10 * npl.norm(Xt))):
         raise SingularPair("X has weight on the kernel block of S_Z")
     St = np.where(singular, 0.0, Xt / np.where(singular, 1.0, denom))
     return hermitianize(V @ St @ V.conj().T)

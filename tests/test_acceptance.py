@@ -37,7 +37,7 @@ from fidlab.qubit_geom import (
     w2_min_oracle,
 )
 from fidlab.superop import lyapunov_solve, positive_fixed_point
-from fidlab.verify import _irreducible, run_suite
+from fidlab.verify import run_suite
 
 I2 = np.eye(2, dtype=complex)
 KINDS = ("max", "min", "half")
@@ -118,9 +118,8 @@ def test_criterion_05_polar_closed_forms_vs_oracles():
         L0 = random_pd(dim, rng)
         L1 = random_pd(dim, rng)
         ok &= abs(polar_max(L0, L1) - _polar_max_bisection(L0, L1)) <= 1e-7
-        if _irreducible(L0, L1):
-            _, alpha = positive_fixed_point(L0, L1)
-            ok &= abs(polar_half(L0, L1) ** -2 - alpha) <= 1e-7 * (1 + alpha)
+        _, alpha = positive_fixed_point(L0, L1)
+        ok &= abs(polar_half(L0, L1) ** -2 - alpha) <= 1e-7 * (1 + alpha)
     _report(5, "polar_max vs block-PSD bisection; polar_half vs fixed point", ok)
 
 

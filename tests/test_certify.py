@@ -378,9 +378,10 @@ def _optimal_parts(kind, X, Y):
 
 @pytest.mark.parametrize("kind", ["max", "min"])
 def test_witness_shift_makes_the_dual_block_psd_at_40_digits(kind):
-    # the block the certificate decomposes, lifted by its shift eps, has no
-    # negative eigenvalue at 40 digits: (L0* + eps/2 I, L1* + eps/2 I) is
-    # exactly dual feasible even where L* is ~1e-8 off the boundary
+    # the block the certificate decomposes, lifted by its shift, has no negative
+    # eigenvalue at 40 digits: with c^2 = sqrt(tr L1* / tr L0*), as _witness_shift
+    # balances the block, (L0* + eps/(2 c^2) I, L1* + eps c^2/2 I) is exactly dual
+    # feasible even where L* is ~1e-8 off the boundary
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
@@ -388,18 +389,21 @@ def test_witness_shift_makes_the_dual_block_psd_at_40_digits(kind):
         for X, Y in _kappa_pairs((1e8, 1e8), dim):
             X, Y, C, pair, T = _optimal_parts(kind, X, Y)
             shift = certify._witness_shift(X, Y, pair.first, pair.second, T)
-            assert shift <= _CERT_TOL * (1.0 + abs(np.trace(C).real))
-            eps = mp.mpf(2.0 * shift) / mp.mpf(float(np.trace(X + Y).real))
+            assert shift <= _CERT_TOL * np.sqrt(np.trace(X).real * np.trace(Y).real)
+            assert duality_certificate(kind, X, Y).is_valid
+            c2 = float(np.sqrt(np.trace(pair.second).real / np.trace(pair.first).real))
+            weight = float(np.trace(X).real / c2 + c2 * np.trace(Y).real)
+            eps = mp.mpf(2.0 * shift) / mp.mpf(weight)
             B = mp.matrix(certify._dual_block(pair.first, pair.second, T).tolist())
-            lifted = B + eps * mp.eye(2 * dim)
-            assert min(mp.eighe(lifted, eigvals_only=True)) >= 0
+            lift = mp.diag([eps / c2] * dim + [eps * c2] * dim)
+            assert min(mp.eighe(B + lift, eigvals_only=True)) >= 0
 
 
 def test_min_dual_pair_needs_its_twist():
     # on a non-commuting pair the min L* is dual feasible only with its twist
     rng = rng_for(73, 3)
     X, Y, C, pair, T = _optimal_parts("min", random_pd(3, rng), random_pd(3, rng))
-    tol = _CERT_TOL * (1.0 + abs(np.trace(C).real))
+    tol = _CERT_TOL * np.sqrt(np.trace(X).real * np.trace(Y).real)
     assert certify._witness_shift(X, Y, pair.first, pair.second, T) <= tol
     assert certify._witness_shift(X, Y, pair.first, pair.second, 0.0) > tol
 

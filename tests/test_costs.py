@@ -24,7 +24,7 @@ CALLS = {
     "fidelity_half": ((2, 0), lambda X, Y, Yk: fidlab.fidelity_half(X, Y)),
     "fidelity_min": ((3, 0), lambda X, Y, Yk: fidlab.fidelity_min(X, Y)),
     "fidelity_min_rank_deficient": ((4, 0), lambda X, Y, Yk: fidlab.fidelity_min(X, Yk)),
-    "polar_max": ((3, 0), lambda X, Y, Yk: fidlab.polar_max(X, Y)),
+    "polar_max": ((2, 1), lambda X, Y, Yk: fidlab.polar_max(X, Y)),
     "polar_half": ((3, 0), lambda X, Y, Yk: fidlab.polar_half(X, Y)),
     "dual_optimizers_max": ((2, 1), lambda X, Y, Yk: fidlab.dual_optimizers("max", X, Y)),
     "dual_optimizers_min": ((3, 0), lambda X, Y, Yk: fidlab.dual_optimizers("min", X, Y)),
@@ -32,8 +32,8 @@ CALLS = {
     "optimal_reverse_test": ((3, 0), lambda X, Y, Yk: fidlab.optimal_reverse_test(X, Y)),
     # the operands and the min frame: the one path to F_min's twist form
     "optimal_twist": ((3, 0), lambda X, Y, Yk: fidlab.optimal_twist(X, Y)),
-    # the operands, lambda_min(sqrt(L1) L0 sqrt(L1)) and the slack of polar_max
-    "povm_lower_bound": ((4, 0), lambda X, Y, Yk: fidlab.povm_lower_bound(X, Y)),
+    # the operands, sigma_min(sqrt(L0) sqrt(L1)) and the slack of polar_max
+    "povm_lower_bound": ((3, 1), lambda X, Y, Yk: fidlab.povm_lower_bound(X, Y)),
     # the operands, the SVD, the Schur test and the dual block
     "duality_certificate_max": ((4, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
     # the operands, the min frame, the Schur test and the dual block at the optimal twist
@@ -103,7 +103,7 @@ TRIPLES = {
     "states": ({2: 4, 3: 4, 8: 4, 32: 4},
                lambda X, Y: (fidlab.fidelity_max(X, Y), fidlab.fidelity_min(X, Y),
                              fidlab.fidelity_half(X, Y))),
-    "duals": ({2: 4, 3: 13, 4: 17, 8: 22},
+    "duals": ({2: 3, 3: 12, 4: 16, 8: 21},
               lambda X, Y: (fidlab.polar_max(X, Y), fidlab.polar_half(X, Y),
                             fidlab.polar_min(X, Y))),
 }
@@ -122,15 +122,15 @@ def test_decompositions_per_triple_on_one_pair(triple, dim, lapack_calls):
 # certificate is a kernel over it; only the half certificate admits another
 # pair, its dual pair L*. At dim 2 the dual-body memberships are read off the
 # three polars and take no decomposition of their own.
-# The definite pair's max certificate takes the one SVD.
-COMPUTE = {2: (14, 5), 3: (23, 5), 4: (27, 5), 8: (32, 5)}
+# The definite pair's polar_max and max certificate take one SVD each.
+COMPUTE = {2: (13, 5), 3: (22, 5), 4: (26, 5), 8: (31, 5)}
 
 
 @pytest.mark.parametrize("dim", sorted(COMPUTE))
 def test_decompositions_per_compute_request(dim, tmp_path, lapack_calls):
     rng = rng_for(70, dim)
     X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
-    for expected, svds, B in zip(COMPUTE[dim], (1, 0), (Y, Yk)):
+    for expected, svds, B in zip(COMPUTE[dim], (2, 0), (Y, Yk)):
         pair = tmp_path / "pair.json"
         pair.write_text(json.dumps([
             {"dim": dim, "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}

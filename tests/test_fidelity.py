@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import fidlab
 from fidlab.channels import random_pd, rng_for
-from fidlab.errors import DimensionMismatch, LengthMismatch, NegativeEntry
+from fidlab.cli import main
+from fidlab.errors import DimensionMismatch, LengthMismatch, NegativeEntry, NotPsd
 from fidlab.linalg_core import OperatorPair, schur_reduce
 from fidlab.fidelity import (
     classical_fidelity,
@@ -163,6 +166,36 @@ def test_empty_operands_are_refused(name, args):
     # the pair gate refuses 0 x 0 operands before any spectrum is read
     with pytest.raises(DimensionMismatch, match="are empty"):
         getattr(fidlab, name)(*args, E0, E0)
+
+
+_OUT_OF_RANGE = [1e-200, 1e-120, 1e120, 1e200]
+
+
+@pytest.mark.parametrize("s", _OUT_OF_RANGE)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_operands_outside_the_finite_product_range_are_refused(dim, s, tmp_path):
+    # beyond 1e+-100 the kernels' three-factor products leave double range, so the
+    # pair gate refuses the operands as it refuses a non-finite entry
+    rng = rng_for(91, dim)
+    X, Y = s * random_pd(dim, rng), s * random_pd(dim, rng)
+    for name in _PAIR_FUNCTIONS:
+        with pytest.raises(NotPsd, match="outside"):
+            getattr(fidlab, name)(X, Y)
+    for name in _KIND_FUNCTIONS:
+        for kind in ("max", "min", "half"):
+            with pytest.raises(NotPsd, match="outside"):
+                getattr(fidlab, name)(kind, X, Y)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps([
+        {"dim": dim, "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}
+        for H in (X, Y)]))
+    assert main(["compute", str(path), "--format", "json"]) == 2
+
+
+def test_zero_operands_are_admitted():
+    Z = np.zeros((2, 2), dtype=complex)
+    assert fidlab.fidelity_max(Z, np.eye(2)) == 0.0
+    assert fidlab.polar_max(Z, Z) == 0.0
 
 
 @pytest.mark.parametrize("call, names", [

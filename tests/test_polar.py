@@ -23,7 +23,7 @@ from fidlab.polar import (
     polar_min,
     povm_lower_bound,
 )
-from fidlab.qubit_geom import SIGMA_X, SIGMA_Z, polar_min_qubit
+from fidlab.qubit_geom import SIGMA_X, SIGMA_Z, polar_max_qubit, polar_min_qubit
 
 I2 = np.eye(2, dtype=complex)
 
@@ -85,7 +85,7 @@ def test_polar_half_singular():
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("kind", ["max", "min", "half"])
 def test_polar_near_singular_is_not_cut_to_zero(kind, dim):
-    # lambda_min(L0) = 5e-11 sits below 1e-10 (1 + |L|) but far above
+    # lambda_min(L0) = 5e-11 sits below 1e-10 ||L|| but far above
     # round-off, and the polar there is 2 sqrt(5e-11)
     L0 = np.eye(dim, dtype=complex)
     L0[1, 1] = 5e-11
@@ -104,6 +104,38 @@ def test_polar_of_rotated_rank_one_is_exactly_zero(kind, dim):
         rng = rng_for(5, dim, t)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         assert polar(kind, np.outer(v, v.conj()), random_pd(dim, rng)) == 0.0
+
+
+def _near_orthogonal_pair(dim, delta, rng):
+    """X = U diag(1, delta, ...) U^dagger, Y = V diag(delta, ..., 1) V^dagger, V = e^{1e-3 iH} U."""
+    U, _ = npl.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    w, Q = npl.eigh(hermitianize(rng.standard_normal((dim, dim))
+                                 + 1j * rng.standard_normal((dim, dim))))
+    V = (Q * np.exp(1e-3j * w)) @ Q.conj().T @ U
+    x, y = np.r_[1.0, np.full(dim - 1, delta)], np.r_[np.full(dim - 1, delta), 1.0]
+    return hermitianize((U * x) @ U.conj().T), hermitianize((V * y) @ V.conj().T)
+
+
+@pytest.mark.parametrize("delta", [1e-10, 1e-14])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_polar_max_is_as_accurate_as_its_input_allows(dim, delta):
+    # the round-off of the input bounds the polar's relative accuracy by about
+    # eps kappa; squaring the small singular values of sqrt(L0) sqrt(L1), as
+    # lambda_min(sqrt(L1) L0 sqrt(L1)) does, loses it (50-digit references)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    eps = np.finfo(float).eps
+    for t in range(10):
+        L0, L1 = _near_orthogonal_pair(dim, delta, rng_for(80, dim, t))
+        E, Q = mp.eighe(mp.matrix(L1.tolist()))
+        s1 = Q * mp.diag([mp.sqrt(max(e, 0)) for e in E]) * Q.H
+        ref = float(2 * mp.sqrt(min(mp.eighe(s1 * mp.matrix(L0.tolist()) * s1,
+                                             eigvals_only=True))))
+        kappa = max(w[-1] / w[0] for w in (npl.eigvalsh(L0), npl.eigvalsh(L1)))
+        values = [polar_max(L0, L1)] + ([polar_max_qubit(L0, L1)] if dim == 2 else [])
+        for value in values:
+            assert abs(value - ref) <= 2 * eps * kappa * ref
 
 
 def test_polar_dispatch_rejects_unknown():
