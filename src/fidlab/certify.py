@@ -8,8 +8,10 @@
 # min); the dual of that program is [[2 L0, -I + iA], [-I - iA, 2 L1]] >= 0
 # with A Hermitian (A = 0 for max), so one eigvalsh of that block at the
 # optimal twist A* checks the dual pair at every dim. The half kind has no
-# such block and keeps its polar. `_certificate` is the kernel over an admitted
-# pair and reads definiteness off its spectra. No external SDP solver is used.
+# such block and keeps its polar, taken on spectrum() of L*, which is PSD by
+# construction and so neither admitted nor memoized. `_certificate` is the kernel
+# over an admitted pair and reads definiteness off its spectra. No external SDP
+# solver is used.
 
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ import numpy.linalg as npl
 
 from .errors import DimensionMismatch
 from .fidelity import _fidelity_half, _optimizers
-from .linalg_core import (Spectrum, _admitted, _hermitian, _hermitian_pair, hermitianize,
-                          psd_pair, psd_spectrum, spectrum)
-from .polar import polar_half
+from .linalg_core import (Spectrum, _SpectralPair, _admitted, _hermitian, _hermitian_pair,
+                          hermitianize, psd_pair, psd_spectrum, spectrum)
+from .polar import _polar_half
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
 
@@ -80,8 +82,13 @@ def _block_psd(X: np.ndarray, Xs: Spectrum, C: np.ndarray, Ys: Spectrum) -> bool
 
 def _dual_block(L0: np.ndarray, L1: np.ndarray, T=0.0) -> np.ndarray:
     """[[2 L0, -I + T], [-I - T, 2 L1]] for an antihermitian twist T = iA (0 for max)."""
-    eye = np.eye(L0.shape[0])
-    return hermitianize(np.block([[2.0 * L0, T - eye], [-T - eye, 2.0 * L1]]))
+    d = L0.shape[0]
+    eye = np.eye(d)
+    # slice assignment, not np.block: the same entries at a third of the cost
+    B = np.empty((2 * d, 2 * d), dtype=complex)
+    B[:d, :d], B[:d, d:] = 2.0 * L0, T - eye
+    B[d:, :d], B[d:, d:] = -T - eye, 2.0 * L1
+    return hermitianize(B)
 
 
 def _witness_shift(X: np.ndarray, Y: np.ndarray, L0: np.ndarray, L1: np.ndarray,
@@ -128,19 +135,21 @@ def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     For half the dual pair is feasible when its polar is at least 1 - _CERT_TOL; L*/p is
     then feasible and worth dual_value/p.
     """
-    return _certificate(kind, *psd_pair(X, Y, definite=True))
+    return _certificate(kind, psd_pair(X, Y, definite=True))
 
 
-def _certificate(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum,
-                 Ys: Spectrum) -> Certificate:
+def _certificate(kind: str, P: _SpectralPair) -> Certificate:
+    X, Y, Xs, Ys = P
     _admitted(Xs, "X", definite=True)
     _admitted(Ys, "Y", definite=True)
-    C, pair, T = _optimizers(kind, X, Y, Xs, Ys)
+    C, pair, T = _optimizers(kind, P)
     if C is None:
         # half: tr sqrt(X) sqrt(Y) is attained by construction
-        primal_value = _fidelity_half(X, Y, Xs, Ys)
+        primal_value = _fidelity_half(P)
         primal_feasible = True
-        dual_feasible = polar_half(pair.first, pair.second) >= 1.0 - _CERT_TOL
+        L0, L1 = pair.first, pair.second
+        dual = _SpectralPair(L0, L1, spectrum(L0), spectrum(L1))
+        dual_feasible = _polar_half(dual) >= 1.0 - _CERT_TOL
     else:
         primal_value = float(np.trace(C).real)
         primal_feasible = _block_psd(X, Xs, C, Ys)

@@ -92,18 +92,19 @@ def _json_ready(value):
 
 def cmd_compute(args) -> int:
     A, B = load_pair(args.pair)
-    pair = psd_pair(A, B)  # admitted once: every quantity below is read off it
+    # admitted once: every quantity below is read off this one pair, min frame included
+    pair = psd_pair(A, B)
     result: dict = {
         "dim": A.shape[0],
         "interpretation": "dual" if args.as_dual else "states",
     }
     for kind in _KINDS:
-        result[f"fidelity_{kind}"] = _FIDELITIES[kind](*pair)
-        result[f"polar_{kind}"] = _POLARS[kind](*pair)
+        result[f"fidelity_{kind}"] = _FIDELITIES[kind](pair)
+        result[f"polar_{kind}"] = _POLARS[kind](pair)
     certs = {}
     for kind in _KINDS:
         try:
-            c = _certificate(kind, *pair)
+            c = _certificate(kind, pair)
             certs[kind] = {
                 "primal_value": c.primal_value,
                 "dual_value": c.dual_value,

@@ -4,8 +4,9 @@
 # derivative-based dual optimizers, and the optimal-measurement /
 # optimal-reverse-test / optimal-twist constructions witnessing the
 # operational forms. Every min-kind quantity is read off one eigh of
-# Y^{-1/2} X Y^{-1/2}, `_min_frame`. Each fidelity is a kernel over the pair
-# `linalg_core.psd_pair` admits, and `_FIDELITIES` maps each kind to it.
+# Y^{-1/2} X Y^{-1/2}, `_min_frame`, taken once per admitted pair: `_frame` keeps it
+# on the pair. Each fidelity is a kernel over the pair `linalg_core.psd_pair` admits,
+# and `_FIDELITIES` maps each kind to it.
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy.linalg as npl
 
 from .channels import Povm
 from .errors import LengthMismatch, NegativeEntry
-from .linalg_core import OperatorPair, Spectrum, hermitianize, psd_pair, psd_sqrt
+from .linalg_core import OperatorPair, Spectrum, _SpectralPair, hermitianize, psd_pair, psd_sqrt
 from .superop import _lyapunov_solve
 
 __all__ = [
@@ -54,17 +55,16 @@ def classical_fidelity(p, q) -> float:
 
 def fidelity_max(X: np.ndarray, Y: np.ndarray) -> float:
     """tr sqrt( sqrt(Y) X sqrt(Y) ), evaluated on arbitrary PSD inputs."""
-    return _fidelity_max(*psd_pair(X, Y))
+    return _fidelity_max(psd_pair(X, Y))
 
 
-def _fidelity_max(X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum) -> float:
-    sY = Ys.sqrt()
-    w = npl.eigvalsh(hermitianize(sY @ X @ sY))
+def _fidelity_max(P: _SpectralPair) -> float:
+    sY = P.Ys.sqrt()
+    w = npl.eigvalsh(hermitianize(sY @ P.X @ sY))
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
 
 
-def _min_frame(X: np.ndarray, Xs: Spectrum,
-               Ys: Spectrum) -> tuple[np.ndarray, np.ndarray, Spectrum]:
+def _min_frame(P: _SpectralPair) -> tuple[np.ndarray, np.ndarray, Spectrum]:
     """
     (d, S, W) from Y = S diag(d) S^dagger on supp Y, A = S^dagger X S (or X's
     Schur reduction onto supp Y) and one eigh D^{-1/2} A D^{-1/2} = U diag(r^2) U^dagger,
@@ -73,13 +73,21 @@ def _min_frame(X: np.ndarray, Xs: Spectrum,
     """
     # rank, support and D^{-1/2} all come from Y's own eigenvalues: deciding
     # rank on sqrt(Y) would lift round-off eps to sqrt(eps) > tol
+    X, Ys = P.X, P.Ys
     sup = Ys.support()
     d, S = sup.eigenvalues, sup.eigenvectors
-    reduced = Ys.schur_complement(X, Xs.tol)
+    reduced = Ys.schur_complement(X, P.Xs.tol)
     A = S.conj().T @ X @ S if reduced is None else reduced
     h = d ** -0.5
     mu, U = npl.eigh(hermitianize(h[:, None] * A * h[None, :]))
     return d, S, Spectrum(np.sqrt(np.maximum(mu, 0.0)), U)
+
+
+def _frame(P: _SpectralPair) -> tuple[np.ndarray, np.ndarray, Spectrum]:
+    """P's _min_frame, built by the first kernel that needs it and kept on P."""
+    if P.min_frame is None:
+        P.min_frame = _min_frame(P)
+    return P.min_frame
 
 
 def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
@@ -90,21 +98,21 @@ def fidelity_min(X: np.ndarray, Y: np.ndarray) -> float:
     Y's eigenvalues <= Spectrum.tol are cut, so F_min can fall short by about sqrt(tol ||X||)
     per cut direction: X = diag(0, 1), Y = diag(1, 1e-10) give 0, not the overlap 1e-5.
     """
-    return _fidelity_min(*psd_pair(X, Y))
+    return _fidelity_min(psd_pair(X, Y))
 
 
-def _fidelity_min(X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum) -> float:
-    d, _, W = _min_frame(X, Xs, Ys)
+def _fidelity_min(P: _SpectralPair) -> float:
+    d, _, W = _frame(P)
     return float(W.eigenvalues @ (np.abs(W.eigenvectors) ** 2).T @ d)
 
 
 def fidelity_half(X: np.ndarray, Y: np.ndarray) -> float:
     """tr X^{1/2} Y^{1/2}."""
-    return _fidelity_half(*psd_pair(X, Y))
+    return _fidelity_half(psd_pair(X, Y))
 
 
-def _fidelity_half(X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum) -> float:
-    return float(np.trace(Xs.sqrt() @ Ys.sqrt()).real)
+def _fidelity_half(P: _SpectralPair) -> float:
+    return float(np.trace(P.Xs.sqrt() @ P.Ys.sqrt()).real)
 
 
 _FIDELITIES = {"max": _fidelity_max, "min": _fidelity_min, "half": _fidelity_half}
@@ -114,7 +122,7 @@ def fidelity(kind: str, X: np.ndarray, Y: np.ndarray) -> float:
     """Dispatch by kind in {max, min, half}."""
     if kind not in _FIDELITIES:
         raise ValueError(f"unknown fidelity kind {kind!r}")
-    return _FIDELITIES[kind](*psd_pair(X, Y))
+    return _FIDELITIES[kind](psd_pair(X, Y))
 
 
 def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
@@ -128,10 +136,10 @@ def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
     with L1* given by swapping the roles of X and Y (for max, of U and V; for
     min, L1* takes the kernel r_i r_j/(r_i + r_j) instead).
     """
-    return _optimizers(kind, *psd_pair(X, Y, definite=True))[1]
+    return _optimizers(kind, psd_pair(X, Y, definite=True))[1]
 
 
-def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum
+def _optimizers(kind: str, P: _SpectralPair
                 ) -> tuple[np.ndarray | None, OperatorPair, np.ndarray | None]:
     """
     The primal optimizer C* (None for half), the dual pair and the antihermitian
@@ -142,7 +150,7 @@ def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spect
         # sqrt(X) sqrt(Y) = U Sigma V^dagger gives C* = sqrt(X) U V^dagger sqrt(Y) and, as
         # sqrt(Y) X sqrt(Y) = V Sigma^2 V^dagger and sqrt(X) Y sqrt(X) = U Sigma^2 U^dagger,
         # both inverse roots without squaring the condition number
-        sX, sY = Xs.sqrt(), Ys.sqrt()
+        sX, sY = P.Xs.sqrt(), P.Ys.sqrt()
         U, s, Vh = npl.svd(sX @ sY)
         C = sX @ U @ Vh @ sY
         B0, B1 = sY @ (Vh.conj().T * s ** -0.5), sX @ (U * s ** -0.5)
@@ -153,16 +161,16 @@ def _optimizers(kind: str, X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spect
         # Cauchy kernel; congruence by diag(G, G) turns the dual block into
         # G^dagger G o (2/(r_i + r_j)) [[1, -r_j], [-r_i, r_i r_j]], PSD by the Schur
         # product theorem
-        d, S, W = _min_frame(X, Xs, Ys)
+        d, S, W = _frame(P)
         r, G, Gi = W.eigenvalues, (S * d ** 0.5) @ W.eigenvectors, (S * d ** -0.5) @ W.eigenvectors
         C = hermitianize((G * r) @ G.conj().T)
         KC = (G.conj().T @ G) / (r[:, None] + r[None, :])
         L0, L1 = (hermitianize(Gi @ M @ Gi.conj().T) for M in (KC, r[:, None] * KC * r[None, :]))
         T = Gi @ (KC * (r[:, None] - r[None, :])) @ Gi.conj().T
     elif kind == "half":
-        sX, sY = Xs.sqrt_spectrum(), Ys.sqrt_spectrum()
         C = T = None
-        L0, L1 = _lyapunov_solve(sX, sY.reconstruct()), _lyapunov_solve(sY, sX.reconstruct())
+        L0 = _lyapunov_solve(P.Xs.sqrt_spectrum(), P.Ys.sqrt())
+        L1 = _lyapunov_solve(P.Ys.sqrt_spectrum(), P.Xs.sqrt())
     else:
         raise ValueError(f"unknown fidelity kind {kind!r}")
     # each side is PSD by construction (Gram forms, Cauchy kernels), so it is not decomposed again
@@ -198,8 +206,8 @@ def optimal_reverse_test(X: np.ndarray, Y: np.ndarray) -> ReverseTest:
     of _min_frame: with G_i the columns of G whose r coincide at r_i, the states
     G_i G_i^dagger / q_i and weights q_i = ||G_i||_F^2, p_i = r_i^2 q_i.
     """
-    X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
-    d, S, W = _min_frame(X, Xs, Ys)
+    P = psd_pair(X, Y, definite=True)
+    d, S, W = _frame(P)
     r, G = W.eigenvalues, (S * d ** 0.5) @ W.eigenvectors
     groups: list[list[int]] = [[0]]
     for i in range(1, len(r)):
@@ -210,7 +218,7 @@ def optimal_reverse_test(X: np.ndarray, Y: np.ndarray) -> ReverseTest:
     q = np.array([np.sum(np.abs(G[:, idx]) ** 2) for idx in groups])
     p = np.array([np.mean(r[idx]) ** 2 for idx in groups]) * q
     states = [hermitianize(G[:, idx] @ G[:, idx].conj().T) / w for idx, w in zip(groups, q)]
-    return ReverseTest(states=states, p=p, q=q, x=X, y=Y)
+    return ReverseTest(states=states, p=p, q=q, x=P.X, y=P.Y)
 
 
 def optimal_twist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -220,5 +228,5 @@ def optimal_twist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     iA* = G^{-dagger} (G^dagger G o [(r_i - r_j)/(r_i + r_j)]) G^{-1} over the
     frame G, r of _min_frame. It is also the twist of the min certificate's dual block.
     """
-    T = _optimizers("min", *psd_pair(X, Y, definite=True))[2]
+    T = _optimizers("min", psd_pair(X, Y, definite=True))[2]
     return hermitianize(-1j * T)

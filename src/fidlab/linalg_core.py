@@ -4,15 +4,18 @@
 # operand once, and everything else about it is read off that Spectrum —
 # its tolerance 1e-10 * max |lambda|, its PSD/PD/singular verdicts,
 # square root, inverse square root, pseudoinverse, support, kernel and the
-# Schur reduction of another operator onto that support. The public matrix functions are
-# one-liners over it. Operand pairs are admitted here too: `psd_pair` decomposes
-# each operand once, and its (X, Y, Xs, Ys) is what every two-operand kernel takes;
-# `_hermitian_pair`, the gate under it, refuses empty, unequal, non-finite, out-of-range operands.
+# Schur reduction of another operator onto that support. A Spectrum computes its
+# norm, tolerance, support and both square roots once and shares them read-only;
+# the public matrix functions are one-liners over it that return fresh arrays.
+# Operand pairs are admitted here too: `psd_pair` decomposes each operand once into
+# a `_SpectralPair`, the (X, Y, Xs, Ys) every two-operand kernel takes, which also
+# keeps the pair's min frame for one call or request; `_hermitian_pair`, the gate
+# under it, refuses empty, unequal, non-finite, out-of-range operands.
 # An operand is decomposed once per process, not once per call: `psd_pair` and
 # `psd_spectrum` share `_operand_spectrum`, a memo of the latest 64 operand spectra
 # (read-only arrays) keyed by the dimension and bytes of the Hermitian part. The PSD/PD
-# verdict and the operand's name are still decided per call, and `spectrum()` of an
-# intermediate matrix is never memoized.
+# verdict and the operand's name are still decided per call, and neither `spectrum()`
+# of an intermediate matrix nor anything of a pair is ever memoized.
 
 from __future__ import annotations
 
@@ -67,9 +70,36 @@ def _hermitian(A: np.ndarray, name: str, bounded: bool = False) -> np.ndarray:
     return hermitianize(A)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _kept:
+    """
+    A property computed on first read and stored on the instance, where every later
+    read finds it first: functools.cached_property without the per-read lock it takes
+    before Python 3.12. Two threads racing on a first read both compute the same value.
+    """
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """
+    Eigendecomposition of a Hermitian matrix, eigenvalues ascending. norm, tol,
+    support(), sqrt() and inv_sqrt() are computed on first use and kept: every later
+    call returns the same object, whose arrays are read-only. They are read off the
+    eigenpairs as they were then, so a Spectrum's arrays are not to be changed.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -78,13 +108,13 @@ class Spectrum:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    @property
+    @_kept
     def norm(self) -> float:
         """Operator norm, max |lambda|."""
         w = self.eigenvalues
         return float(max(-w[0], w[-1])) if w.size else 0.0
 
-    @property
+    @_kept
     def tol(self) -> float:
         """Positivity and rank tolerance 1e-10 * max |lambda|, relative to the operator's scale."""
         return 1e-10 * self.norm
@@ -107,21 +137,34 @@ class Spectrum:
         return self.matrix(self.eigenvalues)
 
     def support(self) -> "Spectrum":
-        """The eigenpairs with |lambda| > tol, which span the range."""
+        """The eigenpairs with |lambda| > tol, which span the range (read-only, kept)."""
+        return self._support
+
+    @_kept
+    def _support(self) -> "Spectrum":
         live = np.abs(self.eigenvalues) > self.tol
-        return Spectrum(self.eigenvalues[live], self.eigenvectors[:, live])
+        return Spectrum(_read_only(self.eigenvalues[live]), _read_only(self.eigenvectors[:, live]))
 
     def sqrt_spectrum(self) -> "Spectrum":
         """The spectrum of the square root; eigenvalues in [-tol, 0) are clamped to 0."""
         return Spectrum(np.sqrt(np.maximum(self.eigenvalues, 0.0)), self.eigenvectors)
 
     def sqrt(self) -> np.ndarray:
-        return self.sqrt_spectrum().reconstruct()
+        """H^(1/2) (read-only, kept)."""
+        return self._sqrt
+
+    @_kept
+    def _sqrt(self) -> np.ndarray:
+        return _read_only(self.sqrt_spectrum().reconstruct())
 
     def inv_sqrt(self) -> np.ndarray:
-        """H^(-1/2) on the support, 0 on the kernel (H PSD)."""
+        """H^(-1/2) on the support, 0 on the kernel (H PSD; read-only, kept)."""
+        return self._inv_sqrt
+
+    @_kept
+    def _inv_sqrt(self) -> np.ndarray:
         sup = self.support()
-        return sup.matrix(sup.eigenvalues ** -0.5)
+        return _read_only(sup.matrix(sup.eigenvalues ** -0.5))
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse: eigenvalues with |lambda| <= tol are sent to 0."""
@@ -178,9 +221,7 @@ def _operand_spectrum(H: np.ndarray) -> Spectrum:
     sp = _SPECTRA.get(key)
     if sp is None:
         w, V = npl.eigh(H)
-        w.setflags(write=False)
-        V.setflags(write=False)
-        sp = Spectrum(w, V)
+        sp = Spectrum(_read_only(w), _read_only(V))
         with _SPECTRA_LOCK:
             if len(_SPECTRA) >= _MEMO_ENTRIES:
                 del _SPECTRA[next(iter(_SPECTRA))]
@@ -211,16 +252,33 @@ def _hermitian_pair(A: np.ndarray, B: np.ndarray, names=("X", "Y")) -> tuple[np.
     return A, B
 
 
-def psd_pair(A: np.ndarray, B: np.ndarray, names: tuple[str, str] = ("X", "Y"),
-             definite: bool = False) -> tuple[np.ndarray, np.ndarray, Spectrum, Spectrum]:
+class _SpectralPair:
     """
-    (A_h, B_h, SA, SB): the Hermitian parts of an ordered pair of PSD operands
-    and their spectra, each operand hermitianized and decomposed once. Raises
+    Two Hermitian operands and their spectra, unpacking as (X, Y, Xs, Ys): what every
+    two-operand kernel takes. min_frame is fidelity's min frame of the pair, kept by
+    the first kernel that builds it. A pair lives for one call or one request.
+    """
+
+    __slots__ = ("X", "Y", "Xs", "Ys", "min_frame")
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray, Xs: Spectrum, Ys: Spectrum) -> None:
+        self.X, self.Y, self.Xs, self.Ys = X, Y, Xs, Ys
+        self.min_frame = None
+
+    def __iter__(self):
+        return iter((self.X, self.Y, self.Xs, self.Ys))
+
+
+def psd_pair(A: np.ndarray, B: np.ndarray, names: tuple[str, str] = ("X", "Y"),
+             definite: bool = False) -> _SpectralPair:
+    """
+    The _SpectralPair (A_h, B_h, SA, SB): the Hermitian parts of an ordered pair of PSD
+    operands and their spectra, each operand hermitianized and decomposed once. Raises
     DimensionMismatch as _hermitian_pair does, then as psd_spectrum does.
     """
     A, B = _hermitian_pair(A, B, names)
-    return (A, B, _admitted(_operand_spectrum(A), names[0], definite),
-            _admitted(_operand_spectrum(B), names[1], definite))
+    return _SpectralPair(A, B, _admitted(_operand_spectrum(A), names[0], definite),
+                         _admitted(_operand_spectrum(B), names[1], definite))
 
 
 def psd_sqrt(H: np.ndarray) -> np.ndarray:
@@ -228,7 +286,7 @@ def psd_sqrt(H: np.ndarray) -> np.ndarray:
     Matrix square root of a PSD matrix via eigendecomposition.
     Eigenvalues in [-tol, 0) are clamped to 0; anything lower raises NotPsd.
     """
-    return psd_spectrum(H).sqrt()
+    return psd_spectrum(H).sqrt().copy()
 
 
 def pinv(H: np.ndarray) -> np.ndarray:

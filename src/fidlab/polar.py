@@ -21,7 +21,7 @@ import numpy.linalg as npl
 
 from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
-from .linalg_core import Spectrum, psd_pair, spectrum
+from .linalg_core import Spectrum, _SpectralPair, psd_pair, spectrum
 from .superop import _composed_lyapunov_matrix
 from .qubit_geom import _DUAL_BODY_FLOOR, _polar_min_qubit
 
@@ -55,10 +55,11 @@ def polar_classical(l0, l1) -> float:
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     """2 sigma_min(sqrt(L0) sqrt(L1)), within 2 eps max kappa(L_k) relative; 0 if singular."""
-    return _polar_max(*psd_pair(L0, L1, _DUAL_NAMES))
+    return _polar_max(psd_pair(L0, L1, _DUAL_NAMES))
 
 
-def _polar_max(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
+def _polar_max(P: _SpectralPair) -> float:
+    S0, S1 = P.Xs, P.Ys
     if S0.is_singular or S1.is_singular:
         return 0.0
     # sigma(sqrt(L0) sqrt(L1)) = sigma(D0^{1/2} V0^dagger V1 D1^{1/2}); the squared form
@@ -131,11 +132,11 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     )
 
 
-def _polar_min(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum, end: int = 1) -> float:
+def _polar_min(P: _SpectralPair, end: int = 1) -> float:
     """The exact qubit form at dim 2; at dims >= 3, end 0 (lower) or 1 (upper) of the bracket."""
-    if S0.dim == 2:
-        return _polar_min_qubit(L0, L1, S0, S1)
-    return _polar_min_bracket(S0, S1)[end]
+    if P.Xs.dim == 2:
+        return _polar_min_qubit(P)
+    return _polar_min_bracket(P.Xs, P.Ys)[end]
 
 
 def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -144,7 +145,7 @@ def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
     qubit closed form at dim 2, and at dims >= 3 the upper end of the
     certified bracket of _polar_min_bracket.
     """
-    return _polar_min(*psd_pair(L0, L1, _DUAL_NAMES))
+    return _polar_min(psd_pair(L0, L1, _DUAL_NAMES))
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -153,10 +154,11 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     from the real symmetric Gram form of the composed Lyapunov operator on
     Hermitian operators; 0 on singular inputs (continuity of the polar).
     """
-    return _polar_half(*psd_pair(L0, L1, _DUAL_NAMES))
+    return _polar_half(psd_pair(L0, L1, _DUAL_NAMES))
 
 
-def _polar_half(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
+def _polar_half(P: _SpectralPair) -> float:
+    S0, S1 = P.Xs, P.Ys
     if S0.is_singular or S1.is_singular:
         return 0.0
     top = float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1])
@@ -170,7 +172,7 @@ def polar(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
     """Dispatch by kind in {max, min, half}."""
     if kind not in _POLARS:
         raise ValueError(f"unknown polar kind {kind!r}")
-    return _POLARS[kind](*psd_pair(L0, L1, _DUAL_NAMES))
+    return _POLARS[kind](psd_pair(L0, L1, _DUAL_NAMES))
 
 
 def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
@@ -179,7 +181,7 @@ def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
     that polar is the exact qubit form at dim 2 (its round-off is two-sided,
     ~1e-14 relative) and the certified lower end of the bracket at dims >= 3.
     """
-    p = _polar_min(*psd_pair(L0, L1, _DUAL_NAMES), end=0) if kind == "min" else polar(kind, L0, L1)
+    p = _polar_min(psd_pair(L0, L1, _DUAL_NAMES), end=0) if kind == "min" else polar(kind, L0, L1)
     return p >= _DUAL_BODY_FLOOR
 
 
@@ -200,8 +202,9 @@ def _max_decomposition(L0: np.ndarray, L1: np.ndarray
     then leaves a residual, and any residual above 1e-8 ||L_k|| raises
     DecompositionInfeasible rather than return a bound above the polar.
     """
-    L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
-    p = _polar_max(L0, L1, S0, S1)
+    P = psd_pair(L0, L1, _DUAL_NAMES)
+    L0, L1, S0, S1 = P
+    p = _polar_max(P)
     if p == 0.0:
         return None
     eps, dim = _POVM_EPS, S0.dim

@@ -22,8 +22,8 @@ from .errors import (
     RootAmbiguity,
     SOutOfRange,
 )
-from .linalg_core import (Spectrum, _hermitian, _hermitian_pair, as_square, hermitianize,
-                          psd_pair, psd_spectrum, spectrum)
+from .linalg_core import (_SpectralPair, _hermitian, _hermitian_pair, as_square,
+                          hermitianize, psd_pair, psd_spectrum, spectrum)
 
 __all__ = [
     "SIGMA_X",
@@ -279,7 +279,7 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
             frame = M0Frame((mu[0] - mu[1]) / 2.0, (mu[0] + mu[1]) / 2.0, V)
             K = 4.0 * np.sqrt(np.outer(mu, mu)) * (V.conj().T @ L1 @ V) - np.diag(mu * mu)
             return m0_membership(frame, QubitDualPoint.from_operator(K))
-    return _polar_min_qubit(L0, L1, S0, spectrum(L1)) >= _DUAL_BODY_FLOOR
+    return _polar_min_qubit(_SpectralPair(L0, L1, S0, spectrum(L1))) >= _DUAL_BODY_FLOOR
 
 
 def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -314,18 +314,18 @@ def polar_min_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
     (the roots of a quartic). This covers the paper's piecewise closed form
     for equal Bloch radii as one case.
     """
-    L0, L1, S0, S1 = psd_pair(L0, L1, ("L0", "L1"))
-    if S0.dim != 2:
+    P = psd_pair(L0, L1, ("L0", "L1"))
+    if P.Xs.dim != 2:
         raise DimensionMismatch("polar_min_qubit is dim-2 only")
-    return _polar_min_qubit(L0, L1, S0, S1)
+    return _polar_min_qubit(P)
 
 
-def _polar_min_qubit(L0: np.ndarray, L1: np.ndarray, S0: Spectrum, S1: Spectrum) -> float:
-    """polar_min_qubit of an admitted dim-2 pair, given its Hermitian parts and spectra."""
-    if S0.is_singular or S1.is_singular:
+def _polar_min_qubit(P: _SpectralPair) -> float:
+    """polar_min_qubit of a dim-2 pair, given its Hermitian parts and spectra."""
+    if P.Xs.is_singular or P.Ys.is_singular:
         return 0.0
-    c0, u = _bloch_split(L0)
-    c1, v = _bloch_split(L1)
+    c0, u = _bloch_split(P.X)
+    c1, v = _bloch_split(P.Y)
     return 2.0 * float(np.sqrt(max(_circle_min(c0, u, c1, v), 0.0)))
 
 

@@ -256,7 +256,7 @@ def test_min_certificate_valid_across_condition_numbers(kappas, dim):
     for X, Y in _kappa_pairs(kappas, dim):
         assert duality_certificate("min", X, Y).is_valid
         pair = dual_optimizers("min", X, Y)
-        assert abs(_polar_min(*psd_pair(pair.first, pair.second), end=0) - 1.0) <= 1e-9
+        assert abs(_polar_min(psd_pair(pair.first, pair.second), end=0) - 1.0) <= 1e-9
 
 
 def _bracket_and_argmin(L0, L1, monkeypatch):
@@ -334,7 +334,7 @@ def test_qubit_polar_lower_is_within_round_off_of_a_40_digit_reference(monkeypat
         L0, L1 = random_pd(2, rng), random_pd(2, rng)
         t0 = _bracket_and_argmin(L0, L1, monkeypatch)[2]
         ref = float(_mp_polar_min(mp, L0, L1, t0))
-        assert abs(_polar_min(*psd_pair(L0, L1), end=0) - ref) <= 1e-12 * ref
+        assert abs(_polar_min(psd_pair(L0, L1), end=0) - ref) <= 1e-12 * ref
 
 
 def _mp_polar_max(mp, L0, L1):
@@ -371,9 +371,9 @@ def test_reverse_test_exact_across_condition_numbers(kappas, dim):
 
 def _optimal_parts(kind, X, Y):
     """The admitted pair, C*, the dual pair and the twist of `duality_certificate`."""
-    X, Y, Xs, Ys = psd_pair(X, Y, definite=True)
-    C, pair, T = _optimizers(kind, X, Y, Xs, Ys)
-    return X, Y, C, pair, T
+    P = psd_pair(X, Y, definite=True)
+    C, pair, T = _optimizers(kind, P)
+    return P.X, P.Y, C, pair, T
 
 
 @pytest.mark.parametrize("kind", ["max", "min"])
@@ -397,6 +397,19 @@ def test_witness_shift_makes_the_dual_block_psd_at_40_digits(kind):
             B = mp.matrix(certify._dual_block(pair.first, pair.second, T).tolist())
             lift = mp.diag([eps / c2] * dim + [eps * c2] * dim)
             assert min(mp.eighe(B + lift, eigvals_only=True)) >= 0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("twist", ["zero", "antihermitian"])
+def test_dual_block_is_the_block_form_bit_for_bit(dim, twist):
+    rng = rng_for(76, dim)
+    L0, L1 = random_pd(dim, rng), random_pd(dim, rng)
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    T = 0.0 if twist == "zero" else 0.5 * (G - G.conj().T)
+    eye = np.eye(dim)
+    expect = hermitianize(np.block([[2.0 * L0, T - eye], [-T - eye, 2.0 * L1]]))
+    B = certify._dual_block(L0, L1, T)
+    assert B.dtype == expect.dtype and B.tobytes() == expect.tobytes()
 
 
 def test_min_dual_pair_needs_its_twist():

@@ -14,6 +14,8 @@ import fidlab.cli
 from fidlab import linalg_core
 from fidlab.channels import random_pd, rng_for
 
+FIDELITY_MODULE = sys.modules["fidlab.fidelity"]  # fidlab.fidelity is the function
+
 # LAPACK decompositions per call, (eigh + eigvalsh, svd), with Y_k a
 # rank-deficient Y with a rotated kernel: every operand is decomposed once,
 # the max optimizers all come from one SVD of sqrt(X) sqrt(Y), every min-kind
@@ -38,7 +40,8 @@ CALLS = {
     "duality_certificate_max": ((4, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
     # the operands, the min frame, the Schur test and the dual block at the optimal twist
     "duality_certificate_min": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("min", X, Y)),
-    # the operands and the three of polar_half
+    # the operands, L*'s two spectra and the Gram form of polar_half: L* is PSD by
+    # construction, so it is decomposed but not admitted or memoized
     "duality_certificate_half": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("half", X, Y)),
 }
 
@@ -117,13 +120,23 @@ def test_decompositions_per_triple_on_one_pair(triple, dim, lapack_calls):
     assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == counts[dim]
 
 
+def _compute(tmp_path, X, B):
+    """One in-process `fidlab compute` request on the pair (X, B)."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps([
+        {"dim": H.shape[0], "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}
+        for H in (X, B)]))
+    assert fidlab.cli.main(["compute", str(pair), "--format", "json"]) == 0
+
+
 # eigh + eigvalsh per in-process `fidlab compute` request, on a definite pair
-# and with Y_k: the pair is admitted once and every fidelity, polar and
-# certificate is a kernel over it; only the half certificate admits another
-# pair, its dual pair L*. At dim 2 the dual-body memberships are read off the
-# three polars and take no decomposition of their own.
+# and with Y_k: the pair is admitted once, every fidelity, polar and
+# certificate is a kernel over it, and the min frame is taken once for F_min
+# and the min certificate; the half certificate takes two spectra of its dual
+# pair L* and the Gram form, with no admission. At dim 2 the dual-body
+# memberships are read off the three polars and take no decomposition of their own.
 # The definite pair's polar_max and max certificate take one SVD each.
-COMPUTE = {2: (13, 5), 3: (22, 5), 4: (26, 5), 8: (31, 5)}
+COMPUTE = {2: (12, 5), 3: (21, 5), 4: (25, 5), 8: (30, 5)}
 
 
 @pytest.mark.parametrize("dim", sorted(COMPUTE))
@@ -131,14 +144,33 @@ def test_decompositions_per_compute_request(dim, tmp_path, lapack_calls):
     rng = rng_for(70, dim)
     X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
     for expected, svds, B in zip(COMPUTE[dim], (2, 0), (Y, Yk)):
-        pair = tmp_path / "pair.json"
-        pair.write_text(json.dumps([
-            {"dim": dim, "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}
-            for H in (X, B)]))
         lapack_calls.clear()
-        assert fidlab.cli.main(["compute", str(pair), "--format", "json"]) == 0
+        _compute(tmp_path, X, B)
         assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == expected
         assert lapack_calls["svd"] == svds
+
+
+# F_min and the min certificate read the one min frame the request's pair keeps
+@pytest.mark.parametrize("dim", [2, 3])
+def test_compute_takes_the_min_frame_once(dim, tmp_path, monkeypatch):
+    calls = []
+    frame = FIDELITY_MODULE._min_frame
+    monkeypatch.setattr(FIDELITY_MODULE, "_min_frame",
+                        lambda *args: calls.append(args) or frame(*args))
+    rng = rng_for(70, dim)
+    _compute(tmp_path, random_pd(dim, rng), random_pd(dim, rng))
+    assert len(calls) == 1
+
+
+# the memo holds operands only: the half certificate's dual pair L* is
+# decomposed without being admitted, so it takes no entry
+@pytest.mark.parametrize("dim", [2, 3])
+def test_compute_memoizes_its_two_operands_only(dim, tmp_path):
+    rng = rng_for(70, dim)
+    X, Y = random_pd(dim, rng), random_pd(dim, rng)
+    linalg_core._SPECTRA.clear()
+    _compute(tmp_path, X, Y)
+    assert len(linalg_core._SPECTRA) == 2
 
 
 # a channel decomposes nothing when it is built: its trace_preserving and

@@ -167,15 +167,50 @@ def test_memo_is_keyed_by_content():
     sp = psd_spectrum(X)
     assert np.array_equal(sp.eigenvalues, w)
     assert np.allclose(np.abs(sp.eigenvectors.conj().T @ V), np.eye(3), atol=1e-12)
-    assert np.array_equal(psd_pair(X, np.eye(3))[2].eigenvalues, w)
+    assert np.array_equal(psd_pair(X, np.eye(3)).Xs.eigenvalues, w)
 
 
 def test_memoized_spectra_are_read_only():
     X, Y = (random_pd(3, rng_for(84, 3, k)) for k in range(2))
-    for sp in (psd_spectrum(X), psd_spectrum(X), *psd_pair(X, Y)[2:]):
+    P = psd_pair(X, Y)
+    for sp in (psd_spectrum(X), psd_spectrum(X), P.Xs, P.Ys):
         assert not sp.eigenvalues.flags.writeable and not sp.eigenvectors.flags.writeable
         with pytest.raises(ValueError):
             sp.eigenvalues[0] = 0.0
+
+
+def test_spectrum_keeps_its_derived_matrices_read_only():
+    Y, _ = _rotated_rank(4, 3, rng_for(89, 4))
+    for sp in (psd_spectrum(Y), spectrum(Y)):
+        for derived in ("sqrt", "inv_sqrt"):
+            first = getattr(sp, derived)()
+            assert getattr(sp, derived)() is first and not first.flags.writeable
+        sup = sp.support()
+        assert sp.support() is sup
+        assert not (sup.eigenvalues.flags.writeable or sup.eigenvectors.flags.writeable)
+
+
+# the public matrix functions hand out their own arrays: writing into one
+# leaves the kept matrices of the operands' spectra, and so every later
+# fidelity on those operands, unchanged
+@pytest.mark.parametrize("call", [
+    lambda X, Y: psd_sqrt(Y),
+    lambda X, Y: psd_sqrt(X),
+    lambda X, Y: pinv(Y),
+    lambda X, Y: support_projector(Y),
+    lambda X, Y: schur_reduce(X, Y),
+    lambda X, Y: schur_reduce(Y, X),
+], ids=["psd_sqrt_Y", "psd_sqrt_X", "pinv", "support_projector", "schur_reduce_XY",
+        "schur_reduce_YX"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_public_matrix_functions_return_writable_copies(call, rank):
+    rng = rng_for(90, 3, rank)
+    X, (Y, _) = random_pd(3, rng), _rotated_rank(3, rank, rng)
+    before = fidlab.fidelity_max(X, Y), fidlab.fidelity_half(X, Y)
+    out = call(X, Y)
+    assert out.flags.writeable
+    out[...] = 7.0
+    assert (fidlab.fidelity_max(X, Y), fidlab.fidelity_half(X, Y)) == before
 
 
 def test_memo_hit_raises_as_a_miss_does():
