@@ -17,7 +17,9 @@ import numpy.linalg as npl
 
 from .channels import Povm
 from .errors import LengthMismatch, NegativeEntry
-from .linalg_core import OperatorPair, Spectrum, _SpectralPair, hermitianize, psd_pair, psd_sqrt
+# psd_sqrt is not called here, but perfbench/test_perfbench.py reads fidlab.fidelity.psd_sqrt
+from .linalg_core import (OperatorPair, Spectrum, _SpectralPair, _admitted, hermitianize, psd_pair,
+                          psd_sqrt, spectrum)
 from .superop import _lyapunov_solve
 
 __all__ = [
@@ -184,7 +186,9 @@ def optimal_measurement(X: np.ndarray, Y: np.ndarray) -> Povm:
     """
     X, _, _, Ys = psd_pair(X, Y, definite=True)
     sY, iY = Ys.sqrt(), Ys.inv_sqrt()
-    _, V = npl.eigh(hermitianize(iY @ psd_sqrt(sY @ X @ sY) @ iY))
+    # an intermediate, so decomposed by spectrum(), not memoized as an operand
+    root = _admitted(spectrum(sY @ X @ sY), "operator", definite=False).sqrt()
+    _, V = npl.eigh(hermitianize(iY @ root @ iY))
     els = [np.outer(V[:, i], V[:, i].conj()) for i in range(V.shape[1])]
     return Povm(dim=X.shape[0], elements=els)
 

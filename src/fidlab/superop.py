@@ -8,7 +8,10 @@
 # helpers take a Spectrum and never decompose Z again. S_{L0} o S_{L1}
 # commutes with H -> H^dagger, so its spectrum is that of its restriction to
 # Hermitian operators: a real symmetric Gram matrix A A^T of size dim^2 in
-# L1's eigenbasis. Operand pairs
+# L1's eigenbasis, which polar_half takes below dim 12 and as its fallback and
+# the tests take as their reference. Its matrix-free twin applies the symmetric
+# form S_L1^(1/2) S_L0 S_L1^(1/2) to one d x d matrix by four d x d matmuls, for
+# polar_half's Lanczos bracket at dims >= 12. Operand pairs
 # (L0, L1) are admitted by `linalg_core.psd_pair`; lyapunov_solve's X is a Hermitian
 # right-hand side, not a PSD operand, so it passes only psd_pair's gate `_hermitian_pair`.
 
@@ -97,6 +100,26 @@ def _composed_lyapunov_matrix(S0: Spectrum, S1: Spectrum) -> np.ndarray:
               for S in (S0, S1))
     A = w1[pair_of, None] * R * w0[pair_of]
     return A @ A.T
+
+
+def _composed_lyapunov_operator(S0: Spectrum, S1: Spectrum):
+    """
+    The matrix-free twin of _composed_lyapunov_matrix: (apply, w1), where apply(Z) is
+    S_{L1}^{1/2} S_{L0} S_{L1}^{1/2} (Z) for a d x d matrix Z in L1's eigenbasis, by the
+    entrywise weights w1 = (mu_i + mu_j)^(-1/2) and 1 / (lambda_i + lambda_j) and the
+    change of basis W = V1^dagger V0: four d x d matmuls per application. Entrywise
+    division by w1 is S_{L1}^{-1/2}, which maps that form back to S_{L0} o S_{L1}.
+    """
+    W = S1.eigenvectors.conj().T @ S0.eigenvectors
+    Wh = W.conj().T.copy()
+    w1 = (S1.eigenvalues[:, None] + S1.eigenvalues) ** -0.5
+    # complex weights: a complex-by-complex product skips numpy's mixed-type cast
+    c0, c1 = (1.0 / (S0.eigenvalues[:, None] + S0.eigenvalues)).astype(complex), w1.astype(complex)
+
+    def apply(Z: np.ndarray) -> np.ndarray:
+        return c1 * (W @ (c0 * (Wh @ (c1 * Z) @ W)) @ Wh)
+
+    return apply, w1
 
 
 def composed_lyapunov_spectrum(L0: np.ndarray, L1: np.ndarray) -> Spectrum:

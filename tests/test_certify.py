@@ -17,7 +17,8 @@ from fidlab.fidelity import (
     _optimizers,
 )
 from fidlab.linalg_core import OperatorPair, hermitianize, psd_pair, psd_sqrt, spectrum
-from fidlab.polar import _polar_min, _polar_min_bracket, polar_max, polar_membership
+from fidlab.polar import (_polar_half_bracket, _polar_min, _polar_min_bracket, polar_max,
+                          polar_membership)
 from fidlab.verify import _rotated
 
 I2 = np.eye(2, dtype=complex)
@@ -434,6 +435,36 @@ def test_certificate_refuses_a_shrunk_dual_pair(kind, dim, monkeypatch):
     cert = duality_certificate(kind, random_pd(dim, rng), random_pd(dim, rng))
     assert not cert.dual_feasible
     assert not cert.is_valid
+
+
+@pytest.mark.parametrize("dim", [3, 12, 16])
+def test_half_certificate_refuses_a_shrunk_dual_pair(dim, monkeypatch):
+    # (1 - 1e-6) L* has polar 1 - 1e-6 < 1 - _CERT_TOL: below the crossover the Gram
+    # says so, above it the sqrt(X) witness closes the bracket on that value
+    def shrunk(*args):
+        C, pair, T = _optimizers(*args)
+        s = 1.0 - 1e-6
+        return C, OperatorPair._of_psd(s * pair.first, s * pair.second), T
+
+    monkeypatch.setattr(certify, "_optimizers", shrunk)
+    rng = rng_for(74, dim)
+    cert = duality_certificate("half", random_pd(dim, rng), random_pd(dim, rng))
+    assert not cert.dual_feasible
+    assert not cert.is_valid
+
+
+@pytest.mark.parametrize("dim", [12, 16, 32])
+@pytest.mark.parametrize("kappas", [(1.0, 1.0), (1e8, 1e8)])
+def test_half_witness_closes_on_one(kappas, dim):
+    # at the half optimizers S_L0*(S_L1*(sqrt X)) = sqrt X: the Collatz-Wielandt bracket at
+    # the witness sqrt X closes on polar 1 (both ends within 2.6e-12 of 1 at kappa = 1e8)
+    for X, Y in list(_kappa_pairs(kappas, dim))[:2]:
+        P = psd_pair(X, Y, definite=True)
+        pair = _optimizers("half", P)[1]
+        lower, upper = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second),
+                                           P.Xs.sqrt())
+        assert 1 - 1e-11 <= lower <= upper <= 1 + 1e-11
+        assert duality_certificate("half", X, Y).is_valid
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -15,6 +15,7 @@ from fidlab import linalg_core
 from fidlab.channels import random_pd, rng_for
 
 FIDELITY_MODULE = sys.modules["fidlab.fidelity"]  # fidlab.fidelity is the function
+POLAR_MODULE = sys.modules["fidlab.polar"]  # and so is fidlab.polar
 
 # LAPACK decompositions per call, (eigh + eigvalsh, svd), with Y_k a
 # rank-deficient Y with a rotated kernel: every operand is decomposed once,
@@ -40,8 +41,8 @@ CALLS = {
     "duality_certificate_max": ((4, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
     # the operands, the min frame, the Schur test and the dual block at the optimal twist
     "duality_certificate_min": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("min", X, Y)),
-    # the operands, L*'s two spectra and the Gram form of polar_half: L* is PSD by
-    # construction, so it is decomposed but not admitted or memoized
+    # the operands, L*'s two spectra and, below the crossover dim 12, the Gram form of
+    # polar_half: L* is PSD by construction, so it is decomposed but not admitted or memoized
     "duality_certificate_half": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("half", X, Y)),
 }
 
@@ -225,8 +226,10 @@ def test_qubit_polar_min_decompositions(lapack_calls):
 
 # no scipy module is loaded by the import, by a dim-2 polar_min with unequal
 # Bloch radii (the qubit circle minimum), by optimal_twist, by povm_lower_bound,
-# by a whole `fidlab compute` on the same pair, by `fidlab verify duality` or
-# by `fidlab verify operational`, which runs povm_lower_bound on every trial
+# by the Lanczos bracket of a dim-12 polar_half or the witness of a dim-16 half
+# certificate (scipy.sparse.linalg.eigsh would be the shortcut), by a whole
+# `fidlab compute` on the same pair, by `fidlab verify duality` or by
+# `fidlab verify operational`, which runs povm_lower_bound on every trial
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 import numpy as np
@@ -239,6 +242,14 @@ loaded = [scipy_loaded()]
 for call in (fidlab.polar_min, fidlab.optimal_twist, fidlab.povm_lower_bound):
     call(*pair)
     loaded.append(scipy_loaded())
+rng = np.random.default_rng(12)
+def pd(dim):
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return G @ G.conj().T / dim + 0.05 * np.eye(dim)
+fidlab.polar_half(pd(12), pd(12))
+loaded.append(scipy_loaded())
+fidlab.duality_certificate("half", pd(16), pd(16))
+loaded.append(scipy_loaded())
 codes = []
 for argv in (["compute", sys.argv[1], "--format", "json"],
              ["verify", "duality", "--trials", "1", "--reproducible"],
@@ -261,4 +272,49 @@ def test_import_does_not_load_scipy_optimize(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(pair)], env=env,
                          check=True, capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["0", "0", "0"] + ["False"] * 7
+    assert out.stdout.split() == ["0", "0", "0"] + ["False"] * 9
+
+
+# above the crossover, polar_half and the half certificate decompose d x d matrices (operands,
+# L*, Collatz-Wielandt pencils) and Lanczos tridiagonals of at most the step cap, never the
+# d^2 x d^2 Gram
+@pytest.mark.parametrize("dim", [12, 16])
+@pytest.mark.parametrize("call", ["polar_half", "duality_certificate_half"])
+def test_half_paths_decompose_nothing_above_the_step_cap(call, dim, monkeypatch):
+    sizes = []
+
+    def recorded(fn):
+        def wrapper(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(npl, name, recorded(getattr(npl, name)))
+    linalg_core._SPECTRA.clear()
+    rng = rng_for(70, dim)
+    CALLS[call][1](random_pd(dim, rng), random_pd(dim, rng), None)
+    assert sizes
+    assert max(sizes) <= max(dim, POLAR_MODULE._LANCZOS_STEPS_PER_DIM * dim)
+
+
+# at the half optimizers S_L0*(S_L1*(sqrt X)) = sqrt X, so the witness closes the bracket
+# on L*'s polar with no Lanczos step and no Gram
+def test_dim16_half_certificate_takes_no_lanczos_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the half certificate left its witness")
+
+    monkeypatch.setattr(POLAR_MODULE, "_lanczos_bracket", refuse)
+    monkeypatch.setattr(POLAR_MODULE, "_composed_lyapunov_matrix", refuse)
+    rng = rng_for(70, 16)
+    assert fidlab.duality_certificate("half", random_pd(16, rng), random_pd(16, rng)).is_valid
+
+
+# optimal_measurement's sqrt(sqrt(Y) X sqrt(Y)) is an intermediate: it takes no memo entry,
+# so a cold call leaves the two operands and the Povm's three rank-one elements
+def test_optimal_measurement_memoizes_no_intermediate():
+    rng = rng_for(70, 3)
+    X, Y = random_pd(3, rng), random_pd(3, rng)
+    linalg_core._SPECTRA.clear()
+    fidlab.optimal_measurement(X, Y)
+    assert len(linalg_core._SPECTRA) == 5

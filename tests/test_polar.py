@@ -14,6 +14,7 @@ from fidlab.fidelity import dual_optimizers
 from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import (
     _max_decomposition,
+    _polar_half_bracket,
     _polar_min_bracket,
     polar,
     polar_classical,
@@ -24,6 +25,7 @@ from fidlab.polar import (
     povm_lower_bound,
 )
 from fidlab.qubit_geom import SIGMA_X, SIGMA_Z, polar_max_qubit, polar_min_qubit
+from fidlab.superop import _composed_lyapunov_matrix
 
 I2 = np.eye(2, dtype=complex)
 
@@ -400,3 +402,116 @@ def test_min_certificates_never_run_a_min_polar(dim, monkeypatch):
     monkeypatch.setattr(qubit_module, "_polar_min_qubit", refuse)
     rng = rng_for(72, dim)
     assert duality_certificate("min", random_pd(dim, rng), random_pd(dim, rng)).is_valid
+
+
+def _gram_half(S0, S1):
+    """The dense reference: the top eigenvalue of the d^2 x d^2 Gram form, as a polar."""
+    return float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1]) ** -0.5
+
+
+def _near_identity(dim, rng):
+    def one():
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return np.eye(dim) + 0.05 * hermitianize(A)
+    return one(), one()
+
+
+def _diagonal(dim, rng):
+    return tuple(np.diag(rng.uniform(0.5, 2.0, dim)).astype(complex) for _ in range(2))
+
+
+def _block_sum(dim, rng):
+    k = dim // 2
+    return _rotated_block_sums([(random_pd(k, rng), random_pd(k, rng)),
+                                (random_pd(dim - k, rng), random_pd(dim - k, rng))], rng)
+
+
+HALF_FAMILIES = {
+    "random": lambda dim, rng: (random_pd(dim, rng), random_pd(dim, rng)),
+    "block_sum": _block_sum,
+    "diagonal": _diagonal,
+    "near_identity": _near_identity,
+    "scalar": lambda dim, rng: (7.5 * np.eye(dim, dtype=complex), np.eye(dim, dtype=complex)),
+}
+# both ends of a half bracket hold the Gram value within this relative round-off
+# (seen within 7.4e-16 on random, kappa = 1e4 and near-identity pairs at dims 12-24)
+HALF_ROUND_OFF = 1e-13
+
+
+def _assert_half_bracket(L0, L1):
+    S0, S1 = spectrum(L0), spectrum(L1)
+    lower, upper = _polar_half_bracket(S0, S1)
+    exact = _gram_half(S0, S1)
+    assert upper - lower <= 1e-10 * upper
+    assert lower <= exact * (1 + HALF_ROUND_OFF)
+    assert upper >= exact * (1 - HALF_ROUND_OFF)
+    return lower, upper
+
+
+@pytest.mark.parametrize("dim", [10, 12, 16, 24])
+@pytest.mark.parametrize("family", sorted(HALF_FAMILIES))
+def test_polar_half_bracket_holds_the_gram_value(family, dim):
+    _assert_half_bracket(*HALF_FAMILIES[family](dim, rng_for(19, dim)))
+
+
+def test_polar_half_bracket_dim32():
+    rng = rng_for(19, 32)
+    _assert_half_bracket(random_pd(32, rng), random_pd(32, rng))
+
+
+@pytest.mark.parametrize("dim", [12, 16, 24])
+def test_polar_half_takes_no_gram_above_the_crossover(dim, monkeypatch):
+    # Lanczos closes the bracket on random pairs; the Gram is only the fallback
+    rng = rng_for(20, dim)
+    L0, L1 = random_pd(dim, rng), random_pd(dim, rng)
+    exact = _gram_half(spectrum(L0), spectrum(L1))
+
+    def refuse(*args):
+        raise AssertionError("polar_half built the d^2 x d^2 Gram")
+
+    monkeypatch.setattr(importlib.import_module("fidlab.polar"), "_composed_lyapunov_matrix",
+                        refuse)
+    assert polar_half(L0, L1) == pytest.approx(exact, rel=1e-10, abs=0)
+    assert polar(kind="half", L0=L0, L1=L1) == polar_half(L0, L1)
+
+
+@pytest.mark.parametrize("dim, c", [(12, 7.5), (16, 1e-6), (24, 1.0)])
+def test_polar_half_bracket_closes_at_the_identity_on_scalar_pairs(dim, c, monkeypatch):
+    # (c I, I) makes I the Perron vector: the first Lanczos step finds an invariant
+    # space, and the bracket closes at H = I on the exact value 2 sqrt(c)
+    polar_module = importlib.import_module("fidlab.polar")
+    operator = polar_module._composed_lyapunov_operator
+    applied = []
+
+    def counted(S0, S1):
+        apply, w1 = operator(S0, S1)
+        return (lambda Z: applied.append(Z) or apply(Z)), w1
+
+    monkeypatch.setattr(polar_module, "_composed_lyapunov_operator", counted)
+    lower, upper = _polar_half_bracket(spectrum(c * np.eye(dim, dtype=complex)),
+                                       spectrum(np.eye(dim, dtype=complex)))
+    assert len(applied) == 1
+    assert lower == pytest.approx(2 * np.sqrt(c), rel=1e-14, abs=0)
+    assert upper == pytest.approx(2 * np.sqrt(c), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("family", ["block_sum", "diagonal"])
+def test_reducible_pairs_fall_back_to_the_gram(family, monkeypatch):
+    # a reducible S_L0 o S_L1 has no positive definite Perron vector, so no bracket closes
+    polar_module = importlib.import_module("fidlab.polar")
+    gram = polar_module._composed_lyapunov_matrix
+    built = []
+    monkeypatch.setattr(polar_module, "_composed_lyapunov_matrix",
+                        lambda *args: built.append(args) or gram(*args))
+    L0, L1 = HALF_FAMILIES[family](12, rng_for(21))
+    lower, upper = _polar_half_bracket(spectrum(L0), spectrum(L1))
+    assert len(built) == 1
+    assert lower == upper
+
+
+@pytest.mark.parametrize("bracket, member", [((0.99, 1.01), False), ((1.0, 1.02), True)])
+def test_half_membership_reads_the_lower_end(bracket, member, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("fidlab.polar"), "_polar_half_bracket",
+                        lambda *args: bracket)
+    assert polar_membership("half", I2, I2) is member
+    assert polar_half(I2, I2) == bracket[1]

@@ -4,9 +4,10 @@ import pytest
 
 from fidlab.channels import random_pd, rng_for
 from fidlab.errors import SingularPair
-from fidlab.linalg_core import hermitianize
+from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import polar_half
-from fidlab.superop import composed_lyapunov_spectrum, lyapunov_solve, positive_fixed_point
+from fidlab.superop import (_composed_lyapunov_matrix, _composed_lyapunov_operator,
+                            composed_lyapunov_spectrum, lyapunov_solve, positive_fixed_point)
 
 
 def _kron_superop(Z):
@@ -96,6 +97,26 @@ def test_composed_spectrum_matches_explicit_matrix(dim):
         assert np.max(np.abs(sp.eigenvalues - ev)) <= 1e-12 * ev[-1]
         assert np.max(np.abs(sp.reconstruct() - M)) <= 1e-12 * ev[-1]
         assert polar_half(L0, L1) == pytest.approx(ev[-1] ** -0.5, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_composed_operator_is_the_gram_form_matrix_free(dim):
+    # in the orthonormal Hermitian basis E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2
+    # (i < j) of L1's eigenbasis, apply(Z) has the coordinates G x of Z's coordinates x
+    rng = rng_for(91, dim)
+    S0, S1 = spectrum(random_pd(dim, rng)), spectrum(random_pd(dim, rng))
+    apply, w1 = _composed_lyapunov_operator(S0, S1)
+    G = _composed_lyapunov_matrix(S0, S1)
+    iu, ju = np.triu_indices(dim, 1)
+
+    def coords(Z):
+        return np.r_[Z.diagonal().real, 2 ** 0.5 * Z[iu, ju].real, 2 ** 0.5 * Z[iu, ju].imag]
+
+    Z = hermitianize(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    AZ = apply(Z)
+    assert np.allclose(AZ, AZ.conj().T, rtol=0, atol=1e-13 * npl.norm(AZ))
+    assert np.allclose(coords(AZ), G @ coords(Z), rtol=0, atol=1e-13 * npl.norm(G))
+    assert np.allclose(w1, (S1.eigenvalues[:, None] + S1.eigenvalues) ** -0.5)
 
 
 def test_positive_fixed_point_identity():
