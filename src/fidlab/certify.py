@@ -27,7 +27,7 @@ import numpy.linalg as npl
 from .errors import DimensionMismatch
 from .fidelity import _fidelity_half, _optimizers
 from .linalg_core import (Spectrum, _SpectralPair, _admitted, _hermitian, _hermitian_pair,
-                          hermitianize, psd_pair, psd_spectrum, spectrum)
+                          _operand_spectrum, hermitianize, psd_pair, psd_spectrum, spectrum)
 from .polar import _polar_half_bracket
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
@@ -117,7 +117,7 @@ def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     kappa (against 40-digit references at dims 2-8: <= 5e-13 at kappa <= 1e4, 3.4e-11
     at 1e6, 7.4e-9 at 1e8), so beyond kappa ~1e7 it can exceed the tolerance.
     """
-    S0, S1 = (spectrum(L) for L in _hermitian_pair(L0, L1, ("L0", "L1")))
+    S0, S1 = (_operand_spectrum(L) for L in _hermitian_pair(L0, L1, ("L0", "L1")))
     if S0.is_singular or S1.is_singular:
         return False
     K = 0.5 * S0.matrix(S0.eigenvalues ** -0.5) @ S1.matrix(S1.eigenvalues ** -0.5)

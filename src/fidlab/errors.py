@@ -24,7 +24,8 @@ class SingularPair(FidlabError):
 
 
 class NoConvergence(FidlabError):
-    """An iterative scheme failed to reach its tolerance within max_iter."""
+    """An iterative scheme missed its tolerance within its cap: positive_fixed_point's
+    max_iter steps, or polar_min's _BRACKET_MAX_EVALS eigenvalue evaluations."""
 
 
 class InvalidPovm(FidlabError):

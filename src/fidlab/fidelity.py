@@ -18,8 +18,7 @@ import numpy.linalg as npl
 from .channels import Povm
 from .errors import LengthMismatch, NegativeEntry
 # psd_sqrt is not called here, but perfbench/test_perfbench.py reads fidlab.fidelity.psd_sqrt
-from .linalg_core import (OperatorPair, Spectrum, _SpectralPair, _admitted, hermitianize, psd_pair,
-                          psd_sqrt, spectrum)
+from .linalg_core import OperatorPair, Spectrum, _SpectralPair, hermitianize, psd_pair, psd_sqrt
 from .superop import _lyapunov_solve
 
 __all__ = [
@@ -182,15 +181,13 @@ def _optimizers(kind: str, P: _SpectralPair
 def optimal_measurement(X: np.ndarray, Y: np.ndarray) -> Povm:
     """
     Projective measurement achieving F_max: the eigenbasis of
-    Y^{-1/2} (Y^{1/2} X Y^{1/2})^{1/2} Y^{-1/2} (generalized inverses).
+    Y^{-1/2} (Y^{1/2} X Y^{1/2})^{1/2} Y^{-1/2} = (2 L0*)^{-1}, from the max dual optimizer
+    L0* of one SVD of sqrt(X) sqrt(Y), never from sqrt(Y) X sqrt(Y), of condition kappa(X) kappa(Y).
     """
-    X, _, _, Ys = psd_pair(X, Y, definite=True)
-    sY, iY = Ys.sqrt(), Ys.inv_sqrt()
-    # an intermediate, so decomposed by spectrum(), not memoized as an operand
-    root = _admitted(spectrum(sY @ X @ sY), "operator", definite=False).sqrt()
-    _, V = npl.eigh(hermitianize(iY @ root @ iY))
+    P = psd_pair(X, Y, definite=True)
+    _, V = npl.eigh(_optimizers("max", P)[1].first)
     els = [np.outer(V[:, i], V[:, i].conj()) for i in range(V.shape[1])]
-    return Povm(dim=X.shape[0], elements=els)
+    return Povm(dim=P.X.shape[0], elements=els)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@
 # a `_SpectralPair`, the (X, Y, Xs, Ys) every two-operand kernel takes, which also
 # keeps the pair's min frame for one call or request; `_hermitian_pair`, the gate
 # under it, refuses empty, unequal, non-finite, out-of-range operands.
-# An operand is decomposed once per process, not once per call: `psd_pair` and
-# `psd_spectrum` share `_operand_spectrum`, a memo of the latest 64 operand spectra
-# (read-only arrays) keyed by the dimension and bytes of the Hermitian part. The PSD/PD
-# verdict and the operand's name are still decided per call, and neither `spectrum()`
-# of an intermediate matrix nor anything of a pair is ever memoized.
+# An operand is decomposed once per process, not once per call: every operand's spectrum,
+# PSD or only Hermitian (`pinv`'s), comes from `_operand_spectrum`, a memo of the latest 64
+# (read-only arrays) keyed by the dimension and bytes of the Hermitian part; the PSD/PD
+# verdict and the operand's name are decided per call. `spectrum()` serves the matrices the
+# code forms itself (L*, differences, sums, slack and Schur blocks), never memoized, nor is a pair.
 
 from __future__ import annotations
 
@@ -294,7 +294,7 @@ def pinv(H: np.ndarray) -> np.ndarray:
     Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
     Eigenvalues with |lambda| <= tol are sent to 0.
     """
-    return spectrum(H).pinv()
+    return _operand_spectrum(_hermitian(H, "operator")).pinv()
 
 
 def support_projector(H: np.ndarray) -> np.ndarray:

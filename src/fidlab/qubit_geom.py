@@ -22,8 +22,8 @@ from .errors import (
     RootAmbiguity,
     SOutOfRange,
 )
-from .linalg_core import (_SpectralPair, _hermitian, _hermitian_pair, as_square,
-                          hermitianize, psd_pair, psd_spectrum, spectrum)
+from .linalg_core import (_SpectralPair, _hermitian, _hermitian_pair, _operand_spectrum, psd_pair,
+                          psd_spectrum, spectrum)
 
 __all__ = [
     "SIGMA_X",
@@ -101,13 +101,13 @@ class M0Frame:
 
 def frame_from_operator(M: np.ndarray) -> M0Frame:
     """Diagonalize a Hermitian qubit M into the form l sigma_z + m I, l > 0."""
-    M = as_square(M)
+    M = _hermitian(M, "operator")
     if M.shape != (2, 2):
         raise DimensionMismatch("frame_from_operator needs a 2x2 operator")
-    sp = spectrum(M)
+    sp = _operand_spectrum(M)
     (w0, w1), V = sp.eigenvalues, sp.eigenvectors
-    # eigenvalues ascend; put the larger eigenvalue on sigma_z's +1 axis
-    return M0Frame(l=float((w1 - w0) / 2), m=float((w1 + w0) / 2), rotation=V[:, ::-1])
+    # eigenvalues ascend; put the larger eigenvalue on sigma_z's +1 axis (a copy: V is read-only)
+    return M0Frame(l=float((w1 - w0) / 2), m=float((w1 + w0) / 2), rotation=V[:, ::-1].copy())
 
 
 def f1(x: float) -> float:
@@ -267,7 +267,9 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     eigenbasis of L0's eigenvalues lam_0 <= lam_1, where L0^{-1}'s frame is
     l, m = (1/lam_0 -+ 1/lam_1) / 2. A pair with no such frame, because L0 is PSD
     but not positive definite (no L0^{-1}) or M0Frame finds l degenerate (L0 ~ I), is
-    decided by polar_membership's rule: exact qubit polar_min >= 1 - 1e-9.
+    decided by polar_membership's rule: exact qubit polar_min >= 1 - 1e-9. L0 must be
+    PSD (else NotPsd); an indefinite L1 is not refused but gives False, as either
+    indefinite operand does in mfmax_membership.
     """
     L0, L1 = _hermitian_pair(L0, L1, ("L0", "L1"))
     if L0.shape != (2, 2):
@@ -279,7 +281,7 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
             frame = M0Frame((mu[0] - mu[1]) / 2.0, (mu[0] + mu[1]) / 2.0, V)
             K = 4.0 * np.sqrt(np.outer(mu, mu)) * (V.conj().T @ L1 @ V) - np.diag(mu * mu)
             return m0_membership(frame, QubitDualPoint.from_operator(K))
-    return _polar_min_qubit(_SpectralPair(L0, L1, S0, spectrum(L1))) >= _DUAL_BODY_FLOOR
+    return _polar_min_qubit(_SpectralPair(L0, L1, S0, _operand_spectrum(L1))) >= _DUAL_BODY_FLOOR
 
 
 def polar_max_qubit(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -373,22 +375,18 @@ def convertibility_necessary(
     of the difference must not increase, and a rank-1 source forces a
     rank-1 target.
     """
-    mats = [hermitianize(as_square(L)) for L in (L0, L1, L0p, L1p)]
-    for L in mats:
-        if L.shape != (2, 2):
-            raise DimensionMismatch("convertibility_necessary is dim-2 only")
-    L0, L1, L0p, L1p = mats
+    P, Q = psd_pair(L0, L1, ("L0", "L1")), psd_pair(L0p, L1p, ("L0p", "L1p"))
+    if P.Xs.dim != 2 or Q.Xs.dim != 2:
+        raise DimensionMismatch("convertibility_necessary is dim-2 only")
 
     def exceeds(a: float, b: float) -> bool:  # by 1e-9 of the larger, at every scale
         return a > b and not math.isclose(a, b, rel_tol=1e-9)
 
-    t0, t1, t0p, t1p = (float(np.trace(L).real) for L in mats)
-    if (exceeds(polar_max_qubit(L0, L1), polar_max_qubit(L0p, L1p))
-            or exceeds(polar_min_qubit(L0, L1), polar_min_qubit(L0p, L1p))
+    t0, t1, t0p, t1p = (float(np.trace(L).real) for L in (P.X, P.Y, Q.X, Q.Y))
+    if (exceeds(polar_max_qubit(P.X, P.Y), polar_max_qubit(Q.X, Q.Y))
+            or exceeds(_polar_min_qubit(P), _polar_min_qubit(Q))
             or not (math.isclose(t0, t0p, rel_tol=1e-9) and math.isclose(t1, t1p, rel_tol=1e-9))
-            or exceeds(spectrum(L0p - L1p).norm, spectrum(L0 - L1).norm)):
+            or exceeds(spectrum(Q.X - Q.Y).norm, spectrum(P.X - P.Y).norm)):
         return False
-    r0, r1, r0p, r1p = (spectrum(L).support().dim for L in mats)
-    if min(r0, r1) == 1 and min(r0p, r1p) != 1:
-        return False
-    return True
+    r0, r1, r0p, r1p = (S.support().dim for S in (P.Xs, P.Ys, Q.Xs, Q.Ys))
+    return not (min(r0, r1) == 1 and min(r0p, r1p) != 1)

@@ -100,6 +100,91 @@ def test_decompositions_per_call(call, dim, lapack_calls):
     assert lapack_calls["spectral_norm"] == 0
 
 
+def _rotation(dim, rng):
+    return npl.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+
+def _rotated_pair(X, Y, U):
+    return U @ X @ U.conj().T, U @ Y @ U.conj().T
+
+
+# eigh + eigvalsh on a cold memo at dim 2: convertibility_necessary admits both pairs and
+# reads their ranks and min polars off them, so it decomposes each distinct operand once
+# and the two differences; mfmax_membership reads the spectra polar_max left in the memo
+QUBIT_CALLS = {
+    "convertibility_necessary_identical_pairs":
+        (4, lambda X, Y, U: fidlab.convertibility_necessary(X, Y, X, Y)),
+    "convertibility_necessary_rotated_target":
+        (6, lambda X, Y, U: fidlab.convertibility_necessary(X, Y, *_rotated_pair(X, Y, U))),
+    "polar_max_then_mfmax_membership":
+        (3, lambda X, Y, U: (fidlab.polar_max(X, Y), fidlab.mfmax_membership(X, Y))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(QUBIT_CALLS))
+def test_qubit_decompositions_per_call(call, lapack_calls):
+    rng = rng_for(70, 2)
+    X, Y, U = random_pd(2, rng), random_pd(2, rng), _rotation(2, rng)
+    eighs, run = QUBIT_CALLS[call]
+    # a unitary conjugation is unital CP, so convertibility runs every check and holds
+    assert run(X, Y, U)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == eighs
+
+
+# every public function that takes operands, as a call on X, Y, a rank-deficient Yk and a
+# rotation U; the qubit closed forms run at dim 2 only
+OPERAND_CALLS = {
+    **{f"{name}_{kind}": lambda X, Y, Yk, U, f=getattr(fidlab, name), kind=kind: f(kind, X, Y)
+       for name in ("fidelity", "polar", "polar_membership", "duality_certificate",
+                    "dual_optimizers") for kind in ("max", "min", "half")},
+    **{name: lambda X, Y, Yk, U, f=getattr(fidlab, name): f(X, Y)
+       for name in ("fidelity_max", "fidelity_half", "polar_max", "polar_min", "polar_half",
+                    "mfmax_membership", "optimal_measurement", "optimal_reverse_test",
+                    "optimal_twist", "povm_lower_bound", "lyapunov_solve",
+                    "composed_lyapunov_spectrum", "positive_fixed_point", "polar_max_qubit",
+                    "polar_min_qubit", "mfmin_qubit_membership")},
+    **{name: lambda X, Y, Yk, U, f=getattr(fidlab, name): f(X, Yk)
+       for name in ("fidelity_min", "schur_reduce")},
+    **{name: lambda X, Y, Yk, U, f=getattr(fidlab, name): f(Yk)
+       for name in ("psd_sqrt", "pinv", "support_projector")},
+    "block_psd": lambda X, Y, Yk, U: fidlab.block_psd(X, 0.1 * U, Yk),
+    "frame_from_operator": lambda X, Y, Yk, U: fidlab.frame_from_operator(X),
+    "convertibility_necessary_rotated_target":
+        lambda X, Y, Yk, U: fidlab.convertibility_necessary(X, Y, *_rotated_pair(X, Y, U)),
+}
+QUBIT_ONLY = {"polar_max_qubit", "polar_min_qubit", "mfmin_qubit_membership",
+              "frame_from_operator", "convertibility_necessary_rotated_target"}
+
+
+# no public call decomposes one operand twice: on a cold memo, each operand's Hermitian
+# part (hermitianizing is exact on a Hermitian matrix, so the bytes match) reaches eigh
+# or eigvalsh at most once per call
+@pytest.mark.parametrize("call, dim", [(c, d) for c in sorted(OPERAND_CALLS)
+                                       for d in ((2,) if c in QUBIT_ONLY else (2, 3))])
+def test_no_call_decomposes_an_operand_twice(call, dim, monkeypatch):
+    rng = rng_for(71, dim)
+    X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
+    U = _rotation(dim, rng)
+    operands = [X, Y, Yk, *_rotated_pair(X, Y, U)]
+    seen = Counter()
+    keys = {linalg_core.hermitianize(np.asarray(A, dtype=complex)).tobytes() for A in operands}
+
+    def recorded(fn):
+        def wrapper(a, *args, **kwargs):
+            key = np.asarray(a, dtype=complex).tobytes()
+            if np.shape(a) == (dim, dim) and key in keys:
+                seen[key] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(npl, name, recorded(getattr(npl, name)))
+    linalg_core._SPECTRA.clear()
+    OPERAND_CALLS[call](X, Y, Yk, U)
+    # cold, so each call decomposes at least one operand, and none more than once
+    assert set(seen.values()) == {1}
+
+
 # eigh + eigvalsh for three public calls on one pair, as the benchmark's states
 # and duals ops make them: the first call decomposes both operands, and the
 # next two read their spectra from the memo (without it, 4 more each)
@@ -310,8 +395,8 @@ def test_dim16_half_certificate_takes_no_lanczos_step(monkeypatch):
     assert fidlab.duality_certificate("half", random_pd(16, rng), random_pd(16, rng)).is_valid
 
 
-# optimal_measurement's sqrt(sqrt(Y) X sqrt(Y)) is an intermediate: it takes no memo entry,
-# so a cold call leaves the two operands and the Povm's three rank-one elements
+# optimal_measurement's L0* is an intermediate: it takes no memo entry, so a cold call
+# leaves the two operands and the Povm's three rank-one elements
 def test_optimal_measurement_memoizes_no_intermediate():
     rng = rng_for(70, 3)
     X, Y = random_pd(3, rng), random_pd(3, rng)

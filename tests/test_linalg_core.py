@@ -200,8 +200,10 @@ def test_spectrum_keeps_its_derived_matrices_read_only():
     lambda X, Y: support_projector(Y),
     lambda X, Y: schur_reduce(X, Y),
     lambda X, Y: schur_reduce(Y, X),
+    # its rotation reverses the columns of the memoized, read-only eigenvectors
+    lambda X, Y: fidlab.frame_from_operator(Y[:2, :2]).rotation,
 ], ids=["psd_sqrt_Y", "psd_sqrt_X", "pinv", "support_projector", "schur_reduce_XY",
-        "schur_reduce_YX"])
+        "schur_reduce_YX", "frame_from_operator"])
 @pytest.mark.parametrize("rank", [2, 3])
 def test_public_matrix_functions_return_writable_copies(call, rank):
     rng = rng_for(90, 3, rank)

@@ -228,6 +228,19 @@ def test_mfmin_membership_on_a_singular_l0_is_false():
     assert not mfmin_qubit_membership(np.diag([1.0, 0.0]).astype(complex), 5 * I2)
 
 
+# an indefinite L1 is not refused: the pair is outside the body, whether it is decided
+# through the fallback at L0 ~ I or at a singular L0; only L0 is admitted as PSD
+@pytest.mark.parametrize("L0, L1", [
+    (I2, -I2),
+    (I2, np.diag([5.0, -1e-3]).astype(complex)),
+    (np.diag([1.0, 0.0]).astype(complex), np.diag([5.0, -1e-3]).astype(complex)),
+], ids=["identity_minus_identity", "identity_indefinite", "singular_indefinite"])
+def test_mfmin_membership_on_an_indefinite_l1_is_false(L0, L1):
+    assert mfmin_qubit_membership(L0, L1) is False
+    with pytest.raises(NotPsd):
+        mfmin_qubit_membership(L1, L0)
+
+
 def test_mfmin_membership_on_a_near_singular_l0_follows_the_polar_rule():
     # lambda_min(L0) in (2 eps ||L0||, 1e-10 (1 + ||L0||)]: too small for the
     # M0 frame, so the pair is decided as polar_membership("min") decides it

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from fidlab.cli import main
 from fidlab.verify import run_suite
 
 CASE_SUITES = ["fidelity-props", "sandwich", "monotonicity", "polar-props",
@@ -24,3 +27,11 @@ def test_case_suites_count_one_trial_per_dim_and_trial(suite):
     rep = run_suite(suite, dims=(2, 3), trials=2, seed=5)
     assert rep.trials == 2 * 2
     assert rep.passed, rep.failures
+
+
+# every suite at its default size, as `fidlab verify all --reproducible` prints it:
+# 7,221 trials, no failure, and the same bytes since the suites last changed
+def test_verify_all_reproducible_output_is_unchanged(capsys):
+    assert main(["verify", "all", "--reproducible"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "c9b4bf704413143d9d9b8c7e85a5db39"
