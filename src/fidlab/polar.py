@@ -1,20 +1,20 @@
 # src/fidlab/polar.py
 #
-# Polar functionals of the three fidelities: a closed spectral form for max; for
-# half a certified Collatz-Wielandt bracket on rho(S_L0 o S_L1), closed by Lanczos
-# at dims >= 12 (or at once by a given witness, as the half certificate's sqrt X),
-# with the dense d^2 x d^2 Gram below dim 12 and wherever the bracket cannot close;
-# for min the exact qubit form at dim 2 and at dims >= 3 a
-# certified branch-and-bound bracket over one scalar (bounded and split by the
-# chord of a concave function); the membership semantics (polar >= 1 <=>
-# dual-body membership, decided on a bracket's certified lower end), and the max
-# polar's lower bound from one explicit
-# POVM decomposition on the eigenbases of L0 and of polar_max's slack. Each polar
-# is a kernel over the pair `linalg_core.psd_pair` admits, so the dim-2 closed
-# form sees only valid pairs, and `_POLARS` maps each kind to it; polar_half and
-# polar_min return their bracket's upper end. Max and min duality
-# certificates do not come here: `certify` checks their dual pair on one
-# eigenvalue of the dual block at the optimal twist.
+# Polar functionals of the three fidelities. At dim 2 every polar is a scalar function of
+# the pair's five spectral invariants (`qubit_geom`): min from one real quartic's roots,
+# half from one 3 x 3 eigenvalue problem. Above dim 2: for half a certified
+# Collatz-Wielandt bracket on rho(S_L0 o S_L1), closed by Lanczos at dims >= 12 (or at
+# once by a given witness, as the half certificate's sqrt X), with the dense d^2 x d^2
+# Gram at dims 3-11 and wherever the bracket cannot close; for min a certified
+# branch-and-bound bracket over one scalar (bounded and split by the chord of a concave
+# function). Max is one closed spectral form at every dim. Then the membership semantics
+# (polar >= 1 <=> dual-body membership, decided on a bracket's certified lower end), and
+# the max polar's lower bound from one explicit POVM decomposition on the eigenbases of
+# L0 and of polar_max's slack. Each polar is a kernel over the pair
+# `linalg_core.psd_pair` admits, and `_POLARS` maps each kind to it; polar_half and
+# polar_min return their bracket's upper end. Max and min duality certificates do not
+# come here: `certify` checks their dual pair on one eigenvalue of the dual block at the
+# optimal twist.
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
 from .linalg_core import Spectrum, _SpectralPair, hermitianize, psd_pair, spectrum
 from .superop import _composed_lyapunov_matrix, _composed_lyapunov_operator
-from .qubit_geom import _DUAL_BODY_FLOOR, _polar_min_qubit
+from .qubit_geom import _DUAL_BODY_FLOOR, _polar_half_qubit, _polar_min_qubit
 
 __all__ = [
     "polar_classical",
@@ -154,15 +154,15 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
 def _polar_min(P: _SpectralPair, end: int = 1) -> float:
     """The exact qubit form at dim 2; at dims >= 3, end 0 (lower) or 1 (upper) of the bracket."""
     if P.Xs.dim == 2:
-        return _polar_min_qubit(P)
+        return _polar_min_qubit(P.Xs, P.Ys)
     return _polar_min_bracket(P.Xs, P.Ys)[end]
 
 
 def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
     """
-    min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>): the exact
-    qubit closed form at dim 2, and at dims >= 3 the upper end of the
-    certified bracket of _polar_min_bracket.
+    min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>): at dim 2 the exact
+    qubit form off the pair's spectral invariants (qubit_geom._polar_min_qubit), and at
+    dims >= 3 the upper end of the certified bracket of _polar_min_bracket.
     """
     return _polar_min(psd_pair(L0, L1, _DUAL_NAMES))
 
@@ -170,8 +170,9 @@ def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     """
     ( max eigenvalue of S_{L0} o S_{L1} )^{-1/2}: the upper end of the certified bracket
-    of _polar_half_bracket, of relative width _BRACKET_REL_WIDTH at dims >= 12 and the
-    dense Gram value below; 0 on singular inputs (continuity of the polar).
+    of _polar_half_bracket, of relative width _BRACKET_REL_WIDTH at dims >= 12, the dense
+    Gram value at dims 3-11 and the exact value off the pair's spectral invariants at
+    dim 2; 0 on singular inputs (continuity of the polar).
     """
     return _polar_half(psd_pair(L0, L1, _DUAL_NAMES))
 
@@ -187,20 +188,27 @@ def _polar_half_bracket(S0: Spectrum, S1: Spectrum, witness: np.ndarray | None =
     Certified bracket [lower, upper] of the half polar rho(Phi)^{-1/2},
     Phi = S_{L0} o S_{L1}, of the pair with spectra S0, S1; (0, 0) on singular inputs.
 
-    Both S_L preserve the PSD cone, so for every positive definite H the
-    Collatz-Wielandt bounds lambda_min <= rho <= lambda_max of H^{-1/2} Phi(H) H^{-1/2}
-    hold (_collatz_wielandt). At dims >= _LANCZOS_MIN_DIM the bracket is taken at the
-    witness H, when one is given and closes it, else by _lanczos_bracket; it closes at
-    relative width _BRACKET_REL_WIDTH. Below that dim, and whenever neither closes (a
-    reducible Phi, as for commuting or block-diagonal pairs, has no positive definite
-    Perron vector), both ends are the top eigenvalue of the dense Gram
-    _composed_lyapunov_matrix, exact up to eigvalsh's round-off.
+    At dim 2 both ends are qubit_geom._polar_half_qubit, one 3 x 3 eigenvalue problem off
+    the pair's five spectral invariants, and `witness` is not read. At dims >= 3 both S_L
+    preserve the PSD cone, so for every positive definite H the Collatz-Wielandt bounds
+    lambda_min <= rho <= lambda_max of H^{-1/2} Phi(H) H^{-1/2} hold (_collatz_wielandt).
+    At dims >= _LANCZOS_MIN_DIM the bracket is taken at the witness H, when one is given
+    and closes it, else by _lanczos_bracket; it closes at relative width
+    _BRACKET_REL_WIDTH. Below that dim, and whenever neither closes (a reducible Phi, as
+    for commuting or block-diagonal pairs, has no positive definite Perron vector), both
+    ends are the top eigenvalue of the dense Gram _composed_lyapunov_matrix, exact up to
+    eigvalsh's round-off.
 
     Round-off: against that Gram value, both ends of a closed bracket held it within
     7.4e-16 relative in either direction, on random, kappa = 1e4 and near-identity pairs
-    at dims 12-24 (tests/test_polar.py holds 1e-13); at the half certificate's witness
-    both ends sat within 2.6e-12 of 1 at kappa(X) = kappa(Y) = 1e8.
+    at dims 12-24, and the qubit form within 2.0e-15 on 30,000 random, scaled,
+    kappa = 1e8, near-scalar, commuting and L0 ~ L1^-1 pairs (tests/test_polar.py holds
+    both to 1e-13); at the half certificate's witness both ends sat within 2.6e-12 of 1 at
+    kappa(X) = kappa(Y) = 1e8.
     """
+    if S0.dim == 2:
+        v = _polar_half_qubit(S0, S1)
+        return v, v
     if S0.is_singular or S1.is_singular:
         return 0.0, 0.0
     if S0.dim >= _LANCZOS_MIN_DIM:
@@ -318,9 +326,10 @@ def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
     """
     True iff the pair lies in the dual body: its polar is >= 1 - 1e-9. For max that
     polar is polar_max. For min it is the exact qubit form at dim 2 (its round-off is
-    two-sided, ~1e-14 relative) and the certified lower end of the bracket at dims >= 3.
-    For half it is the certified lower end of _polar_half_bracket (the dense Gram value
-    below dim 12).
+    two-sided, within 2 eps max kappa(L_k) relative) and the certified lower end of the
+    bracket at dims >= 3. For half it is the certified lower end of _polar_half_bracket:
+    the exact qubit form at dim 2 (within 1e-13 of the Gram value, either side), the dense
+    Gram value at dims 3-11.
     """
     if kind not in _POLARS:
         raise ValueError(f"unknown polar kind {kind!r}")

@@ -64,7 +64,7 @@ from .qubit_geom import (
     unique_root_w,
     w2_min_oracle,
 )
-from .superop import lyapunov_solve, positive_fixed_point
+from .superop import composed_lyapunov_spectrum, lyapunov_solve, positive_fixed_point
 from .errors import UnknownSuite
 from .linalg_core import hermitianize, pinv, psd_sqrt, spectrum
 
@@ -492,6 +492,8 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
         bracket = _polar_min_bracket(spectrum(L0), spectrum(L1))
         rep.close(polar_min_qubit(L0, L1), bracket[1], 1e-6,
                   f"closed {t}", "polar-min-closed-form")
+        gram = composed_lyapunov_spectrum(L0, L1).eigenvalues[-1] ** -0.5
+        rep.close(polar_half(L0, L1), gram, 1e-12 * gram, f"closed {t}", "polar-half-closed-form")
     # worked values
     I2 = np.eye(2, dtype=complex)
     rep.close(polar_max_qubit(I2, I2), 2.0, 1e-9, "worked", "pm(I,I)")

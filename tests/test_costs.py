@@ -109,7 +109,7 @@ def _rotated_pair(X, Y, U):
 
 
 # eigh + eigvalsh on a cold memo at dim 2: convertibility_necessary admits both pairs and
-# reads their ranks and min polars off them, so it decomposes each distinct operand once
+# reads their ranks and both polars off them, so it decomposes each distinct operand once
 # and the two differences; mfmax_membership reads the spectra polar_max left in the memo
 QUBIT_CALLS = {
     "convertibility_necessary_identical_pairs":
@@ -234,6 +234,34 @@ def test_decompositions_per_compute_request(dim, tmp_path, lapack_calls):
         _compute(tmp_path, X, B)
         assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == expected
         assert lapack_calls["svd"] == svds
+
+
+# at dim 2 every polar is a scalar function of the pair's five spectral invariants: no
+# path builds the 4 x 4 Gram of S_L0 o S_L1, and none takes numpy.roots, whose companion
+# eigenvalues the benchmark's shim cannot see. (I, Y) has no M0 frame, so
+# mfmin_qubit_membership falls back to the min polar.
+DIM2_CALLS = {
+    "polar_half": lambda X, Y, path: fidlab.polar_half(X, Y),
+    "polar_min": lambda X, Y, path: fidlab.polar_min(X, Y),
+    **{f"polar_membership_{kind}": lambda X, Y, path, kind=kind: fidlab.polar_membership(kind, X, Y)
+       for kind in ("max", "min", "half")},
+    "duality_certificate_half": lambda X, Y, path: fidlab.duality_certificate("half", X, Y),
+    "mfmin_qubit_membership_fallback":
+        lambda X, Y, path: fidlab.mfmin_qubit_membership(np.eye(2, dtype=complex), Y),
+    "compute": lambda X, Y, path: _compute(path, X, Y),
+}
+
+
+@pytest.mark.parametrize("call", sorted(DIM2_CALLS))
+def test_dim2_paths_take_no_gram_and_no_numpy_roots(call, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{call} left the qubit invariants")
+
+    for module in (sys.modules["fidlab.superop"], POLAR_MODULE):
+        monkeypatch.setattr(module, "_composed_lyapunov_matrix", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    rng = rng_for(70, 2)
+    DIM2_CALLS[call](random_pd(2, rng), random_pd(2, rng), tmp_path)
 
 
 # F_min and the min certificate read the one min frame the request's pair keeps

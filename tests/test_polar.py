@@ -509,6 +509,33 @@ def test_reducible_pairs_fall_back_to_the_gram(family, monkeypatch):
     assert lower == upper
 
 
+def _inverse_pair(rng):
+    L1 = _rotated([1.0, 10.0 ** rng.uniform(0.0, 8.0)], rng)
+    return hermitianize(npl.inv(L1)) * rng.uniform(0.1, 10.0), L1
+
+
+QUBIT_HALF_FAMILIES = {
+    "random": lambda rng: (random_pd(2, rng), random_pd(2, rng)),
+    "kappa_1e8": lambda rng: tuple(_rotated([1e-8 * rng.uniform(0.5, 2.0), 1.0], rng)
+                                   for _ in range(2)),
+    "near_scalar": lambda rng: tuple(_rotated([1.0, 1.0 + 10.0 ** rng.uniform(-16, -6)], rng)
+                                     for _ in range(2)),
+    "diagonal": lambda rng: _diagonal(2, rng),
+    "inverse": _inverse_pair,
+}
+
+
+@pytest.mark.parametrize("family", sorted(QUBIT_HALF_FAMILIES))
+def test_dim2_polar_half_holds_the_gram_value(family):
+    # the qubit form off five spectral invariants against the dense 4 x 4 Gram
+    for t in range(100):
+        L0, L1 = QUBIT_HALF_FAMILIES[family](rng_for(22, t))
+        S0, S1 = spectrum(L0), spectrum(L1)
+        lower, upper = _polar_half_bracket(S0, S1)
+        assert lower == upper == polar_half(L0, L1)
+        assert upper == pytest.approx(_gram_half(S0, S1), rel=HALF_ROUND_OFF, abs=0)
+
+
 @pytest.mark.parametrize("bracket, member", [((0.99, 1.01), False), ((1.0, 1.02), True)])
 def test_half_membership_reads_the_lower_end(bracket, member, monkeypatch):
     monkeypatch.setattr(importlib.import_module("fidlab.polar"), "_polar_half_bracket",
