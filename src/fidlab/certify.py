@@ -8,13 +8,15 @@
 # min); the dual of that program is [[2 L0, -I + iA], [-I - iA, 2 L1]] >= 0
 # with A Hermitian (A = 0 for max), so one eigvalsh of that block at the
 # optimal twist A* checks the dual pair at every dim. The half kind has no
-# such block and keeps its polar, taken on spectrum() of L*, which is PSD by
-# construction and so neither admitted nor memoized: the certified lower end of
+# such block and keeps its polar, taken on one stacked eigh of L* as it stands (Hermitian
+# and PSD by construction, so neither admitted nor memoized): the certified lower end of
 # polar._polar_half_bracket with the witness sqrt X, which S_L0* o S_L1* fixes, so
-# at dims >= 12 one Collatz-Wielandt check closes it, with no Lanczos step and no
-# d^2 x d^2 Gram (the Gram value below dim 12). `_certificate` is the kernel
-# over an admitted pair and reads definiteness off its spectra. No external SDP
-# solver is used.
+# at every dim >= 3 one Collatz-Wielandt check closes it, with no Lanczos step and no
+# d^2 x d^2 Gram. `_certificate` is the kernel over an admitted pair and reads
+# definiteness off its spectra. Each certificate costs about its LAPACK calls: dual
+# values are inner products <L, X>, tr X and tr Y are kept with their spectra, blocks
+# Hermitian by construction are not symmetrized again, and a definite pair looks for no
+# kernel. No external SDP solver is used.
 
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ import numpy.linalg as npl
 
 from .errors import DimensionMismatch
 from .fidelity import _fidelity_half, _optimizers
-from .linalg_core import (Spectrum, _SpectralPair, _admitted, _hermitian, _hermitian_pair,
-                          _operand_spectrum, hermitianize, psd_pair, psd_spectrum, spectrum)
+from .linalg_core import (_EPS, Spectrum, _SpectralPair, _admitted, _eye, _hermitian,
+                          _hermitian_pair, _operand_spectrum, _trace, psd_pair, psd_spectrum)
 from .polar import _polar_half_bracket
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
@@ -72,40 +74,52 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
 
 
 def _block_psd(X: np.ndarray, Xs: Spectrum, C: np.ndarray, Ys: Spectrum) -> bool:
-    # (I - pi_X) C = 0 is K_X^dagger C = 0, K_X the kernel, relative to sqrt(||X|| ||Y||) >= ||C||
-    KX, KY = Xs.kernel(), Ys.kernel()
-    if KX.shape[1] or KY.shape[1]:
+    # a definite pair has no kernel; else (I - pi_X) C = 0 is K_X^dagger C = 0, K_X the kernel,
+    # relative to sqrt(||X|| ||Y||) >= ||C||
+    if not (Xs.is_definite and Ys.is_definite):
+        KX, KY = Xs.kernel(), Ys.kernel()
         tol = 1e-9 * (Xs.norm * Ys.norm) ** 0.5
         if npl.norm(KX.conj().T @ C, 2) > tol or npl.norm(C @ KY, 2) > tol:
             return False
-    # X - C Y^+ C^dagger through B = C Y^{+1/2}: round-off eps sqrt(kappa(Y)), not eps kappa(Y)
-    B = C @ Ys.inv_sqrt()
-    return bool(npl.eigvalsh(hermitianize(X - B @ B.conj().T))[0] >= -Xs.tol)
+    # X - C Y^+ C^dagger = X - B B^dagger with B = C V D^{-1/2} on supp Y = V D V^dagger:
+    # round-off eps sqrt(kappa(Y)), not eps kappa(Y); eigvalsh reads one triangle of the
+    # Hermitian difference
+    sup = Ys if Ys.is_definite else Ys.support()
+    B = (C @ sup.eigenvectors) * sup.eigenvalues ** -0.5
+    return bool(npl.eigvalsh(X - B @ B.conj().T)[0] >= -Xs.tol)
 
 
-def _dual_block(L0: np.ndarray, L1: np.ndarray, T=0.0) -> np.ndarray:
-    """[[2 L0, -I + T], [-I - T, 2 L1]] for an antihermitian twist T = iA (0 for max)."""
+def _dual_block(L0: np.ndarray, L1: np.ndarray, T=0.0, c2: float = 1.0) -> np.ndarray:
+    """
+    [[2 c2 L0, -I + T], [-I - T, 2 L1 / c2]] for an antihermitian twist T = iA (0 for max):
+    exactly Hermitian, to the sign of a zero, when L0 and L1 are Hermitian and T antihermitian.
+    """
     d = L0.shape[0]
-    eye = np.eye(d)
-    # slice assignment, not np.block: the same entries at a third of the cost
+    eye = _eye(d)
+    # slice assignment, not np.block: the same entries at a third of the cost; 0 - (T + I)
+    # keeps the zeros of T = 0 positive, as T - I does, and scaling by a power of 2 is exact,
+    # so the diagonal blocks are 2 (c2 L0) and 2 (L1 / c2) to the bit
     B = np.empty((2 * d, 2 * d), dtype=complex)
-    B[:d, :d], B[:d, d:] = 2.0 * L0, T - eye
-    B[d:, :d], B[d:, d:] = -T - eye, 2.0 * L1
-    return hermitianize(B)
+    B[:d, :d], B[:d, d:] = (2.0 * c2) * L0, T - eye
+    B[d:, :d], B[d:, d:] = 0.0 - (T + eye), L1 / (0.5 * c2)
+    return B
 
 
 def _witness_shift(X: np.ndarray, Y: np.ndarray, L0: np.ndarray, L1: np.ndarray,
-                   T) -> float:
+                   T, traces: tuple[float, float] | None = None) -> float:
     """
     What (L0, L1) must rise by in dual value to be exactly feasible: B = _dual_block(L0, L1, T)
     balanced by diag(c I, I/c), c^2 = sqrt(tr L1 / tr L0), keeps its inertia, and with
     eps = max(0, -lambda_min(B)) + 4 d eps_mach max|lambda(B)| (eigvalsh's round-off) lifting
     (L0, L1) by (eps/(2 c^2) I, eps c^2/2 I) makes it PSD, at eps/2 (tr X / c^2 + c^2 tr Y).
+    `traces` is (tr X, tr Y) when the caller holds them.
     """
-    c2 = math.sqrt(L1.trace().real / L0.trace().real)
-    w = npl.eigvalsh(_dual_block(c2 * L0, L1 / c2, T))
-    eps = max(0.0, -w[0]) + 4 * L0.shape[0] * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
-    return 0.5 * eps * float(X.trace().real / c2 + c2 * Y.trace().real)
+    c2 = math.sqrt(_trace(L1) / _trace(L0))
+    w = npl.eigvalsh(_dual_block(L0, L1, T, c2)).tolist()
+    w0, w1 = w[0], w[-1]
+    eps = max(0.0, -w0) + 4 * L0.shape[0] * _EPS * max(abs(w0), abs(w1))
+    tx, ty = traces or (_trace(X), _trace(Y))
+    return 0.5 * eps * (tx / c2 + c2 * ty)
 
 
 def mfmax_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
@@ -136,35 +150,40 @@ def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     _CERT_TOL sqrt(tr X tr Y), a scale >= F that holds eigvalsh's round-off where F << tr X,
     and is unit-free. A valid certificate guarantees primal_value <= F <= dual_value + s.
     For half the dual pair is feasible when the certified lower end p of its polar is at
-    least 1 - _CERT_TOL; L*/p is then feasible and worth dual_value/p. Below dim 12 p is
-    the top eigenvalue of the dense Gram form; at dims >= 12 it is the lower end of the
-    Collatz-Wielandt bracket at the witness sqrt X, which S_{L0*} o S_{L1*} fixes, so
-    the bracket closes to 1e-10 relative on its first check (within 2.6e-12 of 1 at
-    kappa(X) = kappa(Y) = 1e8), and falls back to Lanczos, then to the Gram, only if
-    it does not.
+    least 1 - _CERT_TOL; L*/p is then feasible and worth dual_value/p. At dim 2 p is the
+    exact qubit form; at dims >= 3 it is the lower end of the Collatz-Wielandt bracket at
+    the witness sqrt X, which S_{L0*} o S_{L1*} fixes, so the bracket closes to 1e-10
+    relative on its first check (within 1.7e-11 of 1 at kappa(X) = kappa(Y) = 1e8), and
+    falls back to Lanczos (dims >= 12), then to the Gram, only if it does not.
     """
     return _certificate(kind, psd_pair(X, Y, definite=True))
 
 
 def _certificate(kind: str, P: _SpectralPair) -> Certificate:
-    X, Y, Xs, Ys = P
+    X, Y, Xs, Ys = P.X, P.Y, P.Xs, P.Ys
     _admitted(Xs, "X", definite=True)
     _admitted(Ys, "Y", definite=True)
     C, pair, T = _optimizers(kind, P)
+    L0, L1 = pair.first, pair.second
     if C is None:
         # half: tr sqrt(X) sqrt(Y) is attained by construction
         primal_value = _fidelity_half(P)
         primal_feasible = True
         # at the half optimizers S_{L0*}(S_{L1*}(sqrt X)) = sqrt X, so sqrt X is the witness
-        # that closes the bracket on L*'s polar
-        lower = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second), Xs.sqrt())[0]
+        # that closes the bracket on L*'s polar; L* is Hermitian and finite by construction
+        # (one stacked eigh decomposes both)
+        w, V = npl.eigh(np.array((L0, L1)))
+        lower = _polar_half_bracket(Spectrum(w[0], V[0]), Spectrum(w[1], V[1]), Xs.sqrt())[0]
         dual_feasible = lower >= 1.0 - _CERT_TOL
     else:
-        primal_value = float(np.trace(C).real)
+        primal_value = _trace(C)
         primal_feasible = _block_psd(X, Xs, C, Ys)
-        shift = _witness_shift(X, Y, pair.first, pair.second, T)
-        dual_feasible = shift <= _CERT_TOL * math.sqrt(X.trace().real * Y.trace().real)
-    dual_value = float((np.trace(pair.first @ X) + np.trace(pair.second @ Y)).real)
+        # tr X and tr Y as their spectra's sums, kept with the spectra
+        traces = Xs.trace, Ys.trace
+        shift = _witness_shift(X, Y, L0, L1, T, traces)
+        dual_feasible = shift <= _CERT_TOL * math.sqrt(traces[0] * traces[1])
+    # tr L X = <L, X> for Hermitian L
+    dual_value = float(np.vdot(L0, X).real + np.vdot(L1, Y).real)
     return Certificate(
         kind=kind,
         primal_value=primal_value,

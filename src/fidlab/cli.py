@@ -49,10 +49,10 @@ def _parse_matrix(obj) -> np.ndarray:
     if arr.shape != (dim, dim):
         raise ParseError(f"entries shape {arr.shape} does not match dim {dim}")
     # json.load accepts NaN and Infinity
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParseError("entries must be finite")
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    asym = float(np.max(np.abs(arr - arr.conj().T)))
+    scale = float(np.abs(arr).max()) if arr.size else 0.0
+    asym = float(np.abs(arr - arr.conj().T).max())
     if asym > 1e-6 * max(scale, 1e-300):
         raise ParseError(
             f"matrix asymmetry {asym:.3e} exceeds 1e-6 of max entry {scale:.3e}"

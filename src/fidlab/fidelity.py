@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .channels import Povm
 from .errors import LengthMismatch, NegativeEntry
 # psd_sqrt is not called here, but perfbench/test_perfbench.py reads fidlab.fidelity.psd_sqrt
 from .linalg_core import OperatorPair, Spectrum, _SpectralPair, hermitianize, psd_pair, psd_sqrt
-from .superop import _lyapunov_solve
+from .superop import _definite_lyapunov_solve
 
 __all__ = [
     "classical_fidelity",
@@ -61,8 +62,9 @@ def fidelity_max(X: np.ndarray, Y: np.ndarray) -> float:
 
 def _fidelity_max(P: _SpectralPair) -> float:
     sY = P.Ys.sqrt()
-    w = npl.eigvalsh(hermitianize(sY @ P.X @ sY))
-    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+    # eigvalsh reads one triangle of the Hermitian product
+    w = npl.eigvalsh(sY @ P.X @ sY)
+    return math.fsum(math.sqrt(max(x, 0.0)) for x in w.tolist())
 
 
 def _min_frame(P: _SpectralPair) -> tuple[np.ndarray, np.ndarray, Spectrum]:
@@ -74,13 +76,14 @@ def _min_frame(P: _SpectralPair) -> tuple[np.ndarray, np.ndarray, Spectrum]:
     """
     # rank, support and D^{-1/2} all come from Y's own eigenvalues: deciding
     # rank on sqrt(Y) would lift round-off eps to sqrt(eps) > tol
+    # on a definite Y the support is all of Y's eigenpairs and there is nothing to reduce
     X, Ys = P.X, P.Ys
-    sup = Ys.support()
+    sup = Ys if Ys.is_definite else Ys.support()
     d, S = sup.eigenvalues, sup.eigenvectors
-    reduced = Ys.schur_complement(X, P.Xs.tol)
+    reduced = None if sup is Ys else Ys.schur_complement(X, P.Xs.tol)
     A = S.conj().T @ X @ S if reduced is None else reduced
     h = d ** -0.5
-    mu, U = npl.eigh(hermitianize(h[:, None] * A * h[None, :]))
+    mu, U = npl.eigh(hermitianize(h[:, None] * A * h))
     return d, S, Spectrum(np.sqrt(np.maximum(mu, 0.0)), U)
 
 
@@ -113,7 +116,8 @@ def fidelity_half(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _fidelity_half(P: _SpectralPair) -> float:
-    return float(np.trace(P.Xs.sqrt() @ P.Ys.sqrt()).real)
+    # tr AB = <A, B> for Hermitian A: no product is formed
+    return float(np.vdot(P.Xs.sqrt(), P.Ys.sqrt()).real)
 
 
 _FIDELITIES = {"max": _fidelity_max, "min": _fidelity_min, "half": _fidelity_half}
@@ -140,38 +144,56 @@ def dual_optimizers(kind: str, X: np.ndarray, Y: np.ndarray) -> OperatorPair:
     return _optimizers(kind, psd_pair(X, Y, definite=True))[1]
 
 
+def _diagonal_blocks(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonal blocks of a 2d x 2d matrix."""
+    d = Z.shape[0] // 2
+    return Z[:d, :d], Z[d:, d:]
+
+
 def _optimizers(kind: str, P: _SpectralPair
                 ) -> tuple[np.ndarray | None, OperatorPair, np.ndarray | None]:
     """
     The primal optimizer C* (None for half), the dual pair and the antihermitian
-    twist T = iA* of the dual block [[2 L0*, -I + T], [-I - T, 2 L1*]] (0 for max,
+    twist T = iA* of the dual block [[2 L0*, -I + T], [-I - T, 2 L1*]] (0.0 for max,
     None for half, which has no such block) of a definite pair.
     """
     if kind == "max":
-        # sqrt(X) sqrt(Y) = U Sigma V^dagger gives C* = sqrt(X) U V^dagger sqrt(Y) and, as
-        # sqrt(Y) X sqrt(Y) = V Sigma^2 V^dagger and sqrt(X) Y sqrt(X) = U Sigma^2 U^dagger,
-        # both inverse roots without squaring the condition number
+        # sqrt(X) sqrt(Y) = U Sigma V^dagger gives, as sqrt(Y) X sqrt(Y) = V Sigma^2 V^dagger and
+        # sqrt(X) Y sqrt(X) = U Sigma^2 U^dagger, both inverse roots without squaring the
+        # condition number: with P0 = sqrt(Y) V and P1 = sqrt(X) U, C* = P1 P0^dagger and
+        # L_k* = P_k (2 Sigma)^{-1} P_k^dagger, the diagonal blocks of one product
         sX, sY = P.Xs.sqrt(), P.Ys.sqrt()
         U, s, Vh = npl.svd(sX @ sY)
-        C = sX @ U @ Vh @ sY
-        B0, B1 = sY @ (Vh.conj().T * s ** -0.5), sX @ (U * s ** -0.5)
-        L0, L1 = (hermitianize(0.5 * B @ B.conj().T) for B in (B0, B1))
-        T = np.zeros_like(C)
+        Q = np.concatenate((sY @ Vh.conj().T, sX @ U))
+        Qh = Q.conj().T
+        d = len(s)
+        C = Q[d:] @ Qh[:, :d]
+        L0, L1 = _diagonal_blocks(hermitianize((Q * (0.5 / s)) @ Qh))
+        T = 0.0
     elif kind == "min":
         # both derivatives of tr G diag(r) G^dagger and the twist: G^dagger G times a
-        # Cauchy kernel; congruence by diag(G, G) turns the dual block into
+        # Cauchy kernel K; congruence by diag(G, G) turns the dual block into
         # G^dagger G o (2/(r_i + r_j)) [[1, -r_j], [-r_i, r_i r_j]], PSD by the Schur
-        # product theorem
+        # product theorem. With Q = [G^{-dagger}; G^{-dagger} diag(r)], Q K Q^dagger holds
+        # L0* and L1* on its diagonal and M = G^{-dagger} r K G^{-1} below it, and the twist
+        # G^{-dagger} (K o [r_i - r_j]) G^{-1} is M - M^dagger, exactly antihermitian
         d, S, W = _frame(P)
-        r, G, Gi = W.eigenvalues, (S * d ** 0.5) @ W.eigenvectors, (S * d ** -0.5) @ W.eigenvectors
-        C = hermitianize((G * r) @ G.conj().T)
-        KC = (G.conj().T @ G) / (r[:, None] + r[None, :])
-        L0, L1 = (hermitianize(Gi @ M @ Gi.conj().T) for M in (KC, r[:, None] * KC * r[None, :]))
-        T = Gi @ (KC * (r[:, None] - r[None, :])) @ Gi.conj().T
+        r, U = W.eigenvalues, W.eigenvectors
+        G, Gi = (S * d ** 0.5) @ U, (S * d ** -0.5) @ U
+        Gh = G.conj().T
+        C = hermitianize((G * r) @ Gh)
+        Q = np.concatenate((Gi, Gi * r))
+        Z = hermitianize(Q @ ((Gh @ G) / (r[:, None] + r)) @ Q.conj().T)
+        L0, L1 = _diagonal_blocks(Z)
+        M = Z[len(r):, :len(r)]
+        T = M - M.conj().T
     elif kind == "half":
+        # L0* = S_{sqrt X}(sqrt Y) and L1* = S_{sqrt Y}(sqrt X), stacked into one solve
         C = T = None
-        L0 = _lyapunov_solve(P.Xs.sqrt_spectrum(), P.Ys.sqrt())
-        L1 = _lyapunov_solve(P.Ys.sqrt_spectrum(), P.Xs.sqrt())
+        sx, sy = P.Xs.sqrt_spectrum(), P.Ys.sqrt_spectrum()
+        L0, L1 = _definite_lyapunov_solve(np.array((sx.eigenvalues, sy.eigenvalues)),
+                                          np.array((sx.eigenvectors, sy.eigenvectors)),
+                                          np.array((P.Ys.sqrt(), P.Xs.sqrt())))
     else:
         raise ValueError(f"unknown fidelity kind {kind!r}")
     # each side is PSD by construction (Gram forms, Cauchy kernels), so it is not decomposed again

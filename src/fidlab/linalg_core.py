@@ -5,7 +5,8 @@
 # its tolerance 1e-10 * max |lambda|, its PSD/PD/singular verdicts,
 # square root, inverse square root, pseudoinverse, support, kernel and the
 # Schur reduction of another operator onto that support. A Spectrum computes its
-# norm, tolerance, support and both square roots once and shares them read-only;
+# trace, norm, tolerance, PSD/PD/singular verdicts, support, kernel, square-root spectrum
+# and both square roots once and shares them read-only;
 # the public matrix functions are one-liners over it that return fresh arrays.
 # Operand pairs are admitted here too: `psd_pair` decomposes each operand once into
 # a `_SpectralPair`, the (X, Y, Xs, Ys) every two-operand kernel takes, which also
@@ -19,6 +20,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -48,7 +50,12 @@ __all__ = [
 
 def hermitianize(A: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (A + A^*) / 2."""
-    return (A + A.conj().T) / 2
+    H = A + A.conj().T
+    if H.dtype.kind not in "fc":
+        return H / 2
+    # halved in place: the sum is already a new array
+    H *= 0.5
+    return H
 
 
 def as_square(A: np.ndarray) -> np.ndarray:
@@ -68,6 +75,17 @@ def _hermitian(A: np.ndarray, name: str, bounded: bool = False) -> np.ndarray:
     if bounded and not (top == 0.0 or 1e-100 <= top <= 1e100):
         raise NotPsd(f"{name} has largest |entry| {top:.3e}, outside [1e-100, 1e100]")
     return hermitianize(A)
+
+
+def _trace(A: np.ndarray) -> float:
+    """Re tr A, the real diagonal summed as floats: on small matrices a third of ndarray.trace."""
+    return math.fsum(A.real.diagonal().tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _eye(d: int) -> np.ndarray:
+    """The read-only d x d identity."""
+    return _read_only(np.eye(d))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -95,10 +113,11 @@ class _kept:
 @dataclass(frozen=True)
 class Spectrum:
     """
-    Eigendecomposition of a Hermitian matrix, eigenvalues ascending. norm, tol,
-    support(), sqrt() and inv_sqrt() are computed on first use and kept: every later
-    call returns the same object, whose arrays are read-only. They are read off the
-    eigenpairs as they were then, so a Spectrum's arrays are not to be changed.
+    Eigendecomposition of a Hermitian matrix, eigenvalues ascending. trace, norm, tol, the
+    is_psd / is_definite / is_singular verdicts, support(), kernel(), sqrt_spectrum(),
+    sqrt() and inv_sqrt() are computed on first use and kept: every later call returns
+    the same object, whose arrays are read-only. They are read off the eigenpairs as they
+    were then, so a Spectrum's arrays are not to be changed.
     """
 
     eigenvalues: np.ndarray
@@ -115,15 +134,25 @@ class Spectrum:
         return float(max(-w[0], w[-1])) if w.size else 0.0
 
     @_kept
+    def trace(self) -> float:
+        """tr H, the sum of the eigenvalues."""
+        return math.fsum(self.eigenvalues.tolist())
+
+    @_kept
     def tol(self) -> float:
         """Positivity and rank tolerance 1e-10 * max |lambda|, relative to the operator's scale."""
         return 1e-10 * self.norm
 
-    @property
+    @_kept
     def is_psd(self) -> bool:
         return not self.dim or bool(self.eigenvalues[0] >= -self.tol)
 
-    @property
+    @_kept
+    def is_definite(self) -> bool:
+        """Every eigenvalue above tol: the kernel is empty and the support is everything."""
+        return bool(self.dim and self.eigenvalues[0] > self.tol)
+
+    @_kept
     def is_singular(self) -> bool:
         """Singular at round-off: lambda_min <= dim * eps * max |lambda|."""
         return bool(self.eigenvalues[0] <= self.dim * _EPS * self.norm)
@@ -146,8 +175,12 @@ class Spectrum:
         return Spectrum(_read_only(self.eigenvalues[live]), _read_only(self.eigenvectors[:, live]))
 
     def sqrt_spectrum(self) -> "Spectrum":
-        """The spectrum of the square root; eigenvalues in [-tol, 0) are clamped to 0."""
-        return Spectrum(np.sqrt(np.maximum(self.eigenvalues, 0.0)), self.eigenvectors)
+        """The spectrum of the square root; eigenvalues in [-tol, 0) are clamped to 0 (kept)."""
+        return self._sqrt_spectrum
+
+    @_kept
+    def _sqrt_spectrum(self) -> "Spectrum":
+        return Spectrum(_read_only(np.sqrt(np.maximum(self.eigenvalues, 0.0))), self.eigenvectors)
 
     def sqrt(self) -> np.ndarray:
         """H^(1/2) (read-only, kept)."""
@@ -172,8 +205,12 @@ class Spectrum:
         return sup.matrix(1.0 / sup.eigenvalues)
 
     def kernel(self) -> np.ndarray:
-        """The eigenvectors with |lambda| <= tol, an orthonormal basis of the kernel."""
-        return self.eigenvectors[:, np.abs(self.eigenvalues) <= self.tol]
+        """The eigenvectors with |lambda| <= tol, a basis of the kernel (read-only, kept)."""
+        return self._kernel
+
+    @_kept
+    def _kernel(self) -> np.ndarray:
+        return _read_only(self.eigenvectors[:, np.abs(self.eigenvalues) <= self.tol])
 
     def schur_complement(self, X: np.ndarray, x_tol: float) -> np.ndarray | None:
         """
@@ -230,9 +267,10 @@ def _operand_spectrum(H: np.ndarray) -> Spectrum:
 
 
 def _admitted(sp: Spectrum, name: str, definite: bool) -> Spectrum:
-    if definite and not (sp.dim and sp.eigenvalues[0] > sp.tol):
-        raise NotPositiveDefinite(f"{name} is not strictly positive definite")
-    if not sp.is_psd:
+    if definite:
+        if not sp.is_definite:
+            raise NotPositiveDefinite(f"{name} is not strictly positive definite")
+    elif not sp.is_psd:
         raise NotPsd(f"{name} has eigenvalue {sp.eigenvalues[0]:.3e} below -PSD_TOL")
     return sp
 

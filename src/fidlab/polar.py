@@ -3,9 +3,9 @@
 # Polar functionals of the three fidelities. At dim 2 every polar is a scalar function of
 # the pair's five spectral invariants (`qubit_geom`): min from one real quartic's roots,
 # half from one 3 x 3 eigenvalue problem. Above dim 2: for half a certified
-# Collatz-Wielandt bracket on rho(S_L0 o S_L1), closed by Lanczos at dims >= 12 (or at
-# once by a given witness, as the half certificate's sqrt X), with the dense d^2 x d^2
-# Gram at dims 3-11 and wherever the bracket cannot close; for min a certified
+# Collatz-Wielandt bracket on rho(S_L0 o S_L1), closed at once by a given witness (the
+# half certificate's sqrt X) at every dim, else by Lanczos at dims >= 12, with the dense
+# d^2 x d^2 Gram at dims 3-11 and wherever the bracket cannot close; for min a certified
 # branch-and-bound bracket over one scalar (bounded and split by the chord of a concave
 # function). Max is one closed spectral form at every dim. Then the membership semantics
 # (polar >= 1 <=> dual-body membership, decided on a bracket's certified lower end), and
@@ -26,7 +26,7 @@ import numpy.linalg as npl
 
 from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
-from .linalg_core import Spectrum, _SpectralPair, hermitianize, psd_pair, spectrum
+from .linalg_core import Spectrum, _SpectralPair, _trace, hermitianize, psd_pair, spectrum
 from .superop import _composed_lyapunov_matrix, _composed_lyapunov_operator
 from .qubit_geom import _DUAL_BODY_FLOOR, _polar_half_qubit, _polar_min_qubit
 
@@ -73,7 +73,16 @@ def polar_classical(l0, l1) -> float:
 
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
-    """2 sigma_min(sqrt(L0) sqrt(L1)), within 2 eps max kappa(L_k) relative; 0 if singular."""
+    """
+    2 sigma_min(sqrt(L0) sqrt(L1)); 0 if singular. Relative error within (beta + 1) eps
+    max kappa(L_k) <= 8 eps max kappa(L_k): eigh returns the exact spectrum of some L_k + E_k,
+    ||E_k|| <= beta eps ||L_k|| (beta at most 6.2 on 1,500 pairs at each of dims 2-4), which
+    lies between (1 -+ beta eps kappa_k) L_k; the polar, monotone and 1/2-homogeneous in each
+    operand, moves by at most beta eps (kappa_0 + kappa_1) / 2, and the SVD of the well-scaled
+    D0^(1/2) W D1^(1/2) adds about eps sqrt(kappa_0 kappa_1). Seen: 4.8 eps kappa on dim-2
+    boundary pairs L0 = L1^-1 / 4 (3,000 pairs), where both small eigenvalues carry eigh's
+    round-off at once, under 1 on them at dims 3-4, and 2 on near-orthogonal pairs.
+    """
     return _polar_max(psd_pair(L0, L1, _DUAL_NAMES))
 
 
@@ -192,58 +201,73 @@ def _polar_half_bracket(S0: Spectrum, S1: Spectrum, witness: np.ndarray | None =
     the pair's five spectral invariants, and `witness` is not read. At dims >= 3 both S_L
     preserve the PSD cone, so for every positive definite H the Collatz-Wielandt bounds
     lambda_min <= rho <= lambda_max of H^{-1/2} Phi(H) H^{-1/2} hold (_collatz_wielandt).
-    At dims >= _LANCZOS_MIN_DIM the bracket is taken at the witness H, when one is given
-    and closes it, else by _lanczos_bracket; it closes at relative width
-    _BRACKET_REL_WIDTH. Below that dim, and whenever neither closes (a reducible Phi, as
-    for commuting or block-diagonal pairs, has no positive definite Perron vector), both
-    ends are the top eigenvalue of the dense Gram _composed_lyapunov_matrix, exact up to
-    eigvalsh's round-off.
+    The bracket is taken at the witness H when one is given and closes it (_witness_rho),
+    else, at dims >= _LANCZOS_MIN_DIM, by _lanczos_bracket; it closes at relative width
+    _BRACKET_REL_WIDTH. Below that dim with no witness, and whenever neither closes (a
+    reducible Phi, as for commuting or block-diagonal pairs, has no positive definite
+    Perron vector), both ends are the top eigenvalue of the dense Gram
+    _composed_lyapunov_matrix, exact up to eigvalsh's round-off.
 
     Round-off: against that Gram value, both ends of a closed bracket held it within
     7.4e-16 relative in either direction, on random, kappa = 1e4 and near-identity pairs
     at dims 12-24, and the qubit form within 2.0e-15 on 30,000 random, scaled,
     kappa = 1e8, near-scalar, commuting and L0 ~ L1^-1 pairs (tests/test_polar.py holds
-    both to 1e-13); at the half certificate's witness both ends sat within 2.6e-12 of 1 at
-    kappa(X) = kappa(Y) = 1e8.
+    both to 1e-13). At the half certificate's witness sqrt X both ends held the Gram value
+    within 5.8e-15 relative on random pairs at dims 3-11, and sat within 1.7e-11 of 1 at
+    kappa(X) = kappa(Y) = 1e8 (2.7e-12 at dims 12-32); there Phi(H)'s round-off meets
+    H^{-1/2} twice, so the lower end can exceed the rigorous bound at the float pair by up
+    to 8 eps kappa(H) (6.9 seen at dim 3, kappa(H) = 1e4; tests/test_certify.py).
     """
     if S0.dim == 2:
         v = _polar_half_qubit(S0, S1)
         return v, v
     if S0.is_singular or S1.is_singular:
         return 0.0, 0.0
-    if S0.dim >= _LANCZOS_MIN_DIM:
-        apply, w1 = _composed_lyapunov_operator(S0, S1)
-        bracket = None
-        if witness is not None:
-            # Phi = S_{L1}^{-1/2} apply S_{L1}^{1/2}, with H in L1's eigenbasis
-            V1 = S1.eigenvectors
-            H = V1.conj().T @ witness @ V1
-            bracket = _closed(_collatz_wielandt(H, apply(w1 * H) / w1, 0.0))
-        if bracket is None:
-            bracket = _lanczos_bracket(apply, w1)
-        if bracket is not None:
-            return bracket
+    bracket = None if witness is None else _closed(_witness_rho(S0, S1, witness))
+    if bracket is None and S0.dim >= _LANCZOS_MIN_DIM:
+        bracket = _lanczos_bracket(*_composed_lyapunov_operator(S0, S1))
+    if bracket is not None:
+        return bracket
     top = float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1]) ** -0.5
     return top, top
 
 
-def _collatz_wielandt(H: np.ndarray, F: np.ndarray, theta: float
+def _witness_rho(S0: Spectrum, S1: Spectrum, H: np.ndarray) -> tuple[float, float] | None:
+    """
+    _collatz_wielandt at the witness H, with H in L1's eigenbasis: S_L1 divides entrywise by
+    mu_i + mu_j there, and S_L0 by lambda_i + lambda_j after the change of basis
+    W = V1^dagger V0, which leaves Phi(H) = S_L0(S_L1(H)) in L0's eigenbasis.
+    """
+    V1 = S1.eigenvectors
+    V1h = V1.conj().T
+    W = V1h @ S0.eigenvectors
+    mu, lam = S1.eigenvalues, S0.eigenvalues
+    H1 = V1h @ H @ V1
+    F0 = (W.conj().T @ (H1 / (mu[:, None] + mu)) @ W) / (lam[:, None] + lam)
+    return _collatz_wielandt(H1, F0, 0.0, W)
+
+
+def _collatz_wielandt(H: np.ndarray, F: np.ndarray, theta: float, basis: np.ndarray | None = None
                       ) -> tuple[float, float] | None:
     """
-    (rho_lo, rho_hi) bracketing rho(Phi) from F = Phi(H): the extreme eigenvalues of
-    C^{-1} F C^{-dagger}, H = C C^dagger by one Cholesky once H's trace is made positive,
-    with rho_lo raised to theta, a Rayleigh quotient of the symmetric form (<= rho), and
-    kept <= rho_hi; None when H is not positive definite.
+    (rho_lo, rho_hi) bracketing rho(Phi) from F = Phi(H), H and F Hermitian (Cholesky and
+    eigvalsh read one triangle of each) and F given in `basis` when one is (Phi(H) =
+    basis F basis^dagger): the extreme eigenvalues of C^{-1} Phi(H) C^{-dagger},
+    H = C C^dagger by one Cholesky once H's trace is made positive, with rho_lo raised to
+    theta, a Rayleigh quotient of the symmetric form (<= rho), and kept <= rho_hi; None when
+    H is not positive definite.
     """
-    H, F = hermitianize(H), hermitianize(F)
-    if H.trace().real < 0:
+    if _trace(H) < 0:
         H, F = -H, -F
     try:
         C = npl.cholesky(H)
     except npl.LinAlgError:
         return None
-    Ci = npl.inv(C)
-    w = npl.eigvalsh(hermitianize(Ci @ F @ Ci.conj().T))
+    K = npl.inv(C)
+    if basis is not None:
+        K = K @ basis
+    # eigvalsh reads one triangle of the Hermitian congruence
+    w = npl.eigvalsh(K @ F @ K.conj().T)
     return min(max(float(w[0]), theta), float(w[-1])), float(w[-1])
 
 

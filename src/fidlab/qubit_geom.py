@@ -414,9 +414,12 @@ def _polar_half_qubit(S0: Spectrum, S1: Spectrum) -> float:
         return 0.0
     (a1, a2), (b1, b2), s, p, q = inv
     t = math.sqrt(2.0 * p * q)
-    h0 = np.array([2.0 * a1, 2.0 * a2, a1 + a2]) ** -0.5
-    h1 = np.array([2.0 * b1, 2.0 * b2, b1 + b2]) ** -0.5
-    A = h1[:, None] * np.array([[p, q, -t], [q, p, t], [t, -t, p - q]]) * h0
+    x0, y0, z0 = (2.0 * a1) ** -0.5, (2.0 * a2) ** -0.5, (a1 + a2) ** -0.5
+    x1, y1, z1 = (2.0 * b1) ** -0.5, (2.0 * b2) ** -0.5, (b1 + b2) ** -0.5
+    # diag(h1) R diag(h0) entry by entry, as floats: nine products cost less than three arrays
+    A = np.array([[x1 * p * x0, x1 * q * y0, -x1 * t * z0],
+                  [y1 * q * x0, y1 * p * y0, y1 * t * z0],
+                  [z1 * t * x0, -z1 * t * y0, z1 * (p - q) * z0]])
     return math.sqrt(s / float(npl.eigvalsh(A @ A.T)[-1]))
 
 

@@ -47,14 +47,31 @@ def lyapunov_solve(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:
     """S_Z(X) for Hermitian X, from the spectrum of Z."""
     w, V = Zs.eigenvalues, Zs.eigenvectors
-    Xt = V.conj().T @ X @ V
-    denom = w[:, None] + w[None, :]
+    if Zs.is_definite:
+        return _definite_lyapunov_solve(w, V, X)
+    Vh = V.conj().T
+    Xt = Vh @ X @ V
+    denom = w[:, None] + w
     singular = denom <= Zs.tol
     # relative to the Frobenius norm of Xt, which bounds the operator norm of X
     if np.any(singular & (np.abs(Xt) > 1e-10 * npl.norm(Xt))):
         raise SingularPair("X has weight on the kernel block of S_Z")
     St = np.where(singular, 0.0, Xt / np.where(singular, 1.0, denom))
-    return hermitianize(V @ St @ V.conj().T)
+    return hermitianize(V @ St @ Vh)
+
+
+def _definite_lyapunov_solve(w: np.ndarray, V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """
+    S_Z(X) for Hermitian X and positive definite Z = V diag(w) V^dagger, stacked alike over
+    any leading axes of w, V and X: every w_i + w_j is positive, so nothing is masked, and
+    one stacked pass costs about what one solve does on small matrices.
+    """
+    Vh = V.conj().swapaxes(-1, -2)
+    S = V @ ((Vh @ X @ V) / (w[..., :, None] + w[..., None, :])) @ Vh
+    # the Hermitian part, as hermitianize takes it
+    S += S.conj().swapaxes(-1, -2)
+    S *= 0.5
+    return S
 
 
 @lru_cache(maxsize=64)

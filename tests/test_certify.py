@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import numpy.linalg as npl
 import pytest
@@ -23,6 +25,7 @@ from fidlab.polar import (_polar_half_bracket, _polar_min, _polar_min_bracket, p
 from fidlab.verify import _rotated
 
 I2 = np.eye(2, dtype=complex)
+POLAR_MODULE = sys.modules["fidlab.polar"]  # fidlab.polar is the function
 
 
 def _pd_inverse(H):
@@ -468,6 +471,31 @@ def test_half_witness_closes_on_one(kappas, dim):
         assert duality_certificate("half", X, Y).is_valid
 
 
+def _refuse_gram_and_lanczos(monkeypatch):
+    """Make the half bracket's two fallbacks raise, so that only its witness can close it."""
+    def refuse(*args):
+        raise AssertionError("the half bracket left its witness")
+
+    for name in ("_lanczos_bracket", "_composed_lyapunov_matrix"):
+        monkeypatch.setattr(POLAR_MODULE, name, refuse)
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+@pytest.mark.parametrize("kappas", [(1.0, 1.0), (1e4, 1e4), (1e8, 1e8)])
+def test_half_witness_closes_below_the_lanczos_dim(kappas, dim, monkeypatch):
+    # below dim 12 too, the witness sqrt X closes the bracket on L*'s polar with no Gram and no
+    # Lanczos step: both ends within 1e-10 of 1 on every pair (1.7e-11 seen at dim 3 and
+    # kappa = 1e8, 2.4e-14 at kappa = 1e4)
+    _refuse_gram_and_lanczos(monkeypatch)
+    for X, Y in _kappa_pairs(kappas, dim):
+        P = psd_pair(X, Y, definite=True)
+        pair = _optimizers("half", P)[1]
+        lower, upper = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second),
+                                           P.Xs.sqrt())
+        assert 1 - 1e-10 <= lower <= upper <= 1 + 1e-10
+        assert duality_certificate("half", X, Y).is_valid
+
+
 def _mp_hermitian(M):
     """The Hermitian part of an mp matrix."""
     return (M + M.H) / 2
@@ -509,6 +537,30 @@ def test_half_witness_never_overstates_the_polar_at_40_digits(kappas):
     R = _mp_function(mp, H, lambda x: x ** -0.5)
     top = max(mp.eighe(_mp_hermitian(R * F * R), eigvals_only=True))
     assert lower <= float(top ** -0.5) + 4 * dim * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kappas", [(1.0, 1.0), (1e8, 1e8)])
+def test_dim3_half_witness_never_overstates_the_polar_at_40_digits(kappas, monkeypatch):
+    # the check above at dim 3, where the half certificate now also reads the witness's
+    # lower end (the Gram and Lanczos are refused, so no other path can answer). Phi(H) is
+    # formed in L*'s eigenbases, and its round-off, about eps ||Phi(H)||, meets H^-1/2 twice:
+    # the float lower end stays within 8 eps kappa(H) of the rigorous one (6.9 seen at
+    # kappa(X) = 1e8, where kappa(H) = 1e4; 2.6 at kappa(X) = 1)
+    _refuse_gram_and_lanczos(monkeypatch)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    dim = 3
+    for X, Y in list(_kappa_pairs(kappas, dim))[:3]:
+        P = psd_pair(X, Y, definite=True)
+        pair = _optimizers("half", P)[1]
+        H = P.Xs.sqrt()
+        lower = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second), H)[0]
+        F = _mp_lyapunov(mp, pair.first, _mp_lyapunov(mp, pair.second, mp.matrix(H.tolist())))
+        R = _mp_function(mp, H, lambda x: x ** -0.5)
+        top = max(mp.eighe(_mp_hermitian(R * F * R), eigvals_only=True))
+        kappa_h = float(np.sqrt(P.Xs.eigenvalues[-1] / P.Xs.eigenvalues[0]))
+        assert lower <= float(top ** -0.5) + 8 * kappa_h * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -16,6 +16,7 @@ from fidlab.channels import random_pd, rng_for
 
 FIDELITY_MODULE = sys.modules["fidlab.fidelity"]  # fidlab.fidelity is the function
 POLAR_MODULE = sys.modules["fidlab.polar"]  # and so is fidlab.polar
+CERTIFY_MODULE = sys.modules["fidlab.certify"]
 
 # LAPACK decompositions per call, (eigh + eigvalsh, svd), with Y_k a
 # rank-deficient Y with a rotated kernel: every operand is decomposed once,
@@ -41,9 +42,10 @@ CALLS = {
     "duality_certificate_max": ((4, 1), lambda X, Y, Yk: fidlab.duality_certificate("max", X, Y)),
     # the operands, the min frame, the Schur test and the dual block at the optimal twist
     "duality_certificate_min": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("min", X, Y)),
-    # the operands, L*'s two spectra and, below the crossover dim 12, the Gram form of
-    # polar_half: L* is PSD by construction, so it is decomposed but not admitted or memoized
-    "duality_certificate_half": ((5, 0), lambda X, Y, Yk: fidlab.duality_certificate("half", X, Y)),
+    # the operands, L*'s two spectra from one stacked eigh, and the eigenvalue problem of its
+    # polar: the qubit form's 3 x 3 at dim 2, the Collatz-Wielandt check at the witness sqrt X
+    # above. L* is PSD by construction, so it is decomposed but not admitted or memoized
+    "duality_certificate_half": ((4, 0), lambda X, Y, Yk: fidlab.duality_certificate("half", X, Y)),
 }
 
 
@@ -218,11 +220,12 @@ def _compute(tmp_path, X, B):
 # eigh + eigvalsh per in-process `fidlab compute` request, on a definite pair
 # and with Y_k: the pair is admitted once, every fidelity, polar and
 # certificate is a kernel over it, and the min frame is taken once for F_min
-# and the min certificate; the half certificate takes two spectra of its dual
-# pair L* and the Gram form, with no admission. At dim 2 the dual-body
+# and the min certificate; the half certificate takes the two spectra of its dual
+# pair L* in one stacked eigh, with no admission, and one eigenvalue problem for its
+# polar (the qubit form's 3 x 3, or the witness check above dim 2). At dim 2 the dual-body
 # memberships are read off the three polars and take no decomposition of their own.
 # The definite pair's polar_max and max certificate take one SVD each.
-COMPUTE = {2: (12, 5), 3: (21, 5), 4: (25, 5), 8: (30, 5)}
+COMPUTE = {2: (11, 5), 3: (20, 5), 4: (24, 5), 8: (29, 5)}
 
 
 @pytest.mark.parametrize("dim", sorted(COMPUTE))
@@ -421,6 +424,35 @@ def test_dim16_half_certificate_takes_no_lanczos_step(monkeypatch):
     monkeypatch.setattr(POLAR_MODULE, "_composed_lyapunov_matrix", refuse)
     rng = rng_for(70, 16)
     assert fidlab.duality_certificate("half", random_pd(16, rng), random_pd(16, rng)).is_valid
+
+
+# below the Lanczos dim too: at dims 3-11 the witness closes the bracket, so the half
+# certificate builds no d^2 x d^2 Gram
+@pytest.mark.parametrize("dim", [3, 8, 11])
+def test_half_certificate_closes_on_its_witness_below_the_lanczos_dim(dim, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the half certificate left its witness")
+
+    monkeypatch.setattr(POLAR_MODULE, "_lanczos_bracket", refuse)
+    monkeypatch.setattr(POLAR_MODULE, "_composed_lyapunov_matrix", refuse)
+    rng = rng_for(70, dim)
+    assert fidlab.duality_certificate("half", random_pd(dim, rng), random_pd(dim, rng)).is_valid
+
+
+# a certificate on an admitted definite pair neither re-validates a matrix (L* is Hermitian
+# by construction and decomposed as it stands) nor looks for a kernel the pair cannot have
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["max", "min", "half"])
+def test_certificate_on_a_definite_pair_takes_no_gate_and_no_kernel(kind, dim, monkeypatch):
+    rng = rng_for(70, dim)
+    pair = linalg_core.psd_pair(random_pd(dim, rng), random_pd(dim, rng), definite=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the {kind} certificate re-validated or looked for a kernel")
+
+    monkeypatch.setattr(linalg_core, "_hermitian", refuse)
+    monkeypatch.setattr(linalg_core.Spectrum, "kernel", refuse)
+    assert CERTIFY_MODULE._certificate(kind, pair).is_valid
 
 
 # optimal_measurement's L0* is an intermediate: it takes no memo entry, so a cold call

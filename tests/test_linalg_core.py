@@ -190,6 +190,16 @@ def test_spectrum_keeps_its_derived_matrices_read_only():
         assert not (sup.eigenvalues.flags.writeable or sup.eigenvectors.flags.writeable)
 
 
+# the kernel is kept like the support: a memoized operand's Schur reduction does not
+# rebuild its mask on every call
+def test_spectrum_keeps_its_kernel_read_only():
+    Y, _ = _rotated_rank(4, 3, rng_for(89, 4))
+    for sp in (psd_spectrum(Y), spectrum(Y)):
+        K = sp.kernel()
+        assert sp.kernel() is K and K.shape == (4, 1) and not K.flags.writeable
+        assert np.allclose(Y @ K, 0.0, atol=1e-12)
+
+
 # the public matrix functions hand out their own arrays: writing into one
 # leaves the kept matrices of the operands' spectra, and so every later
 # fidelity on those operands, unchanged

@@ -140,6 +140,29 @@ def test_polar_max_is_as_accurate_as_its_input_allows(dim, delta):
             assert abs(value - ref) <= 2 * eps * kappa * ref
 
 
+@pytest.mark.parametrize("dim, pairs", [(2, 200), (3, 20), (4, 20)])
+def test_polar_max_meets_its_bound_on_boundary_pairs(dim, pairs):
+    # L0 = L1^-1 / 4 with L1 rotated, of eigenvalues 1 and 10^U(0, 6): both small
+    # eigenvalues carry eigh's round-off at once, about beta eps kappa relative each
+    # (beta <= 6.2 measured), so the polar's error reaches 4.8 eps kappa on such pairs at
+    # dim 2 (3,000 pairs) against the stated (beta + 1) eps kappa <= 8 eps kappa; 40-digit
+    # references of the float pair
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    eps = np.finfo(float).eps
+    for t in range(pairs):
+        rng = rng_for(81, dim, t)
+        L1 = _rotated(np.r_[1.0, 10.0 ** rng.uniform(0.0, 6.0, dim - 1)], rng)
+        L0 = hermitianize(npl.inv(L1)) / 4
+        E, Q = mp.eighe(mp.matrix(L0.tolist()))
+        s0 = Q * mp.diag([mp.sqrt(e) for e in E]) * Q.H
+        ref = float(2 * mp.sqrt(min(mp.eighe(s0 * mp.matrix(L1.tolist()) * s0,
+                                             eigvals_only=True))))
+        kappa = max(w[-1] / w[0] for w in (npl.eigvalsh(L0), npl.eigvalsh(L1)))
+        assert abs(polar_max(L0, L1) - ref) <= 8 * eps * kappa * ref
+
+
 def test_polar_dispatch_rejects_unknown():
     with pytest.raises(ValueError):
         polar("quarter", I2, I2)
