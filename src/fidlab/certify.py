@@ -10,9 +10,9 @@
 # optimal twist A* checks the dual pair at every dim. The half kind has no
 # such block and keeps its polar, taken on one stacked eigh of L* as it stands (Hermitian
 # and PSD by construction, so neither admitted nor memoized): the certified lower end of
-# polar._polar_half_bracket with the witness sqrt X, which S_L0* o S_L1* fixes, so
-# at every dim >= 3 one Collatz-Wielandt check closes it, with no Lanczos step and no
-# d^2 x d^2 Gram. `_certificate` is the kernel over an admitted pair and reads
+# polar._witness_bracket at the witness sqrt X, which S_L0* o S_L1* fixes, so at every
+# dim >= 3 one Collatz-Wielandt check gives it, with no Lanczos step and no d^2 x d^2
+# Gram. `_certificate` is the kernel over an admitted pair and reads
 # definiteness off its spectra. Each certificate costs about its LAPACK calls: dual
 # values are inner products <L, X>, tr X and tr Y are kept with their spectra, blocks
 # Hermitian by construction are not symmetrized again, and a definite pair looks for no
@@ -30,7 +30,7 @@ from .errors import DimensionMismatch
 from .fidelity import _fidelity_half, _optimizers
 from .linalg_core import (_EPS, Spectrum, _SpectralPair, _admitted, _eye, _hermitian,
                           _hermitian_pair, _operand_spectrum, _trace, psd_pair, psd_spectrum)
-from .polar import _polar_half_bracket
+from .polar import _witness_bracket
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
 
@@ -105,20 +105,18 @@ def _dual_block(L0: np.ndarray, L1: np.ndarray, T=0.0, c2: float = 1.0) -> np.nd
     return B
 
 
-def _witness_shift(X: np.ndarray, Y: np.ndarray, L0: np.ndarray, L1: np.ndarray,
-                   T, traces: tuple[float, float] | None = None) -> float:
+def _witness_shift(L0: np.ndarray, L1: np.ndarray, T, tx: float, ty: float) -> float:
     """
     What (L0, L1) must rise by in dual value to be exactly feasible: B = _dual_block(L0, L1, T)
     balanced by diag(c I, I/c), c^2 = sqrt(tr L1 / tr L0), keeps its inertia, and with
     eps = max(0, -lambda_min(B)) + 4 d eps_mach max|lambda(B)| (eigvalsh's round-off) lifting
-    (L0, L1) by (eps/(2 c^2) I, eps c^2/2 I) makes it PSD, at eps/2 (tr X / c^2 + c^2 tr Y).
-    `traces` is (tr X, tr Y) when the caller holds them.
+    (L0, L1) by (eps/(2 c^2) I, eps c^2/2 I) makes it PSD, at eps/2 (tx / c^2 + c^2 ty),
+    tx = tr X and ty = tr Y.
     """
     c2 = math.sqrt(_trace(L1) / _trace(L0))
     w = npl.eigvalsh(_dual_block(L0, L1, T, c2)).tolist()
     w0, w1 = w[0], w[-1]
     eps = max(0.0, -w0) + 4 * L0.shape[0] * _EPS * max(abs(w0), abs(w1))
-    tx, ty = traces or (_trace(X), _trace(Y))
     return 0.5 * eps * (tx / c2 + c2 * ty)
 
 
@@ -152,9 +150,9 @@ def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     For half the dual pair is feasible when the certified lower end p of its polar is at
     least 1 - _CERT_TOL; L*/p is then feasible and worth dual_value/p. At dim 2 p is the
     exact qubit form; at dims >= 3 it is the lower end of the Collatz-Wielandt bracket at
-    the witness sqrt X, which S_{L0*} o S_{L1*} fixes, so the bracket closes to 1e-10
-    relative on its first check (within 1.7e-11 of 1 at kappa(X) = kappa(Y) = 1e8), and
-    falls back to Lanczos (dims >= 12), then to the Gram, only if it does not.
+    the witness sqrt X (polar._witness_bracket), a lower bound whether or not the bracket
+    closes; S_{L0*} o S_{L1*} fixes sqrt X, so it closes to 1e-10 relative (within 1.7e-11
+    of 1 at kappa(X) = kappa(Y) = 1e8).
     """
     return _certificate(kind, psd_pair(X, Y, definite=True))
 
@@ -170,18 +168,17 @@ def _certificate(kind: str, P: _SpectralPair) -> Certificate:
         primal_value = _fidelity_half(P)
         primal_feasible = True
         # at the half optimizers S_{L0*}(S_{L1*}(sqrt X)) = sqrt X, so sqrt X is the witness
-        # that closes the bracket on L*'s polar; L* is Hermitian and finite by construction
-        # (one stacked eigh decomposes both)
+        # whose bracket's lower end bounds L*'s polar; L* is Hermitian and finite by
+        # construction (one stacked eigh decomposes both)
         w, V = npl.eigh(np.array((L0, L1)))
-        lower = _polar_half_bracket(Spectrum(w[0], V[0]), Spectrum(w[1], V[1]), Xs.sqrt())[0]
+        lower = _witness_bracket(Spectrum(w[0], V[0]), Spectrum(w[1], V[1]), Xs.sqrt())[0]
         dual_feasible = lower >= 1.0 - _CERT_TOL
     else:
         primal_value = _trace(C)
         primal_feasible = _block_psd(X, Xs, C, Ys)
         # tr X and tr Y as their spectra's sums, kept with the spectra
-        traces = Xs.trace, Ys.trace
-        shift = _witness_shift(X, Y, L0, L1, T, traces)
-        dual_feasible = shift <= _CERT_TOL * math.sqrt(traces[0] * traces[1])
+        tx, ty = Xs.trace, Ys.trace
+        dual_feasible = _witness_shift(L0, L1, T, tx, ty) <= _CERT_TOL * math.sqrt(tx * ty)
     # tr L X = <L, X> for Hermitian L
     dual_value = float(np.vdot(L0, X).real + np.vdot(L1, Y).real)
     return Certificate(

@@ -100,7 +100,7 @@ def cmd_compute(args) -> int:
     }
     for kind in _KINDS:
         result[f"fidelity_{kind}"] = _FIDELITIES[kind](pair)
-        result[f"polar_{kind}"] = _POLARS[kind](pair)
+        result[f"polar_{kind}"] = _POLARS[kind](pair)[1]
     certs = {}
     for kind in _KINDS:
         try:

@@ -34,7 +34,7 @@ __all__ = [
     "ReverseTest",
 ]
 
-_CLAMP = 1e-12
+_CLAMP = 1e-12  # of a weight vector's largest finite |entry|: round-off below it clamps to 0
 
 
 def _weights(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -43,7 +43,8 @@ def _weights(p, q) -> tuple[np.ndarray, np.ndarray]:
     if p.shape != q.shape:
         raise LengthMismatch(f"lengths {p.size} and {q.size} differ")
     for v in (p, q):
-        bad = v[~(np.isfinite(v) & (v >= -_CLAMP))]
+        finite = np.isfinite(v)
+        bad = v[~(finite & (v >= -_CLAMP * np.abs(v[finite]).max(initial=0.0)))]
         if bad.size:
             raise NegativeEntry(f"weight entry {bad[0]:.3e} is negative or non-finite")
     return np.maximum(p, 0.0), np.maximum(q, 0.0)

@@ -3,18 +3,19 @@
 # Polar functionals of the three fidelities. At dim 2 every polar is a scalar function of
 # the pair's five spectral invariants (`qubit_geom`): min from one real quartic's roots,
 # half from one 3 x 3 eigenvalue problem. Above dim 2: for half a certified
-# Collatz-Wielandt bracket on rho(S_L0 o S_L1), closed at once by a given witness (the
-# half certificate's sqrt X) at every dim, else by Lanczos at dims >= 12, with the dense
-# d^2 x d^2 Gram at dims 3-11 and wherever the bracket cannot close; for min a certified
-# branch-and-bound bracket over one scalar (bounded and split by the chord of a concave
-# function). Max is one closed spectral form at every dim. Then the membership semantics
-# (polar >= 1 <=> dual-body membership, decided on a bracket's certified lower end), and
-# the max polar's lower bound from one explicit POVM decomposition on the eigenbases of
-# L0 and of polar_max's slack. Each polar is a kernel over the pair
-# `linalg_core.psd_pair` admits, and `_POLARS` maps each kind to it; polar_half and
-# polar_min return their bracket's upper end. Max and min duality certificates do not
-# come here: `certify` checks their dual pair on one eigenvalue of the dual block at the
-# optimal twist.
+# Collatz-Wielandt bracket on rho(S_L0 o S_L1), closed by Lanczos at dims >= 12, with the
+# dense d^2 x d^2 Gram at dims 3-11 and wherever Lanczos cannot close it; for min a
+# certified branch-and-bound bracket over one scalar (bounded and split by the chord of a
+# concave function). Max is one closed spectral form at every dim. Then the membership
+# semantics (polar >= 1 <=> dual-body membership, decided on the certified lower end of
+# every kind's bracket), and the max polar's lower bound from one explicit POVM
+# decomposition on the eigenbases of L0 and of polar_max's slack. Each polar is a kernel
+# over the pair `linalg_core.psd_pair` admits that returns its certified bracket
+# (lower, upper), equal ends where the value is exact up to its stated round-off, and
+# `_POLARS` maps each kind to it; polar(), polar_max, polar_min and polar_half read the
+# upper end. The half certificate's bracket at its own witness sqrt X is
+# `_witness_bracket`. Max and min duality certificates do not come here: `certify`
+# checks their dual pair on one eigenvalue of the dual block at the optimal twist.
 
 from __future__ import annotations
 
@@ -83,18 +84,19 @@ def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     boundary pairs L0 = L1^-1 / 4 (3,000 pairs), where both small eigenvalues carry eigh's
     round-off at once, under 1 on them at dims 3-4, and 2 on near-orthogonal pairs.
     """
-    return _polar_max(psd_pair(L0, L1, _DUAL_NAMES))
+    return _polar_max(psd_pair(L0, L1, _DUAL_NAMES))[1]
 
 
-def _polar_max(P: _SpectralPair) -> float:
+def _polar_max(P: _SpectralPair) -> tuple[float, float]:
     S0, S1 = P.Xs, P.Ys
     if S0.is_singular or S1.is_singular:
-        return 0.0
+        return 0.0, 0.0
     # sigma(sqrt(L0) sqrt(L1)) = sigma(D0^{1/2} V0^dagger V1 D1^{1/2}); the squared form
     # 2 sqrt(lambda_min(sqrt(L1) L0 sqrt(L1))) loses the small singular values
     W = S0.eigenvectors.conj().T @ S1.eigenvectors
     M = np.sqrt(S0.eigenvalues)[:, None] * W * np.sqrt(S1.eigenvalues)
-    return 2.0 * float(npl.svd(M, compute_uv=False)[-1])
+    p = 2.0 * float(npl.svd(M, compute_uv=False)[-1])
+    return p, p
 
 
 def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
@@ -160,11 +162,12 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     )
 
 
-def _polar_min(P: _SpectralPair, end: int = 1) -> float:
-    """The exact qubit form at dim 2; at dims >= 3, end 0 (lower) or 1 (upper) of the bracket."""
+def _polar_min(P: _SpectralPair) -> tuple[float, float]:
+    """The exact qubit form at dim 2, twice; at dims >= 3, _polar_min_bracket."""
     if P.Xs.dim == 2:
-        return _polar_min_qubit(P.Xs, P.Ys)
-    return _polar_min_bracket(P.Xs, P.Ys)[end]
+        p = _polar_min_qubit(P.Xs, P.Ys)
+        return p, p
+    return _polar_min_bracket(P.Xs, P.Ys)
 
 
 def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -173,7 +176,7 @@ def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
     qubit form off the pair's spectral invariants (qubit_geom._polar_min_qubit), and at
     dims >= 3 the upper end of the certified bracket of _polar_min_bracket.
     """
-    return _polar_min(psd_pair(L0, L1, _DUAL_NAMES))
+    return _polar_min(psd_pair(L0, L1, _DUAL_NAMES))[1]
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
@@ -183,68 +186,72 @@ def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     Gram value at dims 3-11 and the exact value off the pair's spectral invariants at
     dim 2; 0 on singular inputs (continuity of the polar).
     """
-    return _polar_half(psd_pair(L0, L1, _DUAL_NAMES))
+    P = psd_pair(L0, L1, _DUAL_NAMES)
+    return _polar_half_bracket(P.Xs, P.Ys)[1]
 
 
-def _polar_half(P: _SpectralPair, end: int = 1) -> float:
-    """End 0 (lower) or 1 (upper) of _polar_half_bracket of the pair."""
-    return _polar_half_bracket(P.Xs, P.Ys)[end]
-
-
-def _polar_half_bracket(S0: Spectrum, S1: Spectrum, witness: np.ndarray | None = None
-                        ) -> tuple[float, float]:
+def _polar_half_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     """
     Certified bracket [lower, upper] of the half polar rho(Phi)^{-1/2},
     Phi = S_{L0} o S_{L1}, of the pair with spectra S0, S1; (0, 0) on singular inputs.
 
     At dim 2 both ends are qubit_geom._polar_half_qubit, one 3 x 3 eigenvalue problem off
-    the pair's five spectral invariants, and `witness` is not read. At dims >= 3 both S_L
-    preserve the PSD cone, so for every positive definite H the Collatz-Wielandt bounds
+    the pair's five spectral invariants. At dims >= 3 both S_L preserve the PSD cone, so
+    for every positive definite H the Collatz-Wielandt bounds
     lambda_min <= rho <= lambda_max of H^{-1/2} Phi(H) H^{-1/2} hold (_collatz_wielandt).
-    The bracket is taken at the witness H when one is given and closes it (_witness_rho),
-    else, at dims >= _LANCZOS_MIN_DIM, by _lanczos_bracket; it closes at relative width
-    _BRACKET_REL_WIDTH. Below that dim with no witness, and whenever neither closes (a
-    reducible Phi, as for commuting or block-diagonal pairs, has no positive definite
-    Perron vector), both ends are the top eigenvalue of the dense Gram
-    _composed_lyapunov_matrix, exact up to eigvalsh's round-off.
+    At dims >= _LANCZOS_MIN_DIM _lanczos_bracket closes them at relative width
+    _BRACKET_REL_WIDTH. Below that dim, and whenever Lanczos does not close (a reducible
+    Phi, as for commuting or block-diagonal pairs, has no positive definite Perron
+    vector), both ends are the top eigenvalue of the dense Gram _composed_lyapunov_matrix,
+    exact up to eigvalsh's round-off.
 
     Round-off: against that Gram value, both ends of a closed bracket held it within
     7.4e-16 relative in either direction, on random, kappa = 1e4 and near-identity pairs
     at dims 12-24, and the qubit form within 2.0e-15 on 30,000 random, scaled,
     kappa = 1e8, near-scalar, commuting and L0 ~ L1^-1 pairs (tests/test_polar.py holds
-    both to 1e-13). At the half certificate's witness sqrt X both ends held the Gram value
-    within 5.8e-15 relative on random pairs at dims 3-11, and sat within 1.7e-11 of 1 at
-    kappa(X) = kappa(Y) = 1e8 (2.7e-12 at dims 12-32); there Phi(H)'s round-off meets
-    H^{-1/2} twice, so the lower end can exceed the rigorous bound at the float pair by up
-    to 8 eps kappa(H) (6.9 seen at dim 3, kappa(H) = 1e4; tests/test_certify.py).
+    both to 1e-13).
     """
     if S0.dim == 2:
         v = _polar_half_qubit(S0, S1)
         return v, v
     if S0.is_singular or S1.is_singular:
         return 0.0, 0.0
-    bracket = None if witness is None else _closed(_witness_rho(S0, S1, witness))
-    if bracket is None and S0.dim >= _LANCZOS_MIN_DIM:
+    if S0.dim >= _LANCZOS_MIN_DIM:
         bracket = _lanczos_bracket(*_composed_lyapunov_operator(S0, S1))
-    if bracket is not None:
-        return bracket
+        if bracket is not None:
+            return bracket
     top = float(npl.eigvalsh(_composed_lyapunov_matrix(S0, S1))[-1]) ** -0.5
     return top, top
 
 
-def _witness_rho(S0: Spectrum, S1: Spectrum, H: np.ndarray) -> tuple[float, float] | None:
+def _witness_bracket(S0: Spectrum, S1: Spectrum, H: np.ndarray) -> tuple[float, float]:
     """
-    _collatz_wielandt at the witness H, with H in L1's eigenbasis: S_L1 divides entrywise by
-    mu_i + mu_j there, and S_L0 by lambda_i + lambda_j after the change of basis
-    W = V1^dagger V0, which leaves Phi(H) = S_L0(S_L1(H)) in L0's eigenbasis.
+    Both Collatz-Wielandt ends of the half polar at the witness H, closed or not: the
+    lower end (rho_hi^{-1/2}) bounds the polar from below at every positive definite H,
+    and is 0 where H is not; the upper end is inf where rho_lo is 0. At dim 2 and on
+    singular inputs it is _polar_half_bracket, the qubit form at dim 2. H is taken to L1's
+    eigenbasis, where S_L1 divides entrywise by mu_i + mu_j, and S_L0 by
+    lambda_i + lambda_j after the change of basis W = V1^dagger V0, which leaves
+    Phi(H) = S_L0(S_L1(H)) in L0's eigenbasis.
+
+    Round-off: at the half certificate's witness sqrt X both ends held the Gram value
+    within 5.8e-15 relative on random pairs at dims 3-11, and sat within 1.7e-11 of 1 at
+    kappa(X) = kappa(Y) = 1e8 (2.7e-12 at dims 12-32); there Phi(H)'s round-off meets
+    H^{-1/2} twice, so the lower end can exceed the rigorous bound at the float pair by up
+    to 8 eps kappa(H) (6.9 seen at dim 3, kappa(H) = 1e4; tests/test_certify.py).
     """
+    if S0.dim == 2 or S0.is_singular or S1.is_singular:
+        return _polar_half_bracket(S0, S1)
     V1 = S1.eigenvectors
     V1h = V1.conj().T
     W = V1h @ S0.eigenvectors
     mu, lam = S1.eigenvalues, S0.eigenvalues
     H1 = V1h @ H @ V1
     F0 = (W.conj().T @ (H1 / (mu[:, None] + mu)) @ W) / (lam[:, None] + lam)
-    return _collatz_wielandt(H1, F0, 0.0, W)
+    rho = _collatz_wielandt(H1, F0, 0.0, W)
+    if rho is None:
+        return 0.0, math.inf
+    return rho[1] ** -0.5, rho[0] ** -0.5 if rho[0] > 0.0 else math.inf
 
 
 def _collatz_wielandt(H: np.ndarray, F: np.ndarray, theta: float, basis: np.ndarray | None = None
@@ -269,14 +276,6 @@ def _collatz_wielandt(H: np.ndarray, F: np.ndarray, theta: float, basis: np.ndar
     # eigvalsh reads one triangle of the Hermitian congruence
     w = npl.eigvalsh(K @ F @ K.conj().T)
     return min(max(float(w[0]), theta), float(w[-1])), float(w[-1])
-
-
-def _closed(rho: tuple[float, float] | None) -> tuple[float, float] | None:
-    """The polar bracket (rho_hi^{-1/2}, rho_lo^{-1/2}) when it is _BRACKET_REL_WIDTH-closed."""
-    if rho is None or rho[0] <= 0.0:
-        return None
-    lower, upper = rho[1] ** -0.5, rho[0] ** -0.5
-    return (lower, upper) if upper - lower <= _BRACKET_REL_WIDTH * upper else None
 
 
 def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
@@ -324,9 +323,9 @@ def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
                                         float(z @ Az) / float(z @ z))
                 if rho is None or rho[0] <= 0.0:
                     return None
-                bracket = _closed(rho)
-                if bracket is not None:
-                    return bracket
+                lower, upper = rho[1] ** -0.5, rho[0] ** -0.5
+                if upper - lower <= _BRACKET_REL_WIDTH * upper:
+                    return lower, upper
                 if invariant:
                     return None
                 target = residual * _BRACKET_REL_WIDTH / (1.0 - math.sqrt(rho[0] / rho[1]))
@@ -336,30 +335,27 @@ def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
     return None
 
 
-_POLARS = {"max": _polar_max, "min": _polar_min, "half": _polar_half}
+_POLARS = {"max": _polar_max, "min": _polar_min, "half": lambda P: _polar_half_bracket(P.Xs, P.Ys)}
 
 
 def polar(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
-    """Dispatch by kind in {max, min, half}."""
+    """Dispatch by kind in {max, min, half}: the upper end of the kind's bracket."""
     if kind not in _POLARS:
         raise ValueError(f"unknown polar kind {kind!r}")
-    return _POLARS[kind](psd_pair(L0, L1, _DUAL_NAMES))
+    return _POLARS[kind](psd_pair(L0, L1, _DUAL_NAMES))[1]
 
 
 def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
     """
-    True iff the pair lies in the dual body: its polar is >= 1 - 1e-9. For max that
-    polar is polar_max. For min it is the exact qubit form at dim 2 (its round-off is
-    two-sided, within 2 eps max kappa(L_k) relative) and the certified lower end of the
-    bracket at dims >= 3. For half it is the certified lower end of _polar_half_bracket:
-    the exact qubit form at dim 2 (within 1e-13 of the Gram value, either side), the dense
-    Gram value at dims 3-11.
+    True iff the pair lies in the dual body: the certified lower end of its polar's
+    bracket is >= 1 - 1e-9. Max and the dim-2 min and half qubit forms are exact up to
+    their stated two-sided round-off, so both ends are the value; min at dims >= 3 and
+    half at dims >= 12 read the lower end of their bracket, and half at dims 3-11 the
+    dense Gram value.
     """
     if kind not in _POLARS:
         raise ValueError(f"unknown polar kind {kind!r}")
-    P = psd_pair(L0, L1, _DUAL_NAMES)
-    p = _polar_max(P) if kind == "max" else _POLARS[kind](P, end=0)
-    return p >= _DUAL_BODY_FLOOR
+    return _POLARS[kind](psd_pair(L0, L1, _DUAL_NAMES))[0] >= _DUAL_BODY_FLOOR
 
 
 def _max_decomposition(L0: np.ndarray, L1: np.ndarray
@@ -381,7 +377,7 @@ def _max_decomposition(L0: np.ndarray, L1: np.ndarray
     """
     P = psd_pair(L0, L1, _DUAL_NAMES)
     L0, L1, S0, S1 = P
-    p = _polar_max(P)
+    p = _polar_max(P)[1]
     if p == 0.0:
         return None
     eps, dim = _POVM_EPS, S0.dim

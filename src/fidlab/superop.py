@@ -173,21 +173,23 @@ def positive_fixed_point(
 
     Starts at I/dim and renormalizes by trace each step, so iterates stay in
     the state simplex. Returns (A*, alpha*) with
-    S_{L0}(S_{L1}(A*)) = alpha* A* up to residual tol in Frobenius norm.
+    ||S_{L0}(S_{L1}(A)) - alpha* A||_F <= tol alpha* at the last iterate A: the residual
+    is relative to alpha*, so the stop, like A*, does not depend on the units of (L0, L1).
     """
     _, _, S0, S1 = psd_pair(L0, L1, ("L0", "L1"), definite=True)
     dim = S0.dim
     A = np.eye(dim, dtype=complex) / dim
-    alpha = 0.0
     residual = np.inf
     for _ in range(max_iter):
         B = _lyapunov_solve(S0, _lyapunov_solve(S1, A))
         alpha = float(np.trace(B).real)
-        residual = float(npl.norm(B - alpha * A))
         if alpha <= 0:
             raise NoConvergence("iterate left the positive cone")
-        A = B / alpha
-        if residual < tol:
+        # ||B - alpha A|| / alpha, on unit-trace terms that do not overflow at any scale
+        B /= alpha
+        residual = float(npl.norm(B - A))
+        A = B
+        if residual <= tol:
             return hermitianize(A), alpha
     raise NoConvergence(
         f"positive_fixed_point: residual {residual:.3e} after {max_iter} steps"

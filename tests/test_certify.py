@@ -20,7 +20,7 @@ from fidlab.fidelity import (
     _optimizers,
 )
 from fidlab.linalg_core import OperatorPair, hermitianize, psd_pair, psd_sqrt, spectrum
-from fidlab.polar import (_polar_half_bracket, _polar_min, _polar_min_bracket, polar_max,
+from fidlab.polar import (_polar_min, _polar_min_bracket, _witness_bracket, polar_max,
                           polar_membership)
 from fidlab.verify import _rotated
 
@@ -261,7 +261,7 @@ def test_min_certificate_valid_across_condition_numbers(kappas, dim):
     for X, Y in _kappa_pairs(kappas, dim):
         assert duality_certificate("min", X, Y).is_valid
         pair = dual_optimizers("min", X, Y)
-        assert abs(_polar_min(psd_pair(pair.first, pair.second), end=0) - 1.0) <= 1e-9
+        assert abs(_polar_min(psd_pair(pair.first, pair.second))[0] - 1.0) <= 1e-9
 
 
 def _bracket_and_argmin(L0, L1, monkeypatch):
@@ -339,7 +339,7 @@ def test_qubit_polar_lower_is_within_round_off_of_a_40_digit_reference(monkeypat
         L0, L1 = random_pd(2, rng), random_pd(2, rng)
         t0 = _bracket_and_argmin(L0, L1, monkeypatch)[2]
         ref = float(_mp_polar_min(mp, L0, L1, t0))
-        assert abs(_polar_min(psd_pair(L0, L1), end=0) - ref) <= 1e-12 * ref
+        assert abs(_polar_min(psd_pair(L0, L1))[0] - ref) <= 1e-12 * ref
 
 
 def _mp_polar_max(mp, L0, L1):
@@ -381,6 +381,11 @@ def _optimal_parts(kind, X, Y):
     return P.X, P.Y, C, pair, T
 
 
+def _traces(X, Y):
+    """(tr X, tr Y), the traces _witness_shift weighs its lift by."""
+    return np.trace(X).real, np.trace(Y).real
+
+
 @pytest.mark.parametrize("kind", ["max", "min"])
 def test_witness_shift_makes_the_dual_block_psd_at_40_digits(kind):
     # the block the certificate decomposes, lifted by its shift, has no negative
@@ -393,7 +398,7 @@ def test_witness_shift_makes_the_dual_block_psd_at_40_digits(kind):
     for dim in (2, 3, 4):
         for X, Y in _kappa_pairs((1e8, 1e8), dim):
             X, Y, C, pair, T = _optimal_parts(kind, X, Y)
-            shift = certify._witness_shift(X, Y, pair.first, pair.second, T)
+            shift = certify._witness_shift(pair.first, pair.second, T, *_traces(X, Y))
             assert shift <= _CERT_TOL * np.sqrt(np.trace(X).real * np.trace(Y).real)
             assert duality_certificate(kind, X, Y).is_valid
             c2 = float(np.sqrt(np.trace(pair.second).real / np.trace(pair.first).real))
@@ -422,8 +427,8 @@ def test_min_dual_pair_needs_its_twist():
     rng = rng_for(73, 3)
     X, Y, C, pair, T = _optimal_parts("min", random_pd(3, rng), random_pd(3, rng))
     tol = _CERT_TOL * np.sqrt(np.trace(X).real * np.trace(Y).real)
-    assert certify._witness_shift(X, Y, pair.first, pair.second, T) <= tol
-    assert certify._witness_shift(X, Y, pair.first, pair.second, 0.0) > tol
+    assert certify._witness_shift(pair.first, pair.second, T, *_traces(X, Y)) <= tol
+    assert certify._witness_shift(pair.first, pair.second, 0.0, *_traces(X, Y)) > tol
 
 
 @pytest.mark.parametrize("kind", ["max", "min"])
@@ -443,8 +448,8 @@ def test_certificate_refuses_a_shrunk_dual_pair(kind, dim, monkeypatch):
 
 @pytest.mark.parametrize("dim", [3, 12, 16])
 def test_half_certificate_refuses_a_shrunk_dual_pair(dim, monkeypatch):
-    # (1 - 1e-6) L* has polar 1 - 1e-6 < 1 - _CERT_TOL: below the crossover the Gram
-    # says so, above it the sqrt(X) witness closes the bracket on that value
+    # (1 - 1e-6) L* has polar 1 - 1e-6 < 1 - _CERT_TOL: at every dim the sqrt(X) witness
+    # closes the bracket on that value
     def shrunk(*args):
         C, pair, T = _optimizers(*args)
         s = 1.0 - 1e-6
@@ -465,8 +470,8 @@ def test_half_witness_closes_on_one(kappas, dim):
     for X, Y in list(_kappa_pairs(kappas, dim))[:2]:
         P = psd_pair(X, Y, definite=True)
         pair = _optimizers("half", P)[1]
-        lower, upper = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second),
-                                           P.Xs.sqrt())
+        lower, upper = _witness_bracket(spectrum(pair.first), spectrum(pair.second),
+                                        P.Xs.sqrt())
         assert 1 - 1e-11 <= lower <= upper <= 1 + 1e-11
         assert duality_certificate("half", X, Y).is_valid
 
@@ -490,10 +495,31 @@ def test_half_witness_closes_below_the_lanczos_dim(kappas, dim, monkeypatch):
     for X, Y in _kappa_pairs(kappas, dim):
         P = psd_pair(X, Y, definite=True)
         pair = _optimizers("half", P)[1]
-        lower, upper = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second),
-                                           P.Xs.sqrt())
+        lower, upper = _witness_bracket(spectrum(pair.first), spectrum(pair.second),
+                                        P.Xs.sqrt())
         assert 1 - 1e-10 <= lower <= upper <= 1 + 1e-10
         assert duality_certificate("half", X, Y).is_valid
+
+
+@pytest.mark.parametrize("dim", [3, 12])
+def test_half_certificate_reads_the_lower_end_of_an_open_witness_bracket(dim, monkeypatch):
+    # rho_lo is cut to 0.99 of itself, so the bracket at the witness opens to about 0.5 %
+    # above its lower end; that lower end still bounds the polar from below and is within
+    # 1e-7 of 1, so the certificate is valid off it, with no Gram and no Lanczos step
+    _refuse_gram_and_lanczos(monkeypatch)
+    collatz_wielandt = POLAR_MODULE._collatz_wielandt
+
+    def opened(*args):
+        rho_lo, rho_hi = collatz_wielandt(*args)
+        return 0.99 * rho_lo, rho_hi
+
+    monkeypatch.setattr(POLAR_MODULE, "_collatz_wielandt", opened)
+    X, Y = next(_kappa_pairs((1e4, 1e4), dim))
+    P = psd_pair(X, Y, definite=True)
+    pair = _optimizers("half", P)[1]
+    lower, upper = _witness_bracket(spectrum(pair.first), spectrum(pair.second), P.Xs.sqrt())
+    assert 1 - 1e-7 <= lower and upper - lower >= 1e-3
+    assert duality_certificate("half", X, Y).is_valid
 
 
 def _mp_hermitian(M):
@@ -532,7 +558,7 @@ def test_half_witness_never_overstates_the_polar_at_40_digits(kappas):
     P = psd_pair(X, Y, definite=True)
     pair = _optimizers("half", P)[1]
     H = P.Xs.sqrt()
-    lower = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second), H)[0]
+    lower = _witness_bracket(spectrum(pair.first), spectrum(pair.second), H)[0]
     F = _mp_lyapunov(mp, pair.first, _mp_lyapunov(mp, pair.second, mp.matrix(H.tolist())))
     R = _mp_function(mp, H, lambda x: x ** -0.5)
     top = max(mp.eighe(_mp_hermitian(R * F * R), eigvals_only=True))
@@ -555,7 +581,7 @@ def test_dim3_half_witness_never_overstates_the_polar_at_40_digits(kappas, monke
         P = psd_pair(X, Y, definite=True)
         pair = _optimizers("half", P)[1]
         H = P.Xs.sqrt()
-        lower = _polar_half_bracket(spectrum(pair.first), spectrum(pair.second), H)[0]
+        lower = _witness_bracket(spectrum(pair.first), spectrum(pair.second), H)[0]
         F = _mp_lyapunov(mp, pair.first, _mp_lyapunov(mp, pair.second, mp.matrix(H.tolist())))
         R = _mp_function(mp, H, lambda x: x ** -0.5)
         top = max(mp.eighe(_mp_hermitian(R * F * R), eigvals_only=True))

@@ -259,7 +259,7 @@ def test_povm_lower_bound_refuses_a_polar_above_polar_max(monkeypatch):
     L0, L1 = random_pd(3, rng), random_pd(3, rng)
     polar_module = importlib.import_module("fidlab.polar")
     exact = polar_module._polar_max
-    monkeypatch.setattr(polar_module, "_polar_max", lambda *a: 1.01 * exact(*a))
+    monkeypatch.setattr(polar_module, "_polar_max", lambda *a: tuple(1.01 * p for p in exact(*a)))
     with pytest.raises(DecompositionInfeasible):
         povm_lower_bound(L0, L1)
 
@@ -560,8 +560,13 @@ def test_dim2_polar_half_holds_the_gram_value(family):
 
 
 @pytest.mark.parametrize("bracket, member", [((0.99, 1.01), False), ((1.0, 1.02), True)])
-def test_half_membership_reads_the_lower_end(bracket, member, monkeypatch):
-    monkeypatch.setattr(importlib.import_module("fidlab.polar"), "_polar_half_bracket",
-                        lambda *args: bracket)
-    assert polar_membership("half", I2, I2) is member
-    assert polar_half(I2, I2) == bracket[1]
+@pytest.mark.parametrize("kind", ["max", "min", "half"])
+def test_membership_reads_the_lower_end(kind, bracket, member, monkeypatch):
+    # every kernel returns its certified bracket: membership reads its lower end, and
+    # polar() and polar_<kind> its upper end
+    polar_module = importlib.import_module("fidlab.polar")
+    kernel = {"max": "_polar_max", "min": "_polar_min", "half": "_polar_half_bracket"}[kind]
+    monkeypatch.setitem(polar_module._POLARS, kind, lambda P: bracket)
+    monkeypatch.setattr(polar_module, kernel, lambda *args: bracket)
+    assert polar_membership(kind, I2, I2) is member
+    assert polar(kind, I2, I2) == getattr(polar_module, f"polar_{kind}")(I2, I2) == bracket[1]

@@ -15,9 +15,11 @@ from fidlab import certify
 from fidlab.certify import duality_certificate
 from fidlab.channels import random_pd, rng_for
 from fidlab.cli import main
-from fidlab.errors import DegenerateFrame
-from fidlab.fidelity import _optimizers
+from fidlab.errors import DegenerateFrame, NegativeEntry
+from fidlab.fidelity import _optimizers, classical_fidelity
+from fidlab.polar import polar_classical
 from fidlab.qubit_geom import M0Frame, convertibility_necessary
+from fidlab.superop import positive_fixed_point
 
 SCALES = [1e-100, 1e-12, 1e-10, 1e12, 1e100]
 KINDS = ("max", "min", "half")
@@ -143,3 +145,28 @@ def test_convertibility_verdicts_do_not_depend_on_units(s):
             assert convertibility_necessary(*(s * L for L in source + target)) == verdict
     assert not convertibility_necessary(2 * s * eye, 2 * s * eye, s * eye, s * eye)
     assert convertibility_necessary(s * eye, s * eye, s * eye, s * eye)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_positive_fixed_point_scales_with_its_operands(dim):
+    # S_L is homogeneous of degree -1 in L, so at s (L0, L1) the fixed point's alpha is
+    # alpha / s^2 and its unit-trace A is unchanged: the stop is relative to alpha
+    L0, L1 = _pair(dim)
+    A, alpha = positive_fixed_point(L0, L1)
+    for s in SCALES:
+        A_s, alpha_s = positive_fixed_point(s * L0, s * L1)
+        assert abs(alpha_s * s * s - alpha) <= 1e-9 * alpha, s
+        assert np.abs(A_s - A).max() <= 1e-9, s
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_classical_quantities_scale_with_their_weights(s):
+    # both are 1-homogeneous in (p, q), and the round-off clamp of a negative entry is
+    # relative to its vector's largest |entry|: -1e-3 max is refused at every scale
+    p, q = np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.6, 0.3])
+    for f in (classical_fidelity, polar_classical):
+        assert abs(f(s * p, s * q) - s * f(p, q)) <= 1e-12 * s * f(p, q)
+        for bad in ((s * np.r_[p, -1e-3 * p.max()], s * np.r_[q, 0.1]),
+                    (s * np.r_[p, 0.1], s * np.r_[q, -1e-3 * q.max()])):
+            with pytest.raises(NegativeEntry):
+                f(*bad)
