@@ -9,14 +9,15 @@
 # with A Hermitian (A = 0 for max), so one eigvalsh of that block at the
 # optimal twist A* checks the dual pair at every dim. The half kind has no
 # such block and keeps its polar, taken on one stacked eigh of L* as it stands (Hermitian
-# and PSD by construction, so neither admitted nor memoized): the certified lower end of
+# and PSD by construction, so neither admitted nor memoized): the lower end of
 # polar._witness_bracket at the witness sqrt X, which S_L0* o S_L1* fixes, so at every
-# dim >= 3 one Collatz-Wielandt check gives it, with no Lanczos step and no d^2 x d^2
-# Gram. `_certificate` is the kernel over an admitted pair and reads
-# definiteness off its spectra. Each certificate costs about its LAPACK calls: dual
-# values are inner products <L, X>, tr X and tr Y are kept with their spectra, blocks
-# Hermitian by construction are not symmetrized again, and a definite pair looks for no
-# kernel. No external SDP solver is used.
+# dim >= 3 one Collatz-Wielandt check gives it (certified up to round-off, which can
+# exceed the rigorous bound by 8 eps kappa(sqrt X)), with no Lanczos step and no Gram.
+# `_certificate` is the kernel over an admitted pair and reads definiteness off its
+# spectra. Each certificate costs about its LAPACK calls: dual values are inner products
+# <L, X>, tr X and tr Y are kept with their spectra, blocks Hermitian by construction are
+# not symmetrized again, and a definite pair looks for no kernel. No external SDP solver
+# is used.
 
 from __future__ import annotations
 
@@ -147,12 +148,13 @@ def duality_certificate(kind: str, X: np.ndarray, Y: np.ndarray) -> Certificate:
     s = eps/2 (tr X / c^2 + c^2 tr Y) that makes it exactly feasible is at most
     _CERT_TOL sqrt(tr X tr Y), a scale >= F that holds eigvalsh's round-off where F << tr X,
     and is unit-free. A valid certificate guarantees primal_value <= F <= dual_value + s.
-    For half the dual pair is feasible when the certified lower end p of its polar is at
+    For half the dual pair is feasible when the lower end p of its polar's bracket is at
     least 1 - _CERT_TOL; L*/p is then feasible and worth dual_value/p. At dim 2 p is the
     exact qubit form; at dims >= 3 it is the lower end of the Collatz-Wielandt bracket at
     the witness sqrt X (polar._witness_bracket), a lower bound whether or not the bracket
-    closes; S_{L0*} o S_{L1*} fixes sqrt X, so it closes to 1e-10 relative (within 1.7e-11
-    of 1 at kappa(X) = kappa(Y) = 1e8).
+    closes, but only up to round-off: it can exceed the rigorous bound at the float L* by
+    up to 8 eps kappa(sqrt X). S_{L0*} o S_{L1*} fixes sqrt X, so it closes to 1e-10
+    relative (within 1.7e-11 of 1 at kappa(X) = kappa(Y) = 1e8).
     """
     return _certificate(kind, psd_pair(X, Y, definite=True))
 

@@ -34,7 +34,7 @@ def _entry(e) -> complex:
 
 
 def _parse_matrix(obj) -> np.ndarray:
-    """One MatrixFile object {dim, entries of [re, im] pairs} to Hermitian."""
+    """One MatrixFile object {dim, entries of [re, im] pairs}, Hermitian to 1e-6 of its scale."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ParseError("matrix object needs 'dim' and 'entries' fields")
     dim = obj["dim"]
@@ -57,7 +57,7 @@ def _parse_matrix(obj) -> np.ndarray:
         raise ParseError(
             f"matrix asymmetry {asym:.3e} exceeds 1e-6 of max entry {scale:.3e}"
         )
-    return 0.5 * (arr + arr.conj().T)
+    return arr
 
 
 def load_pair(paths: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +98,12 @@ def cmd_compute(args) -> int:
         "dim": A.shape[0],
         "interpretation": "dual" if args.as_dual else "states",
     }
+    membership = {}
     for kind in _KINDS:
         result[f"fidelity_{kind}"] = _FIDELITIES[kind](pair)
-        result[f"polar_{kind}"] = _POLARS[kind](pair)[1]
+        lower, result[f"polar_{kind}"] = _POLARS[kind](pair)
+        # in the dual body iff the polar is >= 1, on the lower end, as polar_membership
+        membership[kind] = lower >= _DUAL_BODY_FLOOR
     certs = {}
     for kind in _KINDS:
         try:
@@ -117,9 +120,7 @@ def cmd_compute(args) -> int:
             certs[kind] = {"skipped": str(exc)}
     result["certificates"] = certs
     if A.shape[0] == 2:
-        # a pair is in a dual body iff its polar is >= 1, read off the polars above
-        result["dual_body_membership"] = {
-            kind: result[f"polar_{kind}"] >= _DUAL_BODY_FLOOR for kind in _KINDS}
+        result["dual_body_membership"] = membership
     _emit(result, args)
     return 0
 

@@ -49,8 +49,8 @@ __all__ = [
 
 
 def hermitianize(A: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A^*) / 2."""
-    H = A + A.conj().T
+    """Return the Hermitian part (A + A^*) / 2, of each matrix of a stack (last two axes)."""
+    H = A + A.conj().swapaxes(-1, -2)
     if H.dtype.kind not in "fc":
         return H / 2
     # halved in place: the sum is already a new array
@@ -235,12 +235,9 @@ def spectrum(H: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=V)
 
 
-def psd_spectrum(H: np.ndarray, name: str = "operator", definite: bool = False) -> Spectrum:
-    """
-    The spectrum of a PSD operand; raises NotPsd on a non-finite entry or below
-    -tol, or, when `definite`, NotPositiveDefinite unless every eigenvalue is above tol.
-    """
-    return _admitted(_operand_spectrum(_hermitian(H, name)), name, definite)
+def psd_spectrum(H: np.ndarray, name: str = "operator") -> Spectrum:
+    """The spectrum of a PSD operand; raises NotPsd on a non-finite entry or below -tol."""
+    return _admitted(_operand_spectrum(_hermitian(H, name)), name, False)
 
 
 # the operand spectra of _operand_spectrum, oldest first; writes hold the lock

@@ -14,8 +14,9 @@
 # (lower, upper), equal ends where the value is exact up to its stated round-off, and
 # `_POLARS` maps each kind to it; polar(), polar_max, polar_min and polar_half read the
 # upper end. The half certificate's bracket at its own witness sqrt X is
-# `_witness_bracket`. Max and min duality certificates do not come here: `certify`
-# checks their dual pair on one eigenvalue of the dual block at the optimal twist.
+# `_witness_bracket`; it and Lanczos apply S_L0 o S_L1 by `superop`'s one operator and
+# read the bracket `_collatz_wielandt` returns. Max and min duality certificates do not
+# come here: `certify` checks their dual pair on one eigenvalue of the dual block.
 
 from __future__ import annotations
 
@@ -226,13 +227,12 @@ def _polar_half_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
 
 def _witness_bracket(S0: Spectrum, S1: Spectrum, H: np.ndarray) -> tuple[float, float]:
     """
-    Both Collatz-Wielandt ends of the half polar at the witness H, closed or not: the
-    lower end (rho_hi^{-1/2}) bounds the polar from below at every positive definite H,
-    and is 0 where H is not; the upper end is inf where rho_lo is 0. At dim 2 and on
-    singular inputs it is _polar_half_bracket, the qubit form at dim 2. H is taken to L1's
-    eigenbasis, where S_L1 divides entrywise by mu_i + mu_j, and S_L0 by
-    lambda_i + lambda_j after the change of basis W = V1^dagger V0, which leaves
-    Phi(H) = S_L0(S_L1(H)) in L0's eigenbasis.
+    Both Collatz-Wielandt ends of the half polar at the witness H, closed or not
+    (_collatz_wielandt): the lower end bounds the polar from below at every positive
+    definite H, and is 0 where H is not; the upper end is inf where rho_lo is 0. At dim 2
+    and on singular inputs it is _polar_half_bracket, the qubit form at dim 2. H is taken
+    to L1's eigenbasis, H1 = V1^dagger H V1, where Phi(H1) = apply(w1 H1) / w1 by
+    _composed_lyapunov_operator.
 
     Round-off: at the half certificate's witness sqrt X both ends held the Gram value
     within 5.8e-15 relative on random pairs at dims 3-11, and sat within 1.7e-11 of 1 at
@@ -242,40 +242,32 @@ def _witness_bracket(S0: Spectrum, S1: Spectrum, H: np.ndarray) -> tuple[float, 
     """
     if S0.dim == 2 or S0.is_singular or S1.is_singular:
         return _polar_half_bracket(S0, S1)
+    apply, w1 = _composed_lyapunov_operator(S0, S1)
     V1 = S1.eigenvectors
-    V1h = V1.conj().T
-    W = V1h @ S0.eigenvectors
-    mu, lam = S1.eigenvalues, S0.eigenvalues
-    H1 = V1h @ H @ V1
-    F0 = (W.conj().T @ (H1 / (mu[:, None] + mu)) @ W) / (lam[:, None] + lam)
-    rho = _collatz_wielandt(H1, F0, 0.0, W)
-    if rho is None:
-        return 0.0, math.inf
-    return rho[1] ** -0.5, rho[0] ** -0.5 if rho[0] > 0.0 else math.inf
+    H1 = V1.conj().T @ H @ V1
+    return _collatz_wielandt(H1, apply(w1 * H1) / w1, 0.0)
 
 
-def _collatz_wielandt(H: np.ndarray, F: np.ndarray, theta: float, basis: np.ndarray | None = None
-                      ) -> tuple[float, float] | None:
+def _collatz_wielandt(H: np.ndarray, F: np.ndarray, theta: float) -> tuple[float, float]:
     """
-    (rho_lo, rho_hi) bracketing rho(Phi) from F = Phi(H), H and F Hermitian (Cholesky and
-    eigvalsh read one triangle of each) and F given in `basis` when one is (Phi(H) =
-    basis F basis^dagger): the extreme eigenvalues of C^{-1} Phi(H) C^{-dagger},
+    The half polar's bracket (rho_hi^{-1/2}, rho_lo^{-1/2}) from F = Phi(H), H and F
+    Hermitian in one basis (Cholesky and eigvalsh read one triangle of each):
+    rho_lo <= rho(Phi) <= rho_hi are the extreme eigenvalues of C^{-1} F C^{-dagger},
     H = C C^dagger by one Cholesky once H's trace is made positive, with rho_lo raised to
-    theta, a Rayleigh quotient of the symmetric form (<= rho), and kept <= rho_hi; None when
-    H is not positive definite.
+    theta, a Rayleigh quotient of the symmetric form (<= rho), and kept <= rho_hi.
+    (0, inf) when H is not positive definite, and the upper end is inf when rho_lo <= 0.
     """
     if _trace(H) < 0:
         H, F = -H, -F
     try:
         C = npl.cholesky(H)
     except npl.LinAlgError:
-        return None
+        return 0.0, math.inf
     K = npl.inv(C)
-    if basis is not None:
-        K = K @ basis
     # eigvalsh reads one triangle of the Hermitian congruence
     w = npl.eigvalsh(K @ F @ K.conj().T)
-    return min(max(float(w[0]), theta), float(w[-1])), float(w[-1])
+    rho_lo, rho_hi = min(max(float(w[0]), theta), float(w[-1])), float(w[-1])
+    return rho_hi ** -0.5, rho_lo ** -0.5 if rho_lo > 0.0 else math.inf
 
 
 def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
@@ -283,14 +275,14 @@ def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
     The polar bracket from Lanczos with full reorthogonalization on the symmetric form
     S_{L1}^{1/2} S_{L0} S_{L1}^{1/2} = apply, started at the image S_{L1}^{1/2}(I) of I:
     its top Ritz pair (theta, z) gives H = S_{L1}^{-1/2}(z) = z / w1 and
-    Phi(H) = apply(z) / w1 from the stored products, and _collatz_wielandt at H closes
-    the bracket. The Ritz residual is read every _LANCZOS_CHECK_EVERY steps, or at once
+    Phi(H) = apply(z) / w1 from the stored products, and _collatz_wielandt's bracket at H
+    closes. The Ritz residual is read every _LANCZOS_CHECK_EVERY steps, or at once
     when the Krylov space is (nearly) invariant; H is checked once the residual relative
     to theta falls below a target, first _LANCZOS_FIRST_TARGET, then the residual that
     the last check's width, taken as linear in it, predicts for closing. None, so that
-    the caller falls back, when H is not positive definite at a check, when an
-    invariant Krylov space does not close it, or after _LANCZOS_STEPS_PER_DIM * dim
-    steps.
+    the caller falls back, when the bracket's upper end is inf at a check (H is not
+    positive definite, or rho_lo <= 0), when an invariant Krylov space does not close
+    it, or after _LANCZOS_STEPS_PER_DIM * dim steps.
     """
     d = w1.shape[0]
     steps = _LANCZOS_STEPS_PER_DIM * d
@@ -298,7 +290,7 @@ def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
     # that Re <A, B> = Re tr(A^dagger B), the inner product Phi is symmetric in, is a dot
     Q, AQ = np.empty((steps, 2 * d * d)), np.empty((steps, 2 * d * d))
     T = np.zeros((steps, steps))
-    start = np.diag(np.diag(w1)).astype(complex)
+    start = np.diag(np.diag(w1))
     Q[0] = (start / npl.norm(start)).ravel().view(float)
     target = _LANCZOS_FIRST_TARGET
     for k in range(steps):
@@ -319,16 +311,16 @@ def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
             if invariant or residual <= target:
                 z, Az = y @ Q[:k + 1], y @ AQ[:k + 1]
                 # z's own Rayleigh quotient is <= rho however orthogonal Q is
-                rho = _collatz_wielandt(*((v.view(complex).reshape(d, d) / w1) for v in (z, Az)),
-                                        float(z @ Az) / float(z @ z))
-                if rho is None or rho[0] <= 0.0:
+                lower, upper = _collatz_wielandt(
+                    *((v.view(complex).reshape(d, d) / w1) for v in (z, Az)),
+                    float(z @ Az) / float(z @ z))
+                if upper == math.inf:
                     return None
-                lower, upper = rho[1] ** -0.5, rho[0] ** -0.5
                 if upper - lower <= _BRACKET_REL_WIDTH * upper:
                     return lower, upper
                 if invariant:
                     return None
-                target = residual * _BRACKET_REL_WIDTH / (1.0 - math.sqrt(rho[0] / rho[1]))
+                target = residual * _BRACKET_REL_WIDTH / (1.0 - lower / upper)
         if k + 1 < steps:
             T[k, k + 1] = T[k + 1, k] = beta
             np.divide(r, beta, out=Q[k + 1])

@@ -9,9 +9,10 @@
 # commutes with H -> H^dagger, so its spectrum is that of its restriction to
 # Hermitian operators: a real symmetric Gram matrix A A^T of size dim^2 in
 # L1's eigenbasis, which polar_half takes below dim 12 and as its fallback and
-# the tests take as their reference. Its matrix-free twin applies the symmetric
-# form S_L1^(1/2) S_L0 S_L1^(1/2) to one d x d matrix by four d x d matmuls, for
-# polar_half's Lanczos bracket at dims >= 12. Operand pairs
+# the tests take as their reference. Its matrix-free twin, the one way S_{L0} o S_{L1}
+# acts on an operator, applies the symmetric form S_L1^(1/2) S_L0 S_L1^(1/2) to one d x d
+# matrix by four d x d matmuls, for polar_half's Lanczos bracket at dims >= 12, the half
+# certificate's witness check and the power iteration (in L1's eigenbasis). Operand pairs
 # (L0, L1) are admitted by `linalg_core.psd_pair`; lyapunov_solve's X is a Hermitian
 # right-hand side, not a PSD operand, so it passes only psd_pair's gate `_hermitian_pair`.
 
@@ -41,11 +42,7 @@ def lyapunov_solve(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     vanishing right-hand side, otherwise the equation is unsolvable.
     """
     Z, X = _hermitian_pair(Z, X, ("Z", "X"))
-    return _lyapunov_solve(psd_spectrum(Z, "Z"), X)
-
-
-def _lyapunov_solve(Zs: Spectrum, X: np.ndarray) -> np.ndarray:
-    """S_Z(X) for Hermitian X, from the spectrum of Z."""
+    Zs = psd_spectrum(Z, "Z")
     w, V = Zs.eigenvalues, Zs.eigenvectors
     if Zs.is_definite:
         return _definite_lyapunov_solve(w, V, X)
@@ -67,11 +64,7 @@ def _definite_lyapunov_solve(w: np.ndarray, V: np.ndarray, X: np.ndarray) -> np.
     one stacked pass costs about what one solve does on small matrices.
     """
     Vh = V.conj().swapaxes(-1, -2)
-    S = V @ ((Vh @ X @ V) / (w[..., :, None] + w[..., None, :])) @ Vh
-    # the Hermitian part, as hermitianize takes it
-    S += S.conj().swapaxes(-1, -2)
-    S *= 0.5
-    return S
+    return hermitianize(V @ ((Vh @ X @ V) / (w[..., :, None] + w[..., None, :])) @ Vh)
 
 
 @lru_cache(maxsize=64)
@@ -125,16 +118,16 @@ def _composed_lyapunov_operator(S0: Spectrum, S1: Spectrum):
     S_{L1}^{1/2} S_{L0} S_{L1}^{1/2} (Z) for a d x d matrix Z in L1's eigenbasis, by the
     entrywise weights w1 = (mu_i + mu_j)^(-1/2) and 1 / (lambda_i + lambda_j) and the
     change of basis W = V1^dagger V0: four d x d matmuls per application. Entrywise
-    division by w1 is S_{L1}^{-1/2}, which maps that form back to S_{L0} o S_{L1}.
+    division by w1 is S_{L1}^{-1/2}, so there S_{L0} o S_{L1} (H) = apply(w1 H) / w1. The
+    weights are complex with zero imaginary part, which skips numpy's mixed-type cast.
     """
     W = S1.eigenvectors.conj().T @ S0.eigenvectors
     Wh = W.conj().T.copy()
-    w1 = (S1.eigenvalues[:, None] + S1.eigenvalues) ** -0.5
-    # complex weights: a complex-by-complex product skips numpy's mixed-type cast
-    c0, c1 = (1.0 / (S0.eigenvalues[:, None] + S0.eigenvalues)).astype(complex), w1.astype(complex)
+    w1 = ((S1.eigenvalues[:, None] + S1.eigenvalues) ** -0.5).astype(complex)
+    c0 = (1.0 / (S0.eigenvalues[:, None] + S0.eigenvalues)).astype(complex)
 
     def apply(Z: np.ndarray) -> np.ndarray:
-        return c1 * (W @ (c0 * (Wh @ (c1 * Z) @ W)) @ Wh)
+        return w1 * (W @ (c0 * (Wh @ (w1 * Z) @ W)) @ Wh)
 
     return apply, w1
 
@@ -175,13 +168,17 @@ def positive_fixed_point(
     the state simplex. Returns (A*, alpha*) with
     ||S_{L0}(S_{L1}(A)) - alpha* A||_F <= tol alpha* at the last iterate A: the residual
     is relative to alpha*, so the stop, like A*, does not depend on the units of (L0, L1).
+    Each step is _composed_lyapunov_operator's apply(w1 A) / w1 in L1's eigenbasis, where
+    I/dim is unchanged; A is mapped back once. The rate is the map's relative spectral gap,
+    so near-identity pairs (gap about 1e-3) reach max_iter and raise NoConvergence.
     """
     _, _, S0, S1 = psd_pair(L0, L1, ("L0", "L1"), definite=True)
+    apply, w1 = _composed_lyapunov_operator(S0, S1)
     dim = S0.dim
     A = np.eye(dim, dtype=complex) / dim
     residual = np.inf
     for _ in range(max_iter):
-        B = _lyapunov_solve(S0, _lyapunov_solve(S1, A))
+        B = apply(w1 * A) / w1
         alpha = float(np.trace(B).real)
         if alpha <= 0:
             raise NoConvergence("iterate left the positive cone")
@@ -190,7 +187,7 @@ def positive_fixed_point(
         residual = float(npl.norm(B - A))
         A = B
         if residual <= tol:
-            return hermitianize(A), alpha
+            return hermitianize(S1.eigenvectors @ A @ S1.eigenvectors.conj().T), alpha
     raise NoConvergence(
         f"positive_fixed_point: residual {residual:.3e} after {max_iter} steps"
     )

@@ -503,15 +503,16 @@ def test_half_witness_closes_below_the_lanczos_dim(kappas, dim, monkeypatch):
 
 @pytest.mark.parametrize("dim", [3, 12])
 def test_half_certificate_reads_the_lower_end_of_an_open_witness_bracket(dim, monkeypatch):
-    # rho_lo is cut to 0.99 of itself, so the bracket at the witness opens to about 0.5 %
-    # above its lower end; that lower end still bounds the polar from below and is within
-    # 1e-7 of 1, so the certificate is valid off it, with no Gram and no Lanczos step
+    # rho_lo is cut to 0.99 of itself, so the upper end rho_lo^-1/2 rises by 0.99^-1/2 and
+    # the bracket at the witness opens to about 0.5 % above its lower end; that lower end
+    # still bounds the polar from below and is within 1e-7 of 1, so the certificate is
+    # valid off it, with no Gram and no Lanczos step
     _refuse_gram_and_lanczos(monkeypatch)
     collatz_wielandt = POLAR_MODULE._collatz_wielandt
 
     def opened(*args):
-        rho_lo, rho_hi = collatz_wielandt(*args)
-        return 0.99 * rho_lo, rho_hi
+        lower, upper = collatz_wielandt(*args)
+        return lower, upper / 0.99 ** 0.5
 
     monkeypatch.setattr(POLAR_MODULE, "_collatz_wielandt", opened)
     X, Y = next(_kappa_pairs((1e4, 1e4), dim))
@@ -520,6 +521,37 @@ def test_half_certificate_reads_the_lower_end_of_an_open_witness_bracket(dim, mo
     lower, upper = _witness_bracket(spectrum(pair.first), spectrum(pair.second), P.Xs.sqrt())
     assert 1 - 1e-7 <= lower and upper - lower >= 1e-3
     assert duality_certificate("half", X, Y).is_valid
+
+
+@pytest.mark.parametrize("dim", [3, 12])
+def test_half_witness_applies_the_composed_operator_once(dim, monkeypatch):
+    # Phi(sqrt X) is one application of superop's matrix-free operator, the one Lanczos
+    # uses, built once per check, with no Gram and no Lanczos step
+    _refuse_gram_and_lanczos(monkeypatch)
+    operator = POLAR_MODULE._composed_lyapunov_operator
+    built = []
+
+    def counted(S0, S1):
+        built.append((S0, S1))
+        return operator(S0, S1)
+
+    monkeypatch.setattr(POLAR_MODULE, "_composed_lyapunov_operator", counted)
+    X, Y = next(_kappa_pairs((1e4, 1e4), dim))
+    P = psd_pair(X, Y, definite=True)
+    pair = _optimizers("half", P)[1]
+    lower, upper = _witness_bracket(spectrum(pair.first), spectrum(pair.second), P.Xs.sqrt())
+    assert len(built) == 1
+    assert 1 - 1e-10 <= lower <= upper <= 1 + 1e-10
+
+
+def test_half_witness_bracket_is_open_at_an_indefinite_witness():
+    # Collatz-Wielandt bounds need a positive definite H: at an indefinite one the
+    # bracket is (0, inf), which bounds every polar
+    X, Y = next(_kappa_pairs((1.0, 1.0), 3))
+    P = psd_pair(X, Y, definite=True)
+    pair = _optimizers("half", P)[1]
+    H = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    assert _witness_bracket(spectrum(pair.first), spectrum(pair.second), H) == (0.0, np.inf)
 
 
 def _mp_hermitian(M):

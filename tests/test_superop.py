@@ -3,7 +3,8 @@ import numpy.linalg as npl
 import pytest
 
 from fidlab.channels import random_pd, rng_for
-from fidlab.errors import SingularPair
+import fidlab.superop as superop
+from fidlab.errors import NoConvergence, SingularPair
 from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import polar_half
 from fidlab.superop import (_composed_lyapunov_matrix, _composed_lyapunov_operator,
@@ -132,3 +133,34 @@ def test_positive_fixed_point_diagonal():
     A, alpha = positive_fixed_point(L0, L1)
     assert abs(alpha - 1 / 16) < 1e-8
     assert np.max(np.abs(A - np.diag(np.diag(A)))) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_positive_fixed_point_builds_the_composed_operator_once(dim, monkeypatch):
+    # each step applies the one matrix-free S_L0 o S_L1, built once per call
+    operator = superop._composed_lyapunov_operator
+    built = []
+
+    def counted(S0, S1):
+        built.append((S0, S1))
+        return operator(S0, S1)
+
+    monkeypatch.setattr(superop, "_composed_lyapunov_operator", counted)
+    rng = rng_for(94, dim)
+    L0, L1 = random_pd(dim, rng), random_pd(dim, rng)
+    A, alpha = positive_fixed_point(L0, L1)
+    assert len(built) == 1
+    assert abs(alpha - polar_half(L0, L1) ** -2) <= 1e-9 * alpha
+    assert np.allclose(A, A.conj().T, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_positive_fixed_point_names_its_residual_at_the_step_cap(dim):
+    # the power iteration's rate is the composed map's relative spectral gap, about 1e-3
+    # on near-identity pairs: 200 steps leave the residual far above tol
+    rng = rng_for(95, dim)
+    L0, L1 = (np.eye(dim) + 1e-3 * hermitianize(rng.standard_normal((dim, dim))
+                                               + 1j * rng.standard_normal((dim, dim)))
+              for _ in range(2))
+    with pytest.raises(NoConvergence, match=r"residual \S+ after 200 steps"):
+        positive_fixed_point(L0, L1, max_iter=200)
