@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPsd
 from .fidelity import _fidelity_half, _optimizers
 from .linalg_core import (_EPS, Spectrum, _SpectralPair, _admitted, _eye, _hermitian,
-                          _hermitian_pair, _operand_spectrum, _trace, psd_pair, psd_spectrum)
+                          _hermitian_pair, _operand_spectrum, _trace, psd_pair)
 from .polar import _witness_bracket
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
@@ -61,9 +61,9 @@ class Certificate:
 
 def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
     """
-    Positivity of the block matrix [[X, C], [C^dagger, Y]] via the support
-    conditions (I - pi_X) C = 0, C (I - pi_Y) = 0 and the generalized Schur
-    complement X - C Y^{-1} C^dagger >= 0.
+    Positivity of [[X, C], [C^dagger, Y]] via the support conditions (I - pi_X) C = 0,
+    C (I - pi_Y) = 0 and the generalized Schur complement X - C Y^{-1} C^dagger >= 0. NotPsd
+    if an entry is not finite, or X's or Y's largest |entry| is outside [1e-100, 1e100].
     """
     X, Y = _hermitian(X, "X"), _hermitian(Y, "Y")
     C = np.asarray(C, dtype=complex)
@@ -71,7 +71,10 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
         raise DimensionMismatch("X and Y must be nonempty")
     if C.shape != (X.shape[0], Y.shape[0]):
         raise DimensionMismatch("C has incompatible shape")
-    return _block_psd(X, psd_spectrum(X, "X"), C, psd_spectrum(Y, "Y"))
+    if not np.isfinite(C).all():
+        raise NotPsd("C has a non-finite entry")
+    return _block_psd(X, _admitted(_operand_spectrum(X), "X"), C,
+                      _admitted(_operand_spectrum(Y), "Y"))
 
 
 def _block_psd(X: np.ndarray, Xs: Spectrum, C: np.ndarray, Ys: Spectrum) -> bool:

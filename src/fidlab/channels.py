@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import DimensionMismatch, InvalidPovm, InvalidState
-from .linalg_core import Spectrum, as_square, hermitianize, psd_spectrum, spectrum
+from .errors import DimensionMismatch, InvalidPovm, InvalidState, NotPsd
+from .linalg_core import (Spectrum, _admitted, _hermitian, _operand_spectrum, as_square,
+                          hermitianize, spectrum)
 
 __all__ = [
     "KrausChannel",
@@ -71,12 +72,12 @@ class Povm:
     _supports: list[Spectrum] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        els = [hermitianize(as_square(M)) for M in self.elements]
-        if any(M.shape != (self.dim, self.dim) for M in els):
+        if any(np.shape(M) != (self.dim, self.dim) for M in self.elements):
             raise DimensionMismatch("POVM element dimension mismatch")
         try:
-            supports = [psd_spectrum(M, "POVM element").support() for M in els]
-        except Exception as exc:
+            els = [_hermitian(M, "POVM element") for M in self.elements]
+            supports = [_admitted(_operand_spectrum(M), "POVM element").support() for M in els]
+        except NotPsd as exc:
             raise InvalidPovm(str(exc)) from exc
         if spectrum(sum(els) - np.eye(self.dim)).norm > _FLAG_TOL:
             raise InvalidPovm("POVM elements do not sum to the identity")
@@ -180,19 +181,18 @@ def preparation_channel(states: list[np.ndarray]) -> KrausChannel:
     by the canonical dilation K_{i,r} = sqrt(lam_{i,r}) |v_{i,r}><i| over the
     support eigenpairs of each state.
     """
-    states = [hermitianize(as_square(s)) for s in states]
+    try:
+        states = [_hermitian(s, "state") for s in states]
+        supports = [_admitted(_operand_spectrum(rho), "state").support() for rho in states]
+    except NotPsd as exc:
+        raise InvalidState(str(exc)) from exc
     if not states:
         raise InvalidState("need at least one state")
-    dim = states[0].shape[0]
-    n = len(states)
+    dim, n = states[0].shape[0], len(states)
     ops: list[np.ndarray] = []
-    for i, rho in enumerate(states):
+    for i, (rho, sup) in enumerate(zip(states, supports)):
         if rho.shape != (dim, dim):
             raise InvalidState("states have inconsistent dimensions")
-        try:
-            sup = psd_spectrum(rho, "state").support()
-        except Exception as exc:
-            raise InvalidState(str(exc)) from exc
         if abs(np.trace(rho).real - 1.0) > 1e-9:
             raise InvalidState("state trace differs from 1")
         for lam, v in zip(sup.eigenvalues, sup.eigenvectors.T):

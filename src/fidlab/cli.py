@@ -48,10 +48,10 @@ def _parse_matrix(obj) -> np.ndarray:
         raise ParseError(f"entries are not rows of [re, im] pairs: {exc}") from exc
     if arr.shape != (dim, dim):
         raise ParseError(f"entries shape {arr.shape} does not match dim {dim}")
-    # json.load accepts NaN and Infinity
-    if not np.isfinite(arr).all():
+    # json.load accepts NaN and Infinity, and the largest |entry| is then not finite
+    scale = float(np.abs(arr).max())
+    if not np.isfinite(scale):
         raise ParseError("entries must be finite")
-    scale = float(np.abs(arr).max()) if arr.size else 0.0
     asym = float(np.abs(arr - arr.conj().T).max())
     if asym > 1e-6 * max(scale, 1e-300):
         raise ParseError(

@@ -1,22 +1,18 @@
 # src/fidlab/linalg_core.py
 #
-# One spectrum per operand: `psd_spectrum` validates and decomposes a PSD
-# operand once, and everything else about it is read off that Spectrum —
-# its tolerance 1e-10 * max |lambda|, its PSD/PD/singular verdicts,
-# square root, inverse square root, pseudoinverse, support, kernel and the
-# Schur reduction of another operator onto that support. A Spectrum computes its
-# trace, norm, tolerance, PSD/PD/singular verdicts, support, kernel, square-root spectrum
-# and both square roots once and shares them read-only;
-# the public matrix functions are one-liners over it that return fresh arrays.
-# Operand pairs are admitted here too: `psd_pair` decomposes each operand once into
-# a `_SpectralPair`, the (X, Y, Xs, Ys) every two-operand kernel takes, which also
-# keeps the pair's min frame for one call or request; `_hermitian_pair`, the gate
-# under it, refuses empty, unequal, non-finite, out-of-range operands.
-# An operand is decomposed once per process, not once per call: every operand's spectrum,
-# PSD or only Hermitian (`pinv`'s), comes from `_operand_spectrum`, a memo of the latest 64
-# (read-only arrays) keyed by the dimension and bytes of the Hermitian part; the PSD/PD
-# verdict and the operand's name are decided per call. `spectrum()` serves the matrices the
-# code forms itself (L*, differences, sums, slack and Schur blocks), never memoized, nor is a pair.
+# One admission and one spectrum per operand. `_hermitian` is the one gate: it refuses a
+# non-square, non-finite or out-of-range operand (largest |entry| neither 0 nor in
+# [1e-100, 1e100], where the kernels' products of three operand-scale factors stay finite)
+# and returns its Hermitian part, which `_operand_spectrum` decomposes once per process: a
+# memo of the latest 64 spectra (read-only arrays), keyed by dimension and bytes, of admitted
+# operands only. All else is read off a Spectrum, computed once and shared read-only: trace,
+# norm, tolerance 1e-10 * max |lambda|, PSD/PD/singular verdicts, support, kernel, square
+# roots and Schur reductions; the public matrix functions are one-liners over it. `psd_pair`
+# admits a pair into a `_SpectralPair`, the (X, Y, Xs, Ys) every two-operand kernel takes.
+# A caller holding an admitted part reads its PSD/PD verdict, per call, off the memo,
+# `_admitted(_operand_spectrum(H), name)`, and never gates it again. `spectrum()` serves the
+# matrices the code forms itself (L*, differences, slack and Schur blocks): it refuses only a
+# non-finite entry and is never memoized.
 
 from __future__ import annotations
 
@@ -66,7 +62,7 @@ def as_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _hermitian(A: np.ndarray, name: str, bounded: bool = False) -> np.ndarray:
+def _hermitian(A: np.ndarray, name: str, bounded: bool = True) -> np.ndarray:
     """The Hermitian part; DimensionMismatch, or NotPsd if not finite or (bounded) out of range."""
     A = as_square(A)
     top = float(np.abs(A).max(initial=0.0))
@@ -230,14 +226,14 @@ class Spectrum:
 
 
 def spectrum(H: np.ndarray) -> Spectrum:
-    """Hermitian eigendecomposition (symmetrizes the input first); NotPsd if not finite."""
-    w, V = npl.eigh(_hermitian(H, "operator"))
+    """Hermitian eigendecomposition (symmetrizes first); NotPsd if not finite, at any scale."""
+    w, V = npl.eigh(_hermitian(H, "operator", bounded=False))
     return Spectrum(eigenvalues=w, eigenvectors=V)
 
 
 def psd_spectrum(H: np.ndarray, name: str = "operator") -> Spectrum:
-    """The spectrum of a PSD operand; raises NotPsd on a non-finite entry or below -tol."""
-    return _admitted(_operand_spectrum(_hermitian(H, name)), name, False)
+    """A PSD operand's spectrum; NotPsd if not finite, outside [1e-100, 1e100] or below -tol."""
+    return _admitted(_operand_spectrum(_hermitian(H, name)), name)
 
 
 # the operand spectra of _operand_spectrum, oldest first; writes hold the lock
@@ -263,22 +259,18 @@ def _operand_spectrum(H: np.ndarray) -> Spectrum:
     return sp
 
 
-def _admitted(sp: Spectrum, name: str, definite: bool) -> Spectrum:
+def _admitted(sp: Spectrum, name: str, definite: bool = False) -> Spectrum:
     if definite:
         if not sp.is_definite:
             raise NotPositiveDefinite(f"{name} is not strictly positive definite")
     elif not sp.is_psd:
-        raise NotPsd(f"{name} has eigenvalue {sp.eigenvalues[0]:.3e} below -PSD_TOL")
+        raise NotPsd(f"{name} has eigenvalue {sp.eigenvalues[0]:.3e} below -tol = -{sp.tol:.3e}")
     return sp
 
 
 def _hermitian_pair(A: np.ndarray, B: np.ndarray, names=("X", "Y")) -> tuple[np.ndarray, ...]:
-    """
-    Hermitian parts of two square operands of one nonzero dimension, finite and of largest
-    |entry| 0 or in [1e-100, 1e100], where the kernels' products of three operand-scale
-    factors stay finite; else DimensionMismatch or NotPsd.
-    """
-    A, B = _hermitian(A, names[0], bounded=True), _hermitian(B, names[1], bounded=True)
+    """Two operands admitted by _hermitian, of one nonzero dimension; else DimensionMismatch."""
+    A, B = _hermitian(A, names[0]), _hermitian(B, names[1])
     if A.shape != B.shape:
         raise DimensionMismatch(
             f"{names[0]} has dimension {A.shape[0]} but {names[1]} has {B.shape[0]}")
@@ -318,22 +310,22 @@ def psd_pair(A: np.ndarray, B: np.ndarray, names: tuple[str, str] = ("X", "Y"),
 
 def psd_sqrt(H: np.ndarray) -> np.ndarray:
     """
-    Matrix square root of a PSD matrix via eigendecomposition.
-    Eigenvalues in [-tol, 0) are clamped to 0; anything lower raises NotPsd.
+    Matrix square root of a PSD matrix via eigendecomposition; eigenvalues in [-tol, 0) are
+    clamped to 0. NotPsd below -tol, or if not finite or outside [1e-100, 1e100].
     """
     return psd_spectrum(H).sqrt().copy()
 
 
 def pinv(H: np.ndarray) -> np.ndarray:
     """
-    Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
-    Eigenvalues with |lambda| <= tol are sent to 0.
+    Moore-Penrose inverse of a Hermitian matrix via eigendecomposition; eigenvalues with
+    |lambda| <= tol are sent to 0. NotPsd if not finite or outside [1e-100, 1e100].
     """
     return _operand_spectrum(_hermitian(H, "operator")).pinv()
 
 
 def support_projector(H: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
+    """Projector onto the support of a PSD matrix; refuses what psd_spectrum refuses."""
     sup = psd_spectrum(H).support()
     return sup.matrix(np.ones(sup.dim))
 

@@ -25,8 +25,8 @@ from .errors import (
     RootAmbiguity,
     SOutOfRange,
 )
-from .linalg_core import (Spectrum, _hermitian, _hermitian_pair, _operand_spectrum, psd_pair,
-                          psd_spectrum, spectrum)
+from .linalg_core import (Spectrum, _admitted, _hermitian, _hermitian_pair, _operand_spectrum,
+                          psd_pair, spectrum)
 
 __all__ = [
     "SIGMA_X",
@@ -77,7 +77,7 @@ class QubitDualPoint:
 
     @staticmethod
     def from_operator(H: np.ndarray) -> "QubitDualPoint":
-        H = _hermitian(H, "operator")
+        H = _hermitian(H, "operator", bounded=False)
         if H.shape != (2, 2):
             raise DimensionMismatch("QubitDualPoint needs a 2x2 operator")
         a, b, d = float(H[0, 0].real), complex(H[0, 1]), float(H[1, 1].real)
@@ -103,7 +103,10 @@ class M0Frame:
 
 
 def frame_from_operator(M: np.ndarray) -> M0Frame:
-    """Diagonalize a Hermitian qubit M into the form l sigma_z + m I, l > 0."""
+    """
+    Diagonalize a Hermitian qubit M into l sigma_z + m I, l > 0; NotPsd if M is not finite
+    or its largest |entry| is outside [1e-100, 1e100] (other than 0).
+    """
     M = _hermitian(M, "operator")
     if M.shape != (2, 2):
         raise DimensionMismatch("frame_from_operator needs a 2x2 operator")
@@ -287,7 +290,7 @@ def mfmin_qubit_membership(L0: np.ndarray, L1: np.ndarray) -> bool:
     L0, L1 = _hermitian_pair(L0, L1, ("L0", "L1"))
     if L0.shape != (2, 2):
         raise DimensionMismatch("mfmin_qubit_membership is dim-2 only")
-    S0 = psd_spectrum(L0, "L0")
+    S0 = _admitted(_operand_spectrum(L0), "L0")
     if S0.eigenvalues[0] > S0.tol:
         mu, V = 1.0 / S0.eigenvalues, S0.eigenvectors  # L0^{-1}'s eigenvalues descend
         with contextlib.suppress(DegenerateFrame):

@@ -24,7 +24,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import NoConvergence, SingularPair
-from .linalg_core import Spectrum, _hermitian_pair, hermitianize, psd_pair, psd_spectrum
+from .linalg_core import (Spectrum, _admitted, _hermitian_pair, _operand_spectrum, hermitianize,
+                          psd_pair)
 
 __all__ = [
     "lyapunov_solve",
@@ -42,7 +43,7 @@ def lyapunov_solve(Z: np.ndarray, X: np.ndarray) -> np.ndarray:
     vanishing right-hand side, otherwise the equation is unsolvable.
     """
     Z, X = _hermitian_pair(Z, X, ("Z", "X"))
-    Zs = psd_spectrum(Z, "Z")
+    Zs = _admitted(_operand_spectrum(Z), "Z")
     w, V = Zs.eigenvalues, Zs.eigenvectors
     if Zs.is_definite:
         return _definite_lyapunov_solve(w, V, X)

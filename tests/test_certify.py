@@ -52,6 +52,19 @@ def test_block_psd_refuses_non_finite_operands():
         block_psd(I2, np.zeros((2, 2)), np.diag([np.inf, 1.0]))
 
 
+# a non-finite C is refused before any product is formed: with a definite pair it would read
+# False with a RuntimeWarning, and with a kernel in X the support check's 2-norm would raise
+# numpy's LinAlgError
+@pytest.mark.parametrize("X", [I2, np.diag([1.0, 0.0]).astype(complex)], ids=["definite", "kernel"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_psd_refuses_a_non_finite_c(X, bad):
+    one = np.zeros((2, 2), dtype=complex)
+    one[0, 1] = bad
+    for C in (one, np.diag([bad, bad]).astype(complex)):
+        with pytest.raises(NotPsd, match="C has a non-finite entry"):
+            block_psd(X, C, I2)
+
+
 def test_block_psd_large_offdiagonal():
     assert not block_psd(I2, 2 * I2, I2)
 

@@ -86,6 +86,26 @@ def test_povm_validation():
                               np.diag([-1.0, -1.0]).astype(complex)])
 
 
+# each element or state is admitted once, by the rule every operand follows, and keeps its
+# error type: a non-square one raises DimensionMismatch, a non-finite or out-of-range one
+# InvalidPovm or InvalidState
+def test_channel_operands_are_admitted_by_the_operand_rule():
+    I2 = np.eye(2, dtype=complex)
+    nan, tiny = np.diag([np.nan, 1.0]).astype(complex), 1e-120 * I2
+    with pytest.raises(DimensionMismatch):
+        Povm(dim=2, elements=[np.ones((2, 3)), I2])
+    with pytest.raises(InvalidPovm, match="non-finite"):
+        Povm(dim=2, elements=[nan, I2])
+    with pytest.raises(InvalidPovm, match="outside"):
+        Povm(dim=2, elements=[tiny, I2 - tiny])
+    with pytest.raises(DimensionMismatch):
+        preparation_channel([np.ones((2, 3))])
+    with pytest.raises(InvalidState, match="non-finite"):
+        preparation_channel([nan])
+    with pytest.raises(InvalidState, match="outside"):
+        preparation_channel([np.array([[0.5, 1e120], [1e120, 0.5]], dtype=complex)])
+
+
 def test_measurement_channel_statistics():
     M = random_povm(2, 3, seed=3)
     chan = measurement_channel(M)

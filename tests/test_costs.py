@@ -187,6 +187,53 @@ def test_no_call_decomposes_an_operand_twice(call, dim, monkeypatch):
     assert set(seen.values()) == {1}
 
 
+def _povm_elements(X):
+    # rho / 2 and I - rho / 2 for rho = X / tr X: PSD, exactly Hermitian, and summing to I
+    E = X / (2 * np.trace(X).real)
+    return [E, np.eye(len(X)) - E]
+
+
+def _states(X, Y):
+    return [X / np.trace(X).real, Y / np.trace(Y).real]
+
+
+GATE_CALLS = {
+    **OPERAND_CALLS,
+    "Povm": lambda X, Y, Yk, U: fidlab.Povm(len(X), _povm_elements(X)),
+    "preparation_channel": lambda X, Y, Yk, U: fidlab.preparation_channel(_states(X, Y)),
+}
+
+
+# no public call gates one operand twice: on a cold memo, each operand's Hermitian part
+# reaches linalg_core.as_square, the first step of every gate, at most once per call,
+# wherever a fidlab module binds it
+@pytest.mark.parametrize("call, dim", [(c, d) for c in sorted(GATE_CALLS)
+                                       for d in ((2,) if c in QUBIT_ONLY else (2, 3))])
+def test_no_call_gates_an_operand_twice(call, dim, monkeypatch):
+    rng = rng_for(71, dim)
+    X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
+    U = _rotation(dim, rng)
+    operands = [X, Y, Yk, *_rotated_pair(X, Y, U), *_povm_elements(X), *_states(X, Y)]
+    keys = {linalg_core.hermitianize(np.asarray(A, dtype=complex)).tobytes() for A in operands}
+    seen = Counter()
+    as_square = linalg_core.as_square
+
+    def recorded(a):
+        if np.shape(a) == (dim, dim):
+            key = linalg_core.hermitianize(np.asarray(a, dtype=complex)).tobytes()
+            if key in keys:
+                seen[key] += 1
+        return as_square(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fidlab") and getattr(module, "as_square", None) is as_square:
+            monkeypatch.setattr(module, "as_square", recorded)
+    linalg_core._SPECTRA.clear()
+    GATE_CALLS[call](X, Y, Yk, U)
+    # each call gates at least one operand, and none more than once
+    assert set(seen.values()) == {1}
+
+
 # eigh + eigvalsh for three public calls on one pair, as the benchmark's states
 # and duals ops make them: the first call decomposes both operands, and the
 # next two read their spectra from the memo (without it, 4 more each)

@@ -175,7 +175,7 @@ _OUT_OF_RANGE = [1e-200, 1e-120, 1e120, 1e200]
 @pytest.mark.parametrize("dim", [2, 3])
 def test_operands_outside_the_finite_product_range_are_refused(dim, s, tmp_path):
     # beyond 1e+-100 the kernels' three-factor products leave double range, so the
-    # pair gate refuses the operands as it refuses a non-finite entry
+    # operand gate refuses the operands as it refuses a non-finite entry
     rng = rng_for(91, dim)
     X, Y = s * random_pd(dim, rng), s * random_pd(dim, rng)
     for name in _PAIR_FUNCTIONS:
@@ -185,6 +185,22 @@ def test_operands_outside_the_finite_product_range_are_refused(dim, s, tmp_path)
         for kind in ("max", "min", "half"):
             with pytest.raises(NotPsd, match="outside"):
                 getattr(fidlab, name)(kind, X, Y)
+    # and so is every single operand whose spectrum enters the memo
+    for name in ("pinv", "psd_sqrt", "support_projector"):
+        with pytest.raises(NotPsd, match="outside"):
+            getattr(fidlab, name)(X)
+    if dim == 2:
+        with pytest.raises(NotPsd, match="outside"):
+            fidlab.frame_from_operator(X)
+        # QubitDualPoint.from_operator reads entries and decomposes nothing: any finite scale
+        assert fidlab.QubitDualPoint.from_operator(X).w > 0
+    # spectrum() serves the code's own intermediates, which pass no range rule
+    assert fidlab.spectrum(X).eigenvalues[0] > 0
+    zero, eye = np.zeros((dim, dim)), np.eye(dim)
+    with pytest.raises(NotPsd, match="X has largest .* outside"):
+        fidlab.block_psd(X, zero, eye)
+    with pytest.raises(NotPsd, match="Y has largest .* outside"):
+        fidlab.block_psd(eye, zero, Y)
     path = tmp_path / "pair.json"
     path.write_text(json.dumps([
         {"dim": dim, "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}

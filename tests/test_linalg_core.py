@@ -89,7 +89,8 @@ def test_pinch_drops_off_diagonals():
 
 
 def test_psd_spectrum_rejects_negative():
-    with pytest.raises(NotPsd):
+    # the refusal names the tolerance it applied, Spectrum.tol = 1e-10 * max |eigenvalue|
+    with pytest.raises(NotPsd, match=r"^A has eigenvalue -5\.000e-01 below -tol = -1\.000e-10$"):
         psd_spectrum(np.diag([1.0, -0.5]).astype(complex), "A")
 
 
