@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .errors import DimensionMismatch, NotPsd
+from .errors import DimensionMismatch
 from .fidelity import _fidelity_half, _optimizers
-from .linalg_core import (_EPS, Spectrum, _SpectralPair, _admitted, _eye, _hermitian,
-                          _hermitian_pair, _operand_spectrum, _trace, psd_pair)
+from .linalg_core import (_EPS, Spectrum, _SpectralPair, _admitted, _eye, _finite,
+                          _hermitian, _hermitian_pair, _operand_spectrum, _trace, psd_pair)
 from .polar import _witness_bracket
 
 __all__ = ["Certificate", "block_psd", "mfmax_membership", "duality_certificate"]
@@ -71,8 +71,7 @@ def block_psd(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> bool:
         raise DimensionMismatch("X and Y must be nonempty")
     if C.shape != (X.shape[0], Y.shape[0]):
         raise DimensionMismatch("C has incompatible shape")
-    if not np.isfinite(C).all():
-        raise NotPsd("C has a non-finite entry")
+    _finite(C, "C")
     return _block_psd(X, _admitted(_operand_spectrum(X), "X"), C,
                       _admitted(_operand_spectrum(Y), "Y"))
 

@@ -13,8 +13,8 @@ import numpy as np
 import numpy.linalg as npl
 
 from .errors import DimensionMismatch, InvalidPovm, InvalidState, NotPsd
-from .linalg_core import (Spectrum, _admitted, _hermitian, _operand_spectrum, as_square,
-                          hermitianize, spectrum)
+from .linalg_core import (Spectrum, _admitted, _finite, _hermitian, _operand_spectrum,
+                          as_square, hermitianize, spectrum)
 
 __all__ = [
     "KrausChannel",
@@ -37,7 +37,10 @@ _FLAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators; its flags are decided on read."""
+    """
+    A completely positive map given by its Kraus operators, each of shape (dim_out, dim_in)
+    and finite (else DimensionMismatch or NotPsd); its flags are decided on read.
+    """
 
     dim_in: int
     dim_out: int
@@ -50,6 +53,7 @@ class KrausChannel:
                 raise DimensionMismatch(
                     f"Kraus operator shape {K.shape} != ({self.dim_out}, {self.dim_in})"
                 )
+            _finite(K, "Kraus operator")
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
@@ -90,8 +94,9 @@ class Povm:
 
 
 def apply(channel: KrausChannel, X: np.ndarray) -> np.ndarray:
-    """Kraus action sum_j K_j X K_j^dagger."""
+    """Kraus action sum_j K_j X K_j^dagger on any square X; NotPsd if an entry is not finite."""
     X = as_square(X)
+    _finite(X, "X")
     if X.shape[0] != channel.dim_in:
         raise DimensionMismatch(
             f"input dim {X.shape[0]} != channel dim_in {channel.dim_in}"

@@ -18,11 +18,9 @@ from .certify import _certificate
 from .errors import FidlabError, ParseError, UnknownSuite
 from .fidelity import _FIDELITIES
 from .linalg_core import psd_pair
-from .polar import _POLARS
+from .polar import _KINDS, _polar_bracket
 from .qubit_geom import _DUAL_BODY_FLOOR, M0Frame, f1, m0_extreme_points, m0_membership
 from .verify import Report, run_suite
-
-_KINDS = ("max", "min", "half")
 
 
 def _entry(e) -> complex:
@@ -101,7 +99,7 @@ def cmd_compute(args) -> int:
     membership = {}
     for kind in _KINDS:
         result[f"fidelity_{kind}"] = _FIDELITIES[kind](pair)
-        lower, result[f"polar_{kind}"] = _POLARS[kind](pair)
+        lower, result[f"polar_{kind}"] = _polar_bracket(kind, pair.Xs, pair.Ys)
         # in the dual body iff the polar is >= 1, on the lower end, as polar_membership
         membership[kind] = lower >= _DUAL_BODY_FLOOR
     certs = {}

@@ -62,12 +62,18 @@ def as_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _hermitian(A: np.ndarray, name: str, bounded: bool = True) -> np.ndarray:
-    """The Hermitian part; DimensionMismatch, or NotPsd if not finite or (bounded) out of range."""
-    A = as_square(A)
+def _finite(A: np.ndarray, name: str) -> float:
+    """The largest |entry| of the array A; NotPsd if it is not finite."""
     top = float(np.abs(A).max(initial=0.0))
     if not math.isfinite(top):
         raise NotPsd(f"{name} has a non-finite entry")
+    return top
+
+
+def _hermitian(A: np.ndarray, name: str, bounded: bool = True) -> np.ndarray:
+    """The Hermitian part; DimensionMismatch, or NotPsd if not finite or (bounded) out of range."""
+    A = as_square(A)
+    top = _finite(A, name)
     if bounded and not (top == 0.0 or 1e-100 <= top <= 1e100):
         raise NotPsd(f"{name} has largest |entry| {top:.3e}, outside [1e-100, 1e100]")
     return hermitianize(A)
@@ -345,8 +351,9 @@ def schur_reduce(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def pinch(X: np.ndarray) -> np.ndarray:
-    """Delete off-diagonal entries in the standard basis."""
+    """Delete off-diagonal entries in the standard basis; NotPsd if an entry is not finite."""
     X = as_square(X)
+    _finite(X, "X")
     return np.diag(np.diag(X))
 
 

@@ -1,19 +1,19 @@
 # src/fidlab/polar.py
 #
-# Polar functionals of the three fidelities. At dim 2 every polar is a scalar function of
-# the pair's five spectral invariants (`qubit_geom`): min from one real quartic's roots,
-# half from one 3 x 3 eigenvalue problem. Above dim 2: for half a certified
+# Polar functionals of the three fidelities. One router, `_polar_bracket(kind, S0, S1)`,
+# decides each polar's path over the pair `linalg_core.psd_pair` admits and returns its
+# certified bracket (lower, upper), equal ends where the value is exact up to its stated
+# round-off: (0, 0) on a singular pair (continuity of the polar); at dim 2 the qubit form
+# off the pair's five spectral invariants (`qubit_geom`): max the stable root of a
+# quadratic, min one real quartic's roots, half one 3 x 3 eigenvalue problem. Above dim 2:
+# max 2 sigma_min(sqrt(L0) sqrt(L1)) by one SVD; min a certified branch-and-bound bracket
+# over one scalar (bounded and split by the chord of a concave function); half a certified
 # Collatz-Wielandt bracket on rho(S_L0 o S_L1), closed by Lanczos at dims >= 12, with the
-# dense d^2 x d^2 Gram at dims 3-11 and wherever Lanczos cannot close it; for min a
-# certified branch-and-bound bracket over one scalar (bounded and split by the chord of a
-# concave function). Max is one closed spectral form at every dim. Then the membership
-# semantics (polar >= 1 <=> dual-body membership, decided on the certified lower end of
-# every kind's bracket), and the max polar's lower bound from one explicit POVM
-# decomposition on the eigenbases of L0 and of polar_max's slack. Each polar is a kernel
-# over the pair `linalg_core.psd_pair` admits that returns its certified bracket
-# (lower, upper), equal ends where the value is exact up to its stated round-off, and
-# `_POLARS` maps each kind to it; polar(), polar_max, polar_min and polar_half read the
-# upper end. The half certificate's bracket at its own witness sqrt X is
+# dense d^2 x d^2 Gram at dims 3-11 and wherever Lanczos cannot close it. polar(),
+# polar_max, polar_min and polar_half read the upper end, and the membership semantics
+# (polar >= 1 <=> dual-body membership) the certified lower end. Then the max polar's
+# lower bound from one explicit POVM decomposition on the eigenbases of L0 and of
+# polar_max's slack. The half certificate's bracket at its own witness sqrt X is
 # `_witness_bracket`; it and Lanczos apply S_L0 o S_L1 by `superop`'s one operator and
 # read the bracket `_collatz_wielandt` returns. Max and min duality certificates do not
 # come here: `certify` checks their dual pair on one eigenvalue of the dual block.
@@ -28,9 +28,9 @@ import numpy.linalg as npl
 
 from .errors import DecompositionInfeasible, LengthMismatch, NoConvergence
 from .fidelity import _weights
-from .linalg_core import Spectrum, _SpectralPair, _trace, hermitianize, psd_pair, spectrum
+from .linalg_core import Spectrum, _trace, hermitianize, psd_pair, spectrum
 from .superop import _composed_lyapunov_matrix, _composed_lyapunov_operator
-from .qubit_geom import _DUAL_BODY_FLOOR, _polar_half_qubit, _polar_min_qubit
+from .qubit_geom import _DUAL_BODY_FLOOR, _polar_half_qubit, _polar_max_qubit, _polar_min_qubit
 
 __all__ = [
     "polar_classical",
@@ -46,21 +46,22 @@ __all__ = [
 # _polar_min_bracket raises NoConvergence rather than exceed _BRACKET_MAX_EVALS eigvalsh.
 _BRACKET_REL_WIDTH = 1e-10
 _BRACKET_MAX_EVALS = 1000
-# _polar_half_bracket runs Lanczos at dims >= _LANCZOS_MIN_DIM, where it beats the dense
-# d^2 x d^2 Gram. Per call on random pairs (A A^dagger/d + 0.05 I), 2-vCPU VM, Lanczos vs
-# Gram: 0.61 vs 0.52 ms at dim 10, 0.67 vs 1.30 at 12, 0.94 vs 4.9 at 16, 1.7 vs 28 at 24,
-# 2.8 vs 116 at 32. It takes at most _LANCZOS_STEPS_PER_DIM * dim steps, which random
-# pairs need 15-24 of at dim 12; a run that fails there (near-identity pairs) costs 0.63x
-# the Gram it then falls back to (0.34x at dim 16). The Ritz residual is read every
-# _LANCZOS_CHECK_EVERY steps from step _LANCZOS_FIRST_READ (before it, it was far above
-# _LANCZOS_FIRST_TARGET on every pair measured), and the bracket is first checked below
-# _LANCZOS_FIRST_TARGET relative.
+# _polar_bracket runs the half polar's Lanczos at dims >= _LANCZOS_MIN_DIM, where it beats
+# the dense d^2 x d^2 Gram. Per call on random pairs (A A^dagger/d + 0.05 I), 2-vCPU VM,
+# Lanczos vs Gram: 0.61 vs 0.52 ms at dim 10, 0.67 vs 1.30 at 12, 0.94 vs 4.9 at 16, 1.7
+# vs 28 at 24, 2.8 vs 116 at 32. It takes at most _LANCZOS_STEPS_PER_DIM * dim steps,
+# which random pairs need 15-24 of at dim 12; a run that fails there (near-identity pairs)
+# costs 0.63x the Gram it then falls back to (0.34x at dim 16). The Ritz residual is read
+# every _LANCZOS_CHECK_EVERY steps from step _LANCZOS_FIRST_READ (before it, it was far
+# above _LANCZOS_FIRST_TARGET on every pair measured), and the bracket is first checked
+# below _LANCZOS_FIRST_TARGET relative.
 _LANCZOS_MIN_DIM = 12
 _LANCZOS_STEPS_PER_DIM = 2
 _LANCZOS_CHECK_EVERY = 3
 _LANCZOS_FIRST_READ = 9
 _LANCZOS_FIRST_TARGET = 1e-7
 _DUAL_NAMES = ("L0", "L1")
+_KINDS = ("max", "min", "half")
 # weight of the slack's eigenbasis in _max_decomposition; its bound falls short
 # of polar_max by about _POVM_EPS sqrt(kappa(L0)) / 2 relative
 _POVM_EPS = 1e-9
@@ -76,35 +77,34 @@ def polar_classical(l0, l1) -> float:
 
 def polar_max(L0: np.ndarray, L1: np.ndarray) -> float:
     """
-    2 sigma_min(sqrt(L0) sqrt(L1)); 0 if singular. Relative error within (beta + 1) eps
-    max kappa(L_k) <= 8 eps max kappa(L_k): eigh returns the exact spectrum of some L_k + E_k,
-    ||E_k|| <= beta eps ||L_k|| (beta at most 6.2 on 1,500 pairs at each of dims 2-4), which
-    lies between (1 -+ beta eps kappa_k) L_k; the polar, monotone and 1/2-homogeneous in each
-    operand, moves by at most beta eps (kappa_0 + kappa_1) / 2, and the SVD of the well-scaled
-    D0^(1/2) W D1^(1/2) adds about eps sqrt(kappa_0 kappa_1). Seen: 4.8 eps kappa on dim-2
-    boundary pairs L0 = L1^-1 / 4 (3,000 pairs), where both small eigenvalues carry eigh's
-    round-off at once, under 1 on them at dims 3-4, and 2 on near-orthogonal pairs.
+    2 sigma_min(sqrt(L0) sqrt(L1)); 0 if singular. At dim 2, polar_max_qubit's stable root
+    off the pair's invariants, within 4 eps max kappa(L_k) (qubit_geom). At dims >= 3 one
+    SVD (_polar_max), relative error within (beta + 1) eps max kappa(L_k) <= 8 eps max
+    kappa(L_k): eigh returns the exact spectrum of some L_k + E_k, ||E_k|| <= beta eps ||L_k||
+    (beta at most 6.2 on 1,500 pairs at each of dims 2-4), which lies between
+    (1 -+ beta eps kappa_k) L_k; the polar, monotone and 1/2-homogeneous in each operand,
+    moves by at most beta eps (kappa_0 + kappa_1) / 2, and the SVD of the well-scaled
+    D0^(1/2) W D1^(1/2) adds about eps sqrt(kappa_0 kappa_1). Seen for the SVD: 4.8 eps kappa
+    on dim-2 boundary pairs L0 = L1^-1 / 4 (3,000 pairs), where both small eigenvalues carry
+    eigh's round-off at once, under 1 on them at dims 3-4, and 2 on near-orthogonal pairs.
     """
-    return _polar_max(psd_pair(L0, L1, _DUAL_NAMES))[1]
+    P = psd_pair(L0, L1, _DUAL_NAMES)
+    return _polar_bracket("max", P.Xs, P.Ys)[1]
 
 
-def _polar_max(P: _SpectralPair) -> tuple[float, float]:
-    S0, S1 = P.Xs, P.Ys
-    if S0.is_singular or S1.is_singular:
-        return 0.0, 0.0
+def _polar_max(S0: Spectrum, S1: Spectrum) -> float:
+    """2 sigma_min(sqrt(L0) sqrt(L1)) of the definite pair with spectra S0, S1, by one SVD."""
     # sigma(sqrt(L0) sqrt(L1)) = sigma(D0^{1/2} V0^dagger V1 D1^{1/2}); the squared form
     # 2 sqrt(lambda_min(sqrt(L1) L0 sqrt(L1))) loses the small singular values
     W = S0.eigenvectors.conj().T @ S1.eigenvectors
     M = np.sqrt(S0.eigenvalues)[:, None] * W * np.sqrt(S1.eigenvalues)
-    p = 2.0 * float(npl.svd(M, compute_uv=False)[-1])
-    return p, p
+    return 2.0 * float(npl.svd(M, compute_uv=False)[-1])
 
 
 def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     """
-    Certified bracket [lower, upper] of the min polar of the PSD pair with
-    spectra S0, S1, of relative width _BRACKET_REL_WIDTH; (0, 0) on singular
-    inputs.
+    Certified bracket [lower, upper] of the min polar of the definite pair with
+    spectra S0, S1, of relative width _BRACKET_REL_WIDTH.
 
     Swapping the minimizations in 2 sqrt(ab) = min_{s>0} (s a + b/s) gives
     polar_min = min_t g(t), g(t) = lambda_min(e^t L0 + e^{-t} L1), whose
@@ -127,8 +127,6 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     1.1 eps ||A||_2 seen against 40-digit references; tests/test_certify.py
     holds both ends to 4 eps ||A||_2).
     """
-    if S0.is_singular or S1.is_singular:
-        return 0.0, 0.0
     w0, w1 = S0.eigenvalues, S1.eigenvalues
     L0, L1 = S0.reconstruct(), S1.reconstruct()
 
@@ -163,60 +161,59 @@ def _polar_min_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     )
 
 
-def _polar_min(P: _SpectralPair) -> tuple[float, float]:
-    """The exact qubit form at dim 2, twice; at dims >= 3, _polar_min_bracket."""
-    if P.Xs.dim == 2:
-        p = _polar_min_qubit(P.Xs, P.Ys)
-        return p, p
-    return _polar_min_bracket(P.Xs, P.Ys)
-
-
 def polar_min(L0: np.ndarray, L1: np.ndarray) -> float:
     """
     min over unit vectors psi of 2 sqrt(<psi|L0|psi> <psi|L1|psi>): at dim 2 the exact
     qubit form off the pair's spectral invariants (qubit_geom._polar_min_qubit), and at
-    dims >= 3 the upper end of the certified bracket of _polar_min_bracket.
+    dims >= 3 the upper end of the certified bracket of _polar_min_bracket; 0 if singular.
     """
-    return _polar_min(psd_pair(L0, L1, _DUAL_NAMES))[1]
+    P = psd_pair(L0, L1, _DUAL_NAMES)
+    return _polar_bracket("min", P.Xs, P.Ys)[1]
 
 
 def polar_half(L0: np.ndarray, L1: np.ndarray) -> float:
     """
-    ( max eigenvalue of S_{L0} o S_{L1} )^{-1/2}: the upper end of the certified bracket
-    of _polar_half_bracket, of relative width _BRACKET_REL_WIDTH at dims >= 12, the dense
-    Gram value at dims 3-11 and the exact value off the pair's spectral invariants at
-    dim 2; 0 on singular inputs (continuity of the polar).
+    ( max eigenvalue of S_{L0} o S_{L1} )^{-1/2}: the exact value off the pair's spectral
+    invariants at dim 2, the dense Gram value at dims 3-11 and the upper end of the
+    certified Lanczos bracket, of relative width _BRACKET_REL_WIDTH, at dims >= 12 (the
+    Gram value where it does not close); 0 on singular inputs (continuity of the polar).
     """
     P = psd_pair(L0, L1, _DUAL_NAMES)
-    return _polar_half_bracket(P.Xs, P.Ys)[1]
+    return _polar_bracket("half", P.Xs, P.Ys)[1]
 
 
-def _polar_half_bracket(S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
+def _polar_bracket(kind: str, S0: Spectrum, S1: Spectrum) -> tuple[float, float]:
     """
-    Certified bracket [lower, upper] of the half polar rho(Phi)^{-1/2},
-    Phi = S_{L0} o S_{L1}, of the pair with spectra S0, S1; (0, 0) on singular inputs.
+    Certified bracket [lower, upper] of the kind's polar of the PSD pair with spectra S0,
+    S1: the one place each polar's path is decided. (0, 0) on singular inputs. At dim 2
+    both ends are the kind's qubit form off the pair's five spectral invariants
+    (qubit_geom: _polar_max_qubit, _polar_min_qubit, _polar_half_qubit). At dims >= 3,
+    max: both ends are the SVD _polar_max; min: _polar_min_bracket.
 
-    At dim 2 both ends are qubit_geom._polar_half_qubit, one 3 x 3 eigenvalue problem off
-    the pair's five spectral invariants. At dims >= 3 both S_L preserve the PSD cone, so
-    for every positive definite H the Collatz-Wielandt bounds
-    lambda_min <= rho <= lambda_max of H^{-1/2} Phi(H) H^{-1/2} hold (_collatz_wielandt).
-    At dims >= _LANCZOS_MIN_DIM _lanczos_bracket closes them at relative width
-    _BRACKET_REL_WIDTH. Below that dim, and whenever Lanczos does not close (a reducible
-    Phi, as for commuting or block-diagonal pairs, has no positive definite Perron
-    vector), both ends are the top eigenvalue of the dense Gram _composed_lyapunov_matrix,
-    exact up to eigvalsh's round-off.
-
-    Round-off: against that Gram value, both ends of a closed bracket held it within
+    Half at dims >= 3: both S_L preserve the PSD cone, so for every positive definite H
+    the Collatz-Wielandt bounds lambda_min <= rho <= lambda_max of H^{-1/2} Phi(H) H^{-1/2},
+    Phi = S_{L0} o S_{L1}, hold (_collatz_wielandt). At dims >= _LANCZOS_MIN_DIM
+    _lanczos_bracket closes them at relative width _BRACKET_REL_WIDTH. Below that dim, and
+    whenever Lanczos does not close (a reducible Phi, as for commuting or block-diagonal
+    pairs, has no positive definite Perron vector), both ends are rho^{-1/2} from the top
+    eigenvalue of the dense Gram _composed_lyapunov_matrix, exact up to eigvalsh's
+    round-off. Against that Gram value, both ends of a closed bracket held it within
     7.4e-16 relative in either direction, on random, kappa = 1e4 and near-identity pairs
     at dims 12-24, and the qubit form within 2.0e-15 on 30,000 random, scaled,
     kappa = 1e8, near-scalar, commuting and L0 ~ L1^-1 pairs (tests/test_polar.py holds
     both to 1e-13).
     """
-    if S0.dim == 2:
-        v = _polar_half_qubit(S0, S1)
-        return v, v
     if S0.is_singular or S1.is_singular:
         return 0.0, 0.0
+    if S0.dim == 2:
+        form = {"max": _polar_max_qubit, "min": _polar_min_qubit, "half": _polar_half_qubit}
+        p = form[kind](S0, S1)
+        return p, p
+    if kind == "max":
+        p = _polar_max(S0, S1)
+        return p, p
+    if kind == "min":
+        return _polar_min_bracket(S0, S1)
     if S0.dim >= _LANCZOS_MIN_DIM:
         bracket = _lanczos_bracket(*_composed_lyapunov_operator(S0, S1))
         if bracket is not None:
@@ -230,7 +227,7 @@ def _witness_bracket(S0: Spectrum, S1: Spectrum, H: np.ndarray) -> tuple[float, 
     Both Collatz-Wielandt ends of the half polar at the witness H, closed or not
     (_collatz_wielandt): the lower end bounds the polar from below at every positive
     definite H, and is 0 where H is not; the upper end is inf where rho_lo is 0. At dim 2
-    and on singular inputs it is _polar_half_bracket, the qubit form at dim 2. H is taken
+    and on singular inputs it is _polar_bracket's, the qubit form at dim 2. H is taken
     to L1's eigenbasis, H1 = V1^dagger H V1, where Phi(H1) = apply(w1 H1) / w1 by
     _composed_lyapunov_operator.
 
@@ -241,7 +238,7 @@ def _witness_bracket(S0: Spectrum, S1: Spectrum, H: np.ndarray) -> tuple[float, 
     to 8 eps kappa(H) (6.9 seen at dim 3, kappa(H) = 1e4; tests/test_certify.py).
     """
     if S0.dim == 2 or S0.is_singular or S1.is_singular:
-        return _polar_half_bracket(S0, S1)
+        return _polar_bracket("half", S0, S1)
     apply, w1 = _composed_lyapunov_operator(S0, S1)
     V1 = S1.eigenvectors
     H1 = V1.conj().T @ H @ V1
@@ -272,17 +269,21 @@ def _collatz_wielandt(H: np.ndarray, F: np.ndarray, theta: float) -> tuple[float
 
 def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
     """
-    The polar bracket from Lanczos with full reorthogonalization on the symmetric form
-    S_{L1}^{1/2} S_{L0} S_{L1}^{1/2} = apply, started at the image S_{L1}^{1/2}(I) of I:
-    its top Ritz pair (theta, z) gives H = S_{L1}^{-1/2}(z) = z / w1 and
-    Phi(H) = apply(z) / w1 from the stored products, and _collatz_wielandt's bracket at H
-    closes. The Ritz residual is read every _LANCZOS_CHECK_EVERY steps, or at once
-    when the Krylov space is (nearly) invariant; H is checked once the residual relative
-    to theta falls below a target, first _LANCZOS_FIRST_TARGET, then the residual that
-    the last check's width, taken as linear in it, predicts for closing. None, so that
-    the caller falls back, when the bracket's upper end is inf at a check (H is not
-    positive definite, or rho_lo <= 0), when an invariant Krylov space does not close
-    it, or after _LANCZOS_STEPS_PER_DIM * dim steps.
+    The polar bracket from Lanczos on the symmetric form S_{L1}^{1/2} S_{L0} S_{L1}^{1/2}
+    = apply, started at the image S_{L1}^{1/2}(I) of I: its top Ritz pair (theta, z) gives
+    H = S_{L1}^{-1/2}(z) = z / w1 and Phi(H) = apply(z) / w1 from the stored products, and
+    _collatz_wielandt's bracket at H closes. The Ritz residual is read every
+    _LANCZOS_CHECK_EVERY steps, or at once when the Krylov space is (nearly) invariant; H
+    is checked once the residual relative to theta falls below a target, first
+    _LANCZOS_FIRST_TARGET, then the residual that the last check's width, taken as linear
+    in it, predicts for closing. None, so that the caller falls back, when the bracket's
+    upper end is inf at a check (H is not positive definite, or rho_lo <= 0), when an
+    invariant Krylov space does not close it, or after _LANCZOS_STEPS_PER_DIM * dim steps.
+
+    Each new vector takes one classical Gram-Schmidt pass against every earlier one, not a
+    full reorthogonalization: on near-identity pairs the basis loses orthogonality inside
+    the step cap (max |Q^T Q - I| 0.95 at step 24, dim 12), the top Ritz value turns
+    spurious and the caller falls back; the lower end, z's Rayleigh quotient, stays rigorous.
     """
     d = w1.shape[0]
     steps = _LANCZOS_STEPS_PER_DIM * d
@@ -297,8 +298,8 @@ def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
         # kept Hermitian: past convergence, round-off otherwise grows the Perron vector
         # times i, a second top eigenvector that spoils the Ritz vector
         AQ[k] = hermitianize(apply(Q[k].view(complex).reshape(d, d))).ravel().view(float)
-        # full reorthogonalization, which also takes off the three-term recurrence's
-        # alpha_k q_k + beta_{k-1} q_{k-1}
+        # one Gram-Schmidt pass against every earlier vector, which also takes off the
+        # three-term recurrence's alpha_k q_k + beta_{k-1} q_{k-1}
         c = Q[:k + 1] @ AQ[k]
         r = AQ[k] - c @ Q[:k + 1]
         T[k, k], beta = c[k], math.sqrt(r @ r)
@@ -327,27 +328,26 @@ def _lanczos_bracket(apply, w1: np.ndarray) -> tuple[float, float] | None:
     return None
 
 
-_POLARS = {"max": _polar_max, "min": _polar_min, "half": lambda P: _polar_half_bracket(P.Xs, P.Ys)}
-
-
 def polar(kind: str, L0: np.ndarray, L1: np.ndarray) -> float:
     """Dispatch by kind in {max, min, half}: the upper end of the kind's bracket."""
-    if kind not in _POLARS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown polar kind {kind!r}")
-    return _POLARS[kind](psd_pair(L0, L1, _DUAL_NAMES))[1]
+    P = psd_pair(L0, L1, _DUAL_NAMES)
+    return _polar_bracket(kind, P.Xs, P.Ys)[1]
 
 
 def polar_membership(kind: str, L0: np.ndarray, L1: np.ndarray) -> bool:
     """
     True iff the pair lies in the dual body: the certified lower end of its polar's
-    bracket is >= 1 - 1e-9. Max and the dim-2 min and half qubit forms are exact up to
-    their stated two-sided round-off, so both ends are the value; min at dims >= 3 and
-    half at dims >= 12 read the lower end of their bracket, and half at dims 3-11 the
-    dense Gram value.
+    bracket (_polar_bracket) is >= 1 - 1e-9. The dim-2 qubit forms and max at every dim
+    are exact up to their stated two-sided round-off, so both ends are the value; min at
+    dims >= 3 and half at dims >= 12 read the lower end of their bracket, and half at
+    dims 3-11, or where Lanczos does not close, the dense Gram value.
     """
-    if kind not in _POLARS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown polar kind {kind!r}")
-    return _POLARS[kind](psd_pair(L0, L1, _DUAL_NAMES))[0] >= _DUAL_BODY_FLOOR
+    P = psd_pair(L0, L1, _DUAL_NAMES)
+    return _polar_bracket(kind, P.Xs, P.Ys)[0] >= _DUAL_BODY_FLOOR
 
 
 def _max_decomposition(L0: np.ndarray, L1: np.ndarray
@@ -367,9 +367,8 @@ def _max_decomposition(L0: np.ndarray, L1: np.ndarray
     then leaves a residual, and any residual above 1e-8 ||L_k|| raises
     DecompositionInfeasible rather than return a bound above the polar.
     """
-    P = psd_pair(L0, L1, _DUAL_NAMES)
-    L0, L1, S0, S1 = P
-    p = _polar_max(P)[1]
+    L0, L1, S0, S1 = psd_pair(L0, L1, _DUAL_NAMES)
+    p = _polar_bracket("max", S0, S1)[1]
     if p == 0.0:
         return None
     eps, dim = _POVM_EPS, S0.dim

@@ -6,7 +6,10 @@
 # the necessary conditions for unital convertibility of dual pairs. The polars are
 # unitarily invariant, and a dim-2 pair is fixed up to a joint unitary by five numbers
 # of its two spectra (`_qubit_invariants`): so the max, min and half qubit polars are
-# scalar functions of them, and polynomial roots are companion-matrix eigenvalues.
+# scalar functions of them, and polynomial roots are companion-matrix eigenvalues. The
+# router `polar._polar_bracket` takes every dim-2 polar of a definite pair from these forms;
+# `_qubit_invariants` keeps its own singular guard for the callers that take them directly
+# (polar_max_qubit, polar_min_qubit, convertibility_necessary, mfmin_qubit_membership).
 
 from __future__ import annotations
 

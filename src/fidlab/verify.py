@@ -40,6 +40,7 @@ from .fidelity import (
     optimal_twist,
 )
 from .polar import (
+    _polar_max,
     _polar_min_bracket,
     polar,
     polar_classical,
@@ -487,9 +488,10 @@ def suite_qubit_geometry(dims=(2,), trials=500, seed=42) -> Report:
         L0 = random_psd(2, rng)
         L1 = random_psd(2, rng)
         rep.trials += 1
-        rep.close(polar_max_qubit(L0, L1), polar_max(L0, L1), 1e-10,
+        S0, S1 = spectrum(L0), spectrum(L1)
+        rep.close(polar_max_qubit(L0, L1), _polar_max(S0, S1), 1e-10,
                   f"closed {t}", "polar-max-closed-form")
-        bracket = _polar_min_bracket(spectrum(L0), spectrum(L1))
+        bracket = _polar_min_bracket(S0, S1)
         rep.close(polar_min_qubit(L0, L1), bracket[1], 1e-6,
                   f"closed {t}", "polar-min-closed-form")
         gram = composed_lyapunov_spectrum(L0, L1).eigenvalues[-1] ** -0.5

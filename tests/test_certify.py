@@ -20,7 +20,7 @@ from fidlab.fidelity import (
     _optimizers,
 )
 from fidlab.linalg_core import OperatorPair, hermitianize, psd_pair, psd_sqrt, spectrum
-from fidlab.polar import (_polar_min, _polar_min_bracket, _witness_bracket, polar_max,
+from fidlab.polar import (_polar_bracket, _polar_min_bracket, _witness_bracket, polar_max,
                           polar_membership)
 from fidlab.verify import _rotated
 
@@ -274,7 +274,8 @@ def test_min_certificate_valid_across_condition_numbers(kappas, dim):
     for X, Y in _kappa_pairs(kappas, dim):
         assert duality_certificate("min", X, Y).is_valid
         pair = dual_optimizers("min", X, Y)
-        assert abs(_polar_min(psd_pair(pair.first, pair.second))[0] - 1.0) <= 1e-9
+        P = psd_pair(pair.first, pair.second)
+        assert abs(_polar_bracket("min", P.Xs, P.Ys)[0] - 1.0) <= 1e-9
 
 
 def _bracket_and_argmin(L0, L1, monkeypatch):
@@ -352,7 +353,8 @@ def test_qubit_polar_lower_is_within_round_off_of_a_40_digit_reference(monkeypat
         L0, L1 = random_pd(2, rng), random_pd(2, rng)
         t0 = _bracket_and_argmin(L0, L1, monkeypatch)[2]
         ref = float(_mp_polar_min(mp, L0, L1, t0))
-        assert abs(_polar_min(psd_pair(L0, L1))[0] - ref) <= 1e-12 * ref
+        P = psd_pair(L0, L1)
+        assert abs(_polar_bracket("min", P.Xs, P.Ys)[0] - ref) <= 1e-12 * ref
 
 
 def _mp_polar_max(mp, L0, L1):

@@ -13,7 +13,7 @@ from fidlab.channels import (
     random_povm,
     rng_for,
 )
-from fidlab.errors import DimensionMismatch, InvalidPovm, InvalidState
+from fidlab.errors import DimensionMismatch, InvalidPovm, InvalidState, NotPsd
 from fidlab.fidelity import optimal_measurement, optimal_reverse_test
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -104,6 +104,19 @@ def test_channel_operands_are_admitted_by_the_operand_rule():
         preparation_channel([nan])
     with pytest.raises(InvalidState, match="outside"):
         preparation_channel([np.array([[0.5, 1e120], [1e120, 0.5]], dtype=complex)])
+
+
+# apply takes any square operator and a channel any finite Kraus operators: a non-finite
+# entry is refused by the gate's rule, not carried into an all-NaN output
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_channel_inputs_are_refused(bad):
+    B = np.diag([bad, 1.0]).astype(complex)
+    with pytest.raises(NotPsd, match="^X has a non-finite entry"):
+        apply(random_cptp(2, 2, 2, seed=1), B)
+    with pytest.raises(NotPsd, match="^Kraus operator has a non-finite entry"):
+        KrausChannel(dim_in=2, dim_out=2, kraus_ops=[B])
+    with pytest.raises(NotPsd, match="^Kraus operator has a non-finite entry"):
+        KrausChannel(dim_in=2, dim_out=3, kraus_ops=[np.vstack([B, np.ones((1, 2))])])
 
 
 def test_measurement_channel_statistics():

@@ -47,6 +47,8 @@ CALLS = {
     # above. L* is PSD by construction, so it is decomposed but not admitted or memoized
     "duality_certificate_half": ((4, 0), lambda X, Y, Yk: fidlab.duality_certificate("half", X, Y)),
 }
+# at dim 2 the max polar is the qubit form's stable root off the operands' spectra: no SVD
+CALLS_AT_DIM2 = {"polar_max": (2, 0), "povm_lower_bound": (3, 0)}
 
 
 class _ColdCounts(Counter):
@@ -96,6 +98,8 @@ def test_decompositions_per_call(call, dim, lapack_calls):
     rng = rng_for(70, dim)
     X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
     (eighs, svds), run = CALLS[call]
+    if dim == 2:
+        eighs, svds = CALLS_AT_DIM2.get(call, (eighs, svds))
     run(X, Y, Yk)
     assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == eighs
     assert lapack_calls["svd"] == svds
@@ -264,22 +268,23 @@ def _compute(tmp_path, X, B):
     assert fidlab.cli.main(["compute", str(pair), "--format", "json"]) == 0
 
 
-# eigh + eigvalsh per in-process `fidlab compute` request, on a definite pair
+# (eigh + eigvalsh, svd) per in-process `fidlab compute` request, on a definite pair
 # and with Y_k: the pair is admitted once, every fidelity, polar and
 # certificate is a kernel over it, and the min frame is taken once for F_min
 # and the min certificate; the half certificate takes the two spectra of its dual
 # pair L* in one stacked eigh, with no admission, and one eigenvalue problem for its
 # polar (the qubit form's 3 x 3, or the witness check above dim 2). At dim 2 the dual-body
 # memberships are read off the three polars and take no decomposition of their own.
-# The definite pair's polar_max and max certificate take one SVD each.
-COMPUTE = {2: (11, 5), 3: (20, 5), 4: (24, 5), 8: (29, 5)}
+# The definite pair's max certificate takes one SVD, and so does its polar_max above dim 2.
+COMPUTE = {2: ((11, 1), (5, 0)), 3: ((20, 2), (5, 0)), 4: ((24, 2), (5, 0)),
+           8: ((29, 2), (5, 0))}
 
 
 @pytest.mark.parametrize("dim", sorted(COMPUTE))
 def test_decompositions_per_compute_request(dim, tmp_path, lapack_calls):
     rng = rng_for(70, dim)
     X, Y, Yk = random_pd(dim, rng), random_pd(dim, rng), _rotated_kernel(dim, dim - 1, rng)
-    for expected, svds, B in zip(COMPUTE[dim], (2, 0), (Y, Yk)):
+    for (expected, svds), B in zip(COMPUTE[dim], (Y, Yk)):
         lapack_calls.clear()
         _compute(tmp_path, X, B)
         assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == expected

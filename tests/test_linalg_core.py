@@ -88,6 +88,12 @@ def test_pinch_drops_off_diagonals():
     assert np.allclose(pinch(PLUS), np.diag([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_pinch_refuses_a_non_finite_entry(bad):
+    with pytest.raises(NotPsd, match="^X has a non-finite entry"):
+        pinch(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+
 def test_psd_spectrum_rejects_negative():
     # the refusal names the tolerance it applied, Spectrum.tol = 1e-10 * max |eigenvalue|
     with pytest.raises(NotPsd, match=r"^A has eigenvalue -5\.000e-01 below -tol = -1\.000e-10$"):

@@ -14,7 +14,7 @@ from fidlab.fidelity import dual_optimizers
 from fidlab.linalg_core import hermitianize, spectrum
 from fidlab.polar import (
     _max_decomposition,
-    _polar_half_bracket,
+    _polar_bracket,
     _polar_min_bracket,
     polar,
     polar_classical,
@@ -259,7 +259,7 @@ def test_povm_lower_bound_refuses_a_polar_above_polar_max(monkeypatch):
     L0, L1 = random_pd(3, rng), random_pd(3, rng)
     polar_module = importlib.import_module("fidlab.polar")
     exact = polar_module._polar_max
-    monkeypatch.setattr(polar_module, "_polar_max", lambda *a: tuple(1.01 * p for p in exact(*a)))
+    monkeypatch.setattr(polar_module, "_polar_max", lambda *a: 1.01 * exact(*a))
     with pytest.raises(DecompositionInfeasible):
         povm_lower_bound(L0, L1)
 
@@ -463,7 +463,7 @@ HALF_ROUND_OFF = 1e-13
 
 def _assert_half_bracket(L0, L1):
     S0, S1 = spectrum(L0), spectrum(L1)
-    lower, upper = _polar_half_bracket(S0, S1)
+    lower, upper = _polar_bracket("half", S0, S1)
     exact = _gram_half(S0, S1)
     assert upper - lower <= 1e-10 * upper
     assert lower <= exact * (1 + HALF_ROUND_OFF)
@@ -511,8 +511,8 @@ def test_polar_half_bracket_closes_at_the_identity_on_scalar_pairs(dim, c, monke
         return (lambda Z: applied.append(Z) or apply(Z)), w1
 
     monkeypatch.setattr(polar_module, "_composed_lyapunov_operator", counted)
-    lower, upper = _polar_half_bracket(spectrum(c * np.eye(dim, dtype=complex)),
-                                       spectrum(np.eye(dim, dtype=complex)))
+    lower, upper = _polar_bracket("half", spectrum(c * np.eye(dim, dtype=complex)),
+                                  spectrum(np.eye(dim, dtype=complex)))
     assert len(applied) == 1
     assert lower == pytest.approx(2 * np.sqrt(c), rel=1e-14, abs=0)
     assert upper == pytest.approx(2 * np.sqrt(c), rel=1e-14, abs=0)
@@ -527,7 +527,7 @@ def test_reducible_pairs_fall_back_to_the_gram(family, monkeypatch):
     monkeypatch.setattr(polar_module, "_composed_lyapunov_matrix",
                         lambda *args: built.append(args) or gram(*args))
     L0, L1 = HALF_FAMILIES[family](12, rng_for(21))
-    lower, upper = _polar_half_bracket(spectrum(L0), spectrum(L1))
+    lower, upper = _polar_bracket("half", spectrum(L0), spectrum(L1))
     assert len(built) == 1
     assert lower == upper
 
@@ -554,7 +554,7 @@ def test_dim2_polar_half_holds_the_gram_value(family):
     for t in range(100):
         L0, L1 = QUBIT_HALF_FAMILIES[family](rng_for(22, t))
         S0, S1 = spectrum(L0), spectrum(L1)
-        lower, upper = _polar_half_bracket(S0, S1)
+        lower, upper = _polar_bracket("half", S0, S1)
         assert lower == upper == polar_half(L0, L1)
         assert upper == pytest.approx(_gram_half(S0, S1), rel=HALF_ROUND_OFF, abs=0)
 
@@ -562,11 +562,45 @@ def test_dim2_polar_half_holds_the_gram_value(family):
 @pytest.mark.parametrize("bracket, member", [((0.99, 1.01), False), ((1.0, 1.02), True)])
 @pytest.mark.parametrize("kind", ["max", "min", "half"])
 def test_membership_reads_the_lower_end(kind, bracket, member, monkeypatch):
-    # every kernel returns its certified bracket: membership reads its lower end, and
+    # the router returns each kind's certified bracket: membership reads its lower end, and
     # polar() and polar_<kind> its upper end
     polar_module = importlib.import_module("fidlab.polar")
-    kernel = {"max": "_polar_max", "min": "_polar_min", "half": "_polar_half_bracket"}[kind]
-    monkeypatch.setitem(polar_module._POLARS, kind, lambda P: bracket)
-    monkeypatch.setattr(polar_module, kernel, lambda *args: bracket)
+    monkeypatch.setattr(polar_module, "_polar_bracket", lambda *args: bracket)
     assert polar_membership(kind, I2, I2) is member
     assert polar(kind, I2, I2) == getattr(polar_module, f"polar_{kind}")(I2, I2) == bracket[1]
+
+
+# the kernel the router runs for each kind and dim on a definite pair; a singular pair runs none
+POLAR_ROUTES = {
+    "max": {2: "_polar_max_qubit", 3: "_polar_max", 12: "_polar_max"},
+    "min": {2: "_polar_min_qubit", 3: "_polar_min_bracket", 12: "_polar_min_bracket"},
+    "half": {2: "_polar_half_qubit", 3: "_composed_lyapunov_matrix", 12: "_lanczos_bracket"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POLAR_ROUTES))
+def test_one_router_picks_each_polar_path(kind, monkeypatch):
+    polar_module = importlib.import_module("fidlab.polar")
+    ran = []
+    for name in {n for routes in POLAR_ROUTES.values() for n in routes.values()}:
+        kernel = getattr(polar_module, name)
+        monkeypatch.setattr(polar_module, name,
+                            lambda *a, name=name, kernel=kernel: ran.append(name) or kernel(*a))
+
+    def every_reader(L0, L1):
+        return (getattr(polar_module, f"polar_{kind}")(L0, L1), polar(kind, L0, L1),
+                polar_membership(kind, L0, L1))
+
+    for dim, expected in POLAR_ROUTES[kind].items():
+        rng = rng_for(20, dim)
+        ran.clear()
+        every_reader(random_pd(dim, rng), random_pd(dim, rng))
+        assert ran == [expected] * 3
+    for dim in (2, 3):
+        rng = rng_for(39, dim)
+        singular = _rotated([0.0, *np.linspace(1.5, 2.0, dim - 1)], rng)
+        definite = random_pd(dim, rng)
+        ran.clear()
+        assert every_reader(singular, definite) == (0.0, 0.0, False)
+        assert every_reader(definite, singular) == (0.0, 0.0, False)
+        assert ran == []
